@@ -31,7 +31,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.spec import ExperimentSpec
 from repro.ioutils import atomic_write_text
-from repro.sim.engine import ManagerProtocol, SimulatorConfig, simulate_scenario
+from repro.sim.engine import ManagerProtocol, Simulator, SimulatorConfig
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -140,12 +140,17 @@ class BenchRegression:
 
 
 def _one_run(spec: ExperimentSpec) -> tuple:
-    """(e2e seconds, decide ms/epoch, decisions, jobs) of one spec execution."""
+    """(e2e seconds, decide ms/epoch, decisions, jobs) of one spec execution.
+
+    Runs the plain reference :class:`Simulator`, which calls ``decide()`` at
+    every epoch; the memoised path would replay repeated epochs past the
+    timer.
+    """
     scenario = build_scenario_from_spec(spec)
     manager = _TimedManager(build_manager_from_spec(spec))
     simulator_config = build_simulator_config(spec)
     start = time.perf_counter()
-    trace = simulate_scenario(scenario, manager, config=simulator_config)
+    trace = Simulator(scenario, manager, config=simulator_config).run()
     e2e_s = time.perf_counter() - start
     decide_ms = manager.total_s / manager.count * 1000.0 if manager.count else 0.0
     return e2e_s, decide_ms, manager.count, len(trace.jobs)

@@ -302,9 +302,12 @@ class RuntimeManager:
 
         Covers the platform topology, each cluster's dynamic state, every
         application's descriptor and current mapping, the leakage-temperature
-        bucket, the power-cap inputs and the allocator's home-cluster
-        affinities.  ``state.time_ms`` is deliberately excluded: it is copied
-        into the decision but never influences the chosen actions.  Unknown
+        bucket, the power-cap inputs and the home-cluster affinities of the
+        applications in the state — the allocator reads a home only for the
+        application it is placing, so departed applications' homes are not
+        inputs and keying them would grow every key with the run's history.
+        ``state.time_ms`` is deliberately excluded: it is copied into the
+        decision but never influences the chosen actions.  Unknown
         application types return ``None`` (epoch not keyable).
         """
         soc = state.soc
@@ -366,7 +369,8 @@ class RuntimeManager:
                 soc.thermal.sustainable_power_mw(margin_c=2.0) if state.throttling else None,
                 soc.idle_power_mw(),
             )
-        home = tuple(sorted(self.allocator._home_cluster.items()))
+        homes = self.allocator._home_cluster
+        home = tuple((app_id, homes[app_id]) for app_id in state.apps if app_id in homes)
         return (
             soc.topology_key(),
             clusters,
@@ -385,14 +389,15 @@ class RuntimeManager:
         Returns ``(decision, replay)`` where ``replay`` holds the issued
         actions plus the home-cluster affinities this epoch introduced —
         everything :meth:`replay_decision` needs to re-apply the decision to
-        an identical state without re-running the allocator.
+        an identical state without re-running the allocator.  Only
+        applications in the state can gain a home, so only theirs are
+        compared.
         """
-        home_before = dict(self.allocator._home_cluster)
+        homes = self.allocator._home_cluster
+        homeless = [app_id for app_id in state.apps if app_id not in homes]
         decision = self.decide(state)
         home_delta = tuple(
-            (app_id, cluster_name)
-            for app_id, cluster_name in self.allocator._home_cluster.items()
-            if app_id not in home_before
+            (app_id, homes[app_id]) for app_id in homeless if app_id in homes
         )
         return decision, (tuple(decision.actions), home_delta)
 

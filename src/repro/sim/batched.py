@@ -9,12 +9,12 @@ pair, replayed into every replica that asks the same question.  This is the
 batching trick of the columnar decision kernel (PR 3) lifted one level up —
 from the rows of one decision to the replicas of a whole sweep.
 
-Results are bit-identical to serial runs; fingerprints are the contract.
-Four properties make that sound:
+Results are bit-identical to the plain :class:`~repro.sim.engine.Simulator`;
+fingerprints are the contract.  Four properties make that sound:
 
 * Every shared store is keyed by *value* (model cache keys, platform
   topology keys, complete decision signatures), never by replica, and cached
-  decisions/costs replay the serial path's float arithmetic operation for
+  decisions/costs replay the reference path's float arithmetic operation for
   operation — float addition is not associative, so replays accumulate in
   the original order rather than "equivalently".
 * The operating-point cache's invalidations bound staleness and memory for a
@@ -30,6 +30,13 @@ Four properties make that sound:
   deterministic scenario swept over seeds) are collapsed to one simulation
   whose trace is shared, exactly because equal inputs produce equal traces.
 
+A lone run is a batch of one: :func:`~repro.sim.engine.simulate_scenario`
+(behind ``run(spec)``, the ``serial`` and ``process`` execution backends and
+the CLI's single-run verbs) builds one replica on private stores through
+:func:`make_batched_simulator`, so repeated decision epochs, job costs and
+power samples within one run replay from the memos too.  The plain
+:class:`~repro.sim.engine.Simulator` stays the unmemoised reference.
+
 The module exposes :class:`BatchedEngine` (scenario/manager level); spec
 level dispatch lives in :mod:`repro.experiments.backends` as the ``batched``
 execution backend.
@@ -38,11 +45,10 @@ execution backend.
 from __future__ import annotations
 
 import gc
-import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from math import exp
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.perfmodel.calibrated import CalibratedLatencyModel
 from repro.perfmodel.energy import EnergyModel, InferenceCost
@@ -51,7 +57,6 @@ from repro.rtm.cache import OperatingPointCache
 from repro.rtm.manager import RuntimeManager
 from repro.rtm.state import Action, SetCoresOnline
 from repro.sim.engine import ManagerProtocol, Simulator, SimulatorConfig
-from repro.sim.events import EVENT_PRIORITY_DEFAULT
 from repro.sim.faults import FaultPlan
 from repro.sim.trace import SimulationTrace
 from repro.workloads.scenarios import Scenario
@@ -89,7 +94,7 @@ class SharedSimulationStores:
         self.pareto_points: OrderedDict = OrderedDict()
         self.decisions: Dict[tuple, tuple] = {}
         #: Shared pricing model for replicas that did not supply their own —
-        #: stateless, and identical by construction to the serial default.
+        #: stateless, and identical by construction to the reference default.
         self.energy_model = EnergyModel(CalibratedLatencyModel())
         self.decision_hits = 0
         self.decision_misses = 0
@@ -132,92 +137,13 @@ class SharedOperatingPointCache(OperatingPointCache):
         self.stats.invalidations[reason] = self.stats.invalidations.get(reason, 0) + 1
 
 
-# ---------------------------------------------------------------- event queue
-
-
-_MISSING = object()
-
-
-class _FastEventQueue:
-    """Tuple-heap drop-in for :class:`~repro.sim.events.EventQueue`.
-
-    Identical ordering semantics — a heap keyed on (time, priority,
-    sequence) with lazy cancellation and past-times clamped to now — but the
-    heap holds plain tuples instead of ordered dataclass instances, which
-    roughly halves per-event scheduling cost across the millions of events a
-    batch executes.
-    """
-
-    __slots__ = ("_heap", "_pending", "_next_sequence", "now_ms")
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, int, Callable[[], None]]] = []
-        # Sequences scheduled but not yet executed or cancelled.  Liveness is
-        # checked with one dict op per event (``pop``) instead of the
-        # get-then-delete pair of the reference queue.
-        self._pending: Dict[int, None] = {}
-        self._next_sequence = 0
-        self.now_ms: float = 0.0
-
-    def schedule(
-        self,
-        time_ms: float,
-        callback: Callable[[], None],
-        priority: int = EVENT_PRIORITY_DEFAULT,
-    ) -> int:
-        sequence = self._next_sequence
-        self._next_sequence = sequence + 1
-        if time_ms < self.now_ms:
-            time_ms = self.now_ms
-        heapq.heappush(self._heap, (time_ms, priority, sequence, callback))
-        self._pending[sequence] = None
-        return sequence
-
-    def cancel(self, handle: int) -> None:
-        self._pending.pop(handle, None)
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    @property
-    def empty(self) -> bool:
-        return not self._pending
-
-    def peek_time(self) -> Optional[float]:
-        heap = self._heap
-        pending = self._pending
-        while heap and heap[0][2] not in pending:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
-
-    def run_until(self, end_time_ms: float) -> int:
-        heap = self._heap
-        pending = self._pending
-        heappop = heapq.heappop
-        missing = _MISSING
-        executed = 0
-        while heap:
-            entry = heap[0]
-            if entry[0] > end_time_ms:
-                break
-            heappop(heap)
-            if pending.pop(entry[2], missing) is missing:
-                continue  # lazily discard cancelled events
-            self.now_ms = entry[0]
-            entry[3]()
-            executed += 1
-        if self.now_ms < end_time_ms:
-            self.now_ms = end_time_ms
-        return executed
-
-
 # ------------------------------------------------------------ batched replica
 
 
 class _BatchedSimulator(Simulator):
-    """One replica of a batch: the serial engine with memoised hot paths.
+    """One replica of a batch: the reference engine with memoised hot paths.
 
-    Every override replays the serial implementation's float arithmetic
+    Every override replays the reference implementation's float arithmetic
     exactly (same expressions, same accumulation order); memo keys cover the
     complete input set of the call they replace.  Stores that key by
     ``id(...)`` pin the keyed object in the entry or key only objects the
@@ -259,9 +185,6 @@ class _BatchedSimulator(Simulator):
         self._online_counts: Dict[str, int] = {}
 
     # ------------------------------------------------------------- the hooks
-
-    def _make_queue(self):
-        return _FastEventQueue()
 
     def _job_network(self, application: DNNApplication, configuration: float):
         key = (id(application), configuration)
@@ -312,7 +235,7 @@ class _BatchedSimulator(Simulator):
         # Replay of EnergyModel.cost: the latency estimate is
         # temperature-independent; only the leakage term varies, so recompute
         # the static power at the current temperature and re-accumulate the
-        # per-core dynamic terms in the serial order.
+        # per-core dynamic terms in the reference order.
         total = static_base * exp(
             leak_coef * (self.soc.thermal.temperature_c - reference_c)
         )
@@ -366,7 +289,7 @@ class _BatchedSimulator(Simulator):
         return decision
 
     def _interval_power_and_utilisation(self, now_ms: float):
-        # Fused replay of the serial implementation and the memoised power
+        # Fused replay of the reference implementation and the memoised power
         # fast path below: identical expressions in identical order, but the
         # per-cluster utilisation lists are never materialised on the fast
         # path (a thermal sample runs for every replica at every interval).
@@ -378,10 +301,10 @@ class _BatchedSimulator(Simulator):
         memo = self._cluster_power_memo
         total = 0.0
         for name, cluster in self.soc._clusters.items():
-            # Like the serial path, the true online count can be 0 when every
+            # Like the reference path, the true online count can be 0 when every
             # core of the cluster has failed: stranded busy time then yields
             # no utilisation samples (the power model rejects more samples
-            # than online cores).  Identical to the serial expressions.
+            # than online cores).  Identical to the reference expressions.
             count = self._online_core_count(cluster)
             avg_busy_cores = busy_core_ms.get(name, 0.0) / interval_ms
             count_f = float(count)
@@ -578,15 +501,15 @@ def make_batched_simulator(
     config: Optional[SimulatorConfig] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> Simulator:
-    """One lock-step replica on shared stores, for external drivers.
+    """One memoised replica on ``stores``: the only way replicas are built.
 
-    The fleet orchestrator (:mod:`repro.fleet`) steers many simulators
-    itself (placing and migrating applications between ``advance_to``
-    strides), so it cannot go through :meth:`BatchedEngine.run`; this
-    factory applies the same construction rules — attach a
-    :class:`SharedOperatingPointCache` to cache-bearing runtime managers,
-    then build the memoised replica — so externally-driven replicas stay
-    bit-identical to serial simulators.
+    Attaches a :class:`SharedOperatingPointCache` to cache-bearing runtime
+    managers, then builds the memoised replica.  :class:`BatchedEngine`
+    builds its replicas here; so do callers that step replicas themselves —
+    the fleet orchestrator (:mod:`repro.fleet`), which places and migrates
+    applications between ``advance_to`` strides — and
+    :func:`~repro.sim.engine.simulate_scenario`, which runs one replica on
+    private stores.
     """
     if isinstance(manager, RuntimeManager) and manager.cache is not None:
         manager.set_operating_point_cache(SharedOperatingPointCache(stores))
@@ -675,18 +598,15 @@ class BatchedEngine:
             if len(groups[group_key]) > 1:
                 self.stores.deduplicated_replicas += 1
 
-        replicas: List[Tuple[List[str], _BatchedSimulator]] = []
+        replicas: List[Tuple[List[str], Simulator]] = []
         for group in groups.values():
             primary = group[0]
             labels = [case.label for case in group]
             try:
-                manager = primary.manager
-                if isinstance(manager, RuntimeManager) and manager.cache is not None:
-                    manager.set_operating_point_cache(SharedOperatingPointCache(self.stores))
-                simulator = _BatchedSimulator(
+                simulator = make_batched_simulator(
                     primary.scenario,
-                    manager,
-                    stores=self.stores,
+                    primary.manager,
+                    self.stores,
                     energy_model=primary.energy_model,
                     config=primary.config,
                     fault_plan=primary.fault_plan,

@@ -168,7 +168,7 @@ class Simulator:
             FaultInjector(plan, self.soc) if plan is not None else None
         )
         self._crash_profile = plan.job_crashes if plan is not None else None
-        self.queue = self._make_queue()
+        self.queue = EventQueue()
         self.trace = SimulationTrace(duration_ms=scenario.duration_ms)
         self._primed = False
         self._apps: Dict[str, AppRuntimeState] = {}
@@ -272,15 +272,13 @@ class Simulator:
 
     # ---------------------------------------------------------------- hooks
     #
-    # Single-call-site indirections over the hot paths.  The serial engine
-    # uses the defaults below unchanged; the batched engine overrides them
-    # with memoised implementations that replay the same float arithmetic and
-    # are therefore bit-identical.  Each hook exists because profiling showed
-    # its call site dominating the batched residual cost.
-
-    def _make_queue(self) -> EventQueue:
-        """Event queue factory (overridable)."""
-        return EventQueue()
+    # Single-call-site indirections over the hot paths.  This class uses the
+    # defaults below unchanged and is the unmemoised reference engine.  The
+    # memoised replica of :mod:`repro.sim.batched` overrides them with
+    # implementations that replay the same float arithmetic and are therefore
+    # bit-identical; it runs every batch and, through
+    # :func:`simulate_scenario`, every lone run as a batch of one.  Each hook
+    # exists because profiling showed its call site dominating the cost.
 
     def _job_network(self, application: DNNApplication, configuration: float):
         """The network model an inference job at ``configuration`` runs."""
@@ -896,7 +894,24 @@ def simulate_scenario(
     config: Optional[SimulatorConfig] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> SimulationTrace:
-    """Convenience wrapper: build a simulator, run it, return the trace."""
-    return Simulator(
-        scenario, manager, energy_model=energy_model, config=config, fault_plan=fault_plan
+    """Run one scenario as a batch of one and return the trace.
+
+    The run is a one-replica memoised simulator on private
+    :class:`~repro.sim.batched.SharedSimulationStores`: it gets the decision,
+    cost and power memos and the never-flushing operating-point cache view
+    that batches use, and its trace is bit-identical to ``Simulator(...).run()``
+    — the plain :class:`Simulator` stays the unmemoised reference.  A
+    cache-bearing :class:`~repro.rtm.manager.RuntimeManager` has its cache
+    replaced by that view.
+    """
+    # Imported here: the batched engine subclasses Simulator.
+    from repro.sim.batched import SharedSimulationStores, make_batched_simulator
+
+    return make_batched_simulator(
+        scenario,
+        manager,
+        SharedSimulationStores(),
+        energy_model=energy_model,
+        config=config,
+        fault_plan=fault_plan,
     ).run()
