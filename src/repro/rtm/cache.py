@@ -8,7 +8,7 @@ DNN, the platform topology, the knob restrictions and the temperature used
 for leakage — so long scenarios and sweeps re-derive the same lists hundreds
 of times.  This module memoises that work.
 
-Three layers cooperate:
+Four layers cooperate:
 
 * :class:`~repro.rtm.operating_points.OperatingPointSpace` memoises
   individual priced points (one energy-model evaluation each) for the
@@ -16,6 +16,10 @@ Three layers cooperate:
 * :class:`OperatingPointCache` memoises the *spaces* themselves (so the
   point memo survives across decision epochs), the assembled point lists of
   each enumeration query, and the Pareto fronts derived from them.
+* The same cache memoises each application's *selection*: the operating
+  point a policy chose from the decision front, keyed by the front's query
+  keys, the policy, the requirements and the power cap, so a repeated
+  sub-problem skips enumeration, fronting and ranking altogether.
 * The runtime manager quantises the enumeration temperature to a bucket
   (:func:`temperature_bucket_c`) so that small thermal drift between epochs
   does not defeat the cache.  Bucketing is applied whether or not a cache is
@@ -37,7 +41,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dnn.training import TrainedDynamicDNN
 from repro.perfmodel.energy import EnergyModel
@@ -71,6 +75,9 @@ DECISION_MAXIMISE: Tuple[str, ...] = ("accuracy_percent", "confidence_percent")
 
 #: Default width of the leakage-temperature buckets used by the decision path.
 DEFAULT_TEMPERATURE_BUCKET_C = 5.0
+
+#: Marks a selection-memo miss (``None`` is a valid memoised choice).
+_MISSING = object()
 
 
 def temperature_bucket_c(
@@ -121,8 +128,11 @@ def soc_topology_key(soc: Soc) -> tuple:
 class CacheStats:
     """Hit/miss statistics of one :class:`OperatingPointCache`.
 
-    ``hits``/``misses`` count enumeration-list lookups; ``pareto_hits`` /
-    ``pareto_misses`` count Pareto-front lookups.  ``invalidations`` is keyed
+    ``hits``/``misses`` count enumeration-list lookups, and a selection
+    served whole from the selection memo counts as one more hit (the cache
+    answered the query without enumerating).  ``pareto_hits`` /
+    ``pareto_misses`` count Pareto-front lookups and ``selection_hits`` /
+    ``selection_misses`` selection-memo lookups.  ``invalidations`` is keyed
     by the structural reason that triggered each flush.  The energy-model
     evaluations everything above avoids are counted per space
     (:attr:`OperatingPointCache.points_priced` sums them).
@@ -132,18 +142,20 @@ class CacheStats:
     misses: int = 0
     pareto_hits: int = 0
     pareto_misses: int = 0
+    selection_hits: int = 0
+    selection_misses: int = 0
     evictions: int = 0
     spaces_built: int = 0
     invalidations: Dict[str, int] = field(default_factory=dict)
 
     @property
     def lookups(self) -> int:
-        """Total enumeration-list lookups."""
+        """Total enumeration-list lookups plus selections served whole."""
         return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of enumeration lookups served from the cache."""
+        """Fraction of those lookups served from the cache."""
         return self.hits / self.lookups if self.lookups else 0.0
 
     @property
@@ -159,6 +171,8 @@ class CacheStats:
             "hit_rate": round(self.hit_rate, 4),
             "pareto_hits": self.pareto_hits,
             "pareto_misses": self.pareto_misses,
+            "selection_hits": self.selection_hits,
+            "selection_misses": self.selection_misses,
             "evictions": self.evictions,
             "spaces_built": self.spaces_built,
             "invalidations": dict(self.invalidations),
@@ -166,15 +180,15 @@ class CacheStats:
 
 
 class OperatingPointCache:
-    """Memoises operating-point spaces, enumeration lists and Pareto fronts.
+    """Memoises operating-point spaces, enumeration lists, fronts and selections.
 
     Parameters
     ----------
     max_entries:
-        Bound on the memoised enumeration lists and Pareto fronts (each
-        counted separately, LRU eviction).  Spaces are not evicted: there is
-        one per (application model, platform, knob-limit) combination, a
-        small set in any realistic scenario.
+        Bound on the memoised enumeration lists, Pareto fronts and
+        selections (each counted separately, LRU eviction).  Spaces are not
+        evicted: there is one per (application model, platform, knob-limit)
+        combination, a small set in any realistic scenario.
     """
 
     def __init__(self, max_entries: int = 1024) -> None:
@@ -189,6 +203,8 @@ class OperatingPointCache:
         # enumeration query and Pareto-front tables (index views) per key.
         self._tables: "OrderedDict[tuple, OperatingPointTable]" = OrderedDict()
         self._pareto_tables: "OrderedDict[tuple, OperatingPointTable]" = OrderedDict()
+        # Chosen point (or None) per complete selection key; see selection_for.
+        self._selections: "OrderedDict[tuple, Optional[OperatingPoint]]" = OrderedDict()
 
     # ---------------------------------------------------------------- spaces
 
@@ -337,16 +353,22 @@ class OperatingPointCache:
         core_counts: Optional[Sequence[int]] = None,
         frequencies: Optional[dict] = None,
         temperature_c: float = 45.0,
+        *,
+        _key: Optional[tuple] = None,
     ) -> OperatingPointTable:
         """Memoised :meth:`OperatingPointSpace.enumerate_table`.
 
         Tables are immutable (read-only columns), so the memoised instance is
         returned directly — no defensive copy is needed.  Counts into the
         same ``hits``/``misses`` statistics as the point-list lookups.
+        ``_key`` lets a caller that already built this query's
+        :meth:`query_key` pass it instead of having it rebuilt.
         """
-        key = self.query_key(
-            space, clusters, configurations, core_counts, frequencies, temperature_c
-        )
+        key = _key
+        if key is None:
+            key = self.query_key(
+                space, clusters, configurations, core_counts, frequencies, temperature_c
+            )
         cached = self._tables.get(key)
         if cached is not None:
             self._tables.move_to_end(key)
@@ -412,6 +434,29 @@ class OperatingPointCache:
         self._store(self._pareto, full_key, front)
         return list(front)
 
+    def selection_for(
+        self, key: tuple, select: Callable[[], Optional[OperatingPoint]]
+    ) -> Optional[OperatingPoint]:
+        """Memoised selection of one application's operating point.
+
+        ``key`` must determine the choice: callers pass the query keys of the
+        per-cluster enumerations the decision front is built from, the
+        policy's and the requirements' cache keys and the power cap.
+        ``select`` runs on a miss; a ``None`` choice (nothing selectable) is
+        memoised too.  A hit counts as one ``hits`` as well as one
+        ``selection_hits``: the cache answered the whole query.
+        """
+        chosen = self._selections.get(key, _MISSING)
+        if chosen is not _MISSING:
+            self._selections.move_to_end(key)
+            self.stats.hits += 1
+            self.stats.selection_hits += 1
+            return chosen
+        self.stats.selection_misses += 1
+        chosen = select()
+        self._store_table(self._selections, key, chosen)
+        return chosen
+
     def _store(
         self,
         table: "OrderedDict[tuple, List[OperatingPoint]]",
@@ -423,12 +468,7 @@ class OperatingPointCache:
             table.popitem(last=False)
             self.stats.evictions += 1
 
-    def _store_table(
-        self,
-        store: "OrderedDict[tuple, OperatingPointTable]",
-        key: tuple,
-        value: OperatingPointTable,
-    ) -> None:
+    def _store_table(self, store: OrderedDict, key: tuple, value: object) -> None:
         store[key] = value
         while len(store) > self.max_entries:
             store.popitem(last=False)
@@ -437,7 +477,7 @@ class OperatingPointCache:
     # ----------------------------------------------------------- maintenance
 
     def invalidate(self, reason: str) -> None:
-        """Flush the enumeration and Pareto memos after a structural event.
+        """Flush the enumeration, Pareto and selection memos after a structural event.
 
         Keys are complete, so this is a staleness/memory bound rather than a
         correctness requirement; the per-point pricing inside the memoised
@@ -449,6 +489,7 @@ class OperatingPointCache:
         self._pareto.clear()
         self._tables.clear()
         self._pareto_tables.clear()
+        self._selections.clear()
         self.stats.invalidations[reason] = self.stats.invalidations.get(reason, 0) + 1
 
     def clear(self) -> None:
@@ -458,16 +499,18 @@ class OperatingPointCache:
         self._pareto.clear()
         self._tables.clear()
         self._pareto_tables.clear()
+        self._selections.clear()
         self.stats = CacheStats()
 
     @property
     def entry_count(self) -> int:
-        """Currently memoised enumeration lists, tables and Pareto fronts."""
+        """Currently memoised enumeration lists, tables, fronts and selections."""
         return (
             len(self._points)
             + len(self._pareto)
             + len(self._tables)
             + len(self._pareto_tables)
+            + len(self._selections)
         )
 
     @property

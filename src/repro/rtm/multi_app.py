@@ -112,8 +112,11 @@ class MultiAppAllocator:
     cache:
         Optional :class:`OperatingPointCache`; when present, enumerated point
         lists, Pareto fronts and the per-point pricing are reused across
-        decision epochs.  Cached and uncached allocation are bit-for-bit
-        identical.
+        decision epochs, and so is each application's selection: a repeated
+        (candidate queries, policy, requirements, power cap) sub-problem
+        returns its memoised point without enumerating (policies whose
+        ``cache_key()`` is ``None`` always select afresh).  Cached and
+        uncached allocation are bit-for-bit identical.
     temperature_bucket_width_c:
         Width of the leakage-temperature buckets used when pricing candidate
         points (applied whether or not a cache is attached).
@@ -314,46 +317,66 @@ class MultiAppAllocator:
             state.soc.thermal.temperature_c, self.temperature_bucket_width_c
         )
         core_limit = {name: min(available[name], self.max_cores_per_app) for name in clusters}
-        # Columnar decision kernel: enumerate each cluster as a
-        # struct-of-arrays table, pre-front it, union the fronts, front the
-        # union, then let the policy score the surviving columns in numpy.
-        # Per-cluster pre-fronting is behaviour-preserving (domination is
-        # transitive, so the front of the union equals the front of the union
-        # of per-cluster fronts, in the same order) and keeps the O(n^2)
-        # domination broadcast on small per-cluster tables.
-        cluster_fronts: List[OperatingPointTable] = []
-        query_keys: List[tuple] = []
-        for name in clusters:
-            kwargs = dict(
+        queries = [
+            dict(
                 clusters=[name],
                 configurations=configurations,
                 core_counts=list(range(1, core_limit[name] + 1)),
                 frequencies=frequencies if name in frequencies else None,
                 temperature_c=temperature,
             )
-            if self.cache is not None:
-                table = self.cache.enumerate_table(space, **kwargs)
-                key = self.cache.query_key(space, **kwargs)
-                query_keys.append(key)
-                cluster_fronts.append(self.cache.pareto_table_for(key, table))
-            else:
-                table = space.enumerate_table(**kwargs)
-                cluster_fronts.append(
-                    table.pareto(objectives=DECISION_OBJECTIVES, maximise=DECISION_MAXIMISE)
-                )
-        # The decision front: the domination axes cover every metric the
-        # requirements and policies read, so a dominated point can never win
-        # the selection below, and the (memoised) front is what each epoch
-        # actually has to rank.
-        union = OperatingPointTable.concat(cluster_fronts)
-        if len(cluster_fronts) <= 1:
-            front = union
-        elif self.cache is not None:
-            front = self.cache.pareto_table_for(("union", tuple(query_keys)), union)
-        else:
-            front = union.pareto(objectives=DECISION_OBJECTIVES, maximise=DECISION_MAXIMISE)
+            for name in clusters
+        ]
+        cache = self.cache
+        # One query key per cluster serves its enumeration, its front, the
+        # union front and the selection memo.
+        query_keys = None if cache is None else tuple(
+            cache.query_key(space, **query) for query in queries
+        )
         policy = self.policy_for(app_state.app_id)
-        chosen = policy.select_table(front, application.requirements, power_cap_mw=power_cap)
+        requirements = application.requirements
+
+        def select() -> Optional[OperatingPoint]:
+            # Columnar decision kernel: enumerate each cluster as a
+            # struct-of-arrays table, pre-front it, union the fronts, front
+            # the union, then let the policy score the surviving columns in
+            # numpy.  Per-cluster pre-fronting is behaviour-preserving
+            # (domination is transitive, so the front of the union equals the
+            # front of the union of per-cluster fronts, in the same order)
+            # and keeps the O(n^2) domination broadcast on small tables.
+            cluster_fronts: List[OperatingPointTable] = []
+            for index, query in enumerate(queries):
+                if cache is not None:
+                    key = query_keys[index]
+                    table = cache.enumerate_table(space, **query, _key=key)
+                    cluster_fronts.append(cache.pareto_table_for(key, table))
+                else:
+                    table = space.enumerate_table(**query)
+                    cluster_fronts.append(
+                        table.pareto(objectives=DECISION_OBJECTIVES, maximise=DECISION_MAXIMISE)
+                    )
+            # The decision front: the domination axes cover every metric the
+            # requirements and policies read, so a dominated point can never
+            # win the selection below, and the (memoised) front is what each
+            # epoch actually has to rank.
+            union = OperatingPointTable.concat(cluster_fronts)
+            if len(cluster_fronts) <= 1:
+                front = union
+            elif cache is not None:
+                front = cache.pareto_table_for(("union", query_keys), union)
+            else:
+                front = union.pareto(objectives=DECISION_OBJECTIVES, maximise=DECISION_MAXIMISE)
+            return policy.select_table(front, requirements, power_cap_mw=power_cap)
+
+        # The query keys determine the front, so together with the policy,
+        # the requirements and the power cap they determine the choice.
+        policy_key = None if cache is None else policy.cache_key()
+        if policy_key is None:
+            chosen = select()
+        else:
+            chosen = cache.selection_for(
+                (query_keys, policy_key, requirements.cache_key(), power_cap), select
+            )
         if chosen is not None:
             self._home_cluster.setdefault(app_state.app_id, chosen.cluster_name)
         return AllocationDecision(app_state.app_id, chosen, current_mapping)

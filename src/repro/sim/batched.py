@@ -19,8 +19,10 @@ fingerprints are the contract.  Four properties make that sound:
   the original order rather than "equivalently".
 * The operating-point cache's invalidations bound staleness and memory for a
   long-lived manager; they are not a correctness requirement (keys are
-  complete).  The shared store therefore ignores flush requests, which is
-  what turns N managers' redundant re-enumerations into hits.
+  complete).  The five shared operating-point stores (tables, fronts, their
+  point-list twins and per-application selections) therefore ignore flush
+  requests, which is what turns N managers' redundant re-enumerations and
+  re-selections into hits.
 * Replica count and order cannot influence any replica's trace: each
   replica's event queue is private, and the shared stores hold pure
   functions of complete keys — *which* replica computed an entry first
@@ -35,7 +37,9 @@ A lone run is a batch of one: :func:`~repro.sim.engine.simulate_scenario`
 the CLI's single-run verbs) builds one replica on private stores through
 :func:`make_batched_simulator`, so repeated decision epochs, job costs and
 power samples within one run replay from the memos too.  The plain
-:class:`~repro.sim.engine.Simulator` stays the unmemoised reference.
+:class:`~repro.sim.engine.Simulator` stays the reference without these
+simulator-level memos; its manager still memoises through its own
+operating-point cache, whose reference is an uncached manager.
 
 The module exposes :class:`BatchedEngine` (scenario/manager level); spec
 level dispatch lives in :mod:`repro.experiments.backends` as the ``batched``
@@ -78,13 +82,14 @@ __all__ = [
 class SharedSimulationStores:
     """Cross-replica value-keyed stores plus their hit/miss counters.
 
-    One instance is shared by every replica of a batch.  All four
+    One instance is shared by every replica of a batch.  All five
     operating-point stores are keyed by the cache's own complete query keys
     (model cache key, platform topology key, online cores, temperature
-    bucket, ...) and the decision store by (manager behaviour key, decision
-    signature).  The cost counters aggregate the replicas' local job-cost
-    memos (those key by per-replica object ids, so their entries are local
-    by construction).
+    bucket, ...) — the selection store adds the policy and requirements keys
+    and the power cap — and the decision store by (manager behaviour key,
+    decision signature).  The cost counters aggregate the replicas' local
+    job-cost memos (those key by per-replica object ids, so their entries are
+    local by construction).
     """
 
     def __init__(self) -> None:
@@ -92,6 +97,7 @@ class SharedSimulationStores:
         self.pareto_tables: OrderedDict = OrderedDict()
         self.points: OrderedDict = OrderedDict()
         self.pareto_points: OrderedDict = OrderedDict()
+        self.selections: OrderedDict = OrderedDict()
         self.decisions: Dict[tuple, tuple] = {}
         #: Shared pricing model for replicas that did not supply their own —
         #: stateless, and identical by construction to the reference default.
@@ -112,6 +118,7 @@ class SharedSimulationStores:
             "deduplicated_replicas": self.deduplicated_replicas,
             "tables": len(self.tables),
             "pareto_tables": len(self.pareto_tables),
+            "selections": len(self.selections),
         }
 
 
@@ -119,7 +126,7 @@ class SharedOperatingPointCache(OperatingPointCache):
     """A per-replica cache view whose entry stores are shared and never flushed.
 
     Each replica's manager gets its own instance (``space_for`` keeps
-    per-instance ``OperatingPointSpace`` identity bookkeeping), but the four
+    per-instance ``OperatingPointSpace`` identity bookkeeping), but the five
     entry dictionaries alias the batch-wide stores.  ``invalidate`` only
     counts: entry keys are complete, so flushing is a staleness/memory bound
     for long-lived managers, not a correctness requirement — and a batch is
@@ -132,6 +139,7 @@ class SharedOperatingPointCache(OperatingPointCache):
         self._pareto_tables = stores.pareto_tables
         self._points = stores.points
         self._pareto = stores.pareto_points
+        self._selections = stores.selections
 
     def invalidate(self, reason: str) -> None:
         self.stats.invalidations[reason] = self.stats.invalidations.get(reason, 0) + 1

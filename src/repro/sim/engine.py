@@ -900,7 +900,7 @@ def simulate_scenario(
     :class:`~repro.sim.batched.SharedSimulationStores`: it gets the decision,
     cost and power memos and the never-flushing operating-point cache view
     that batches use, and its trace is bit-identical to ``Simulator(...).run()``
-    — the plain :class:`Simulator` stays the unmemoised reference.  A
+    — the plain :class:`Simulator` stays the reference without those memos.  A
     cache-bearing :class:`~repro.rtm.manager.RuntimeManager` has its cache
     replaced by that view.
     """

@@ -2,10 +2,12 @@
 
 ``run(spec)`` and every other single-run entry point execute a one-replica
 memoised simulator on private stores.  The plain
-:class:`~repro.sim.engine.Simulator` shares no memo with that path (no
-decision, cost or power memo, and a cache that flushes on structural
-change), so equal fingerprints here check the memos against independent
-code rather than against themselves.
+:class:`~repro.sim.engine.Simulator` shares none of that path's
+simulator-level memos (no decision, cost or power memo, and a cache that
+flushes on structural change), so equal fingerprints here check those memos
+against independent code rather than against themselves.  Both paths'
+managers memoise selections inside their operating-point cache; that memo's
+reference is the uncached manager (``tests/test_selection_memo.py``).
 """
 
 import pytest
