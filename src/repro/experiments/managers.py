@@ -1,6 +1,6 @@
 """The unified runtime-manager registry.
 
-Managers selectable by name from experiment specs, the CLI and sweep cases.
+Managers selectable by name from experiment specs, fleet specs and the CLI.
 Each entry carries metadata the spec layer needs:
 
 * ``configurable`` — whether the factory is :class:`RuntimeManager`-based and
@@ -31,7 +31,7 @@ def _rtm_min_energy() -> RuntimeManager:
     return RuntimeManager(policy=MinEnergyUnderConstraints())
 
 
-#: Manager factories selectable by name from specs, the CLI and sweep cases.
+#: Manager factories selectable by name from specs and the CLI.
 MANAGER_REGISTRY: Registry[ManagerProtocol] = Registry("manager")
 MANAGER_REGISTRY.register(
     "rtm",

@@ -17,7 +17,6 @@ from repro.platforms.dvfs import (
 from repro.platforms.power import ClusterPowerModel, PowerModelParams, dynamic_power_mw, static_power_mw
 from repro.platforms.presets import (
     PLATFORM_REGISTRY,
-    PRESET_BUILDERS,
     a13_like,
     build_preset,
     generic_quad,
@@ -47,7 +46,6 @@ __all__ = [
     "ThermalModel",
     "ThermalParams",
     "PLATFORM_REGISTRY",
-    "PRESET_BUILDERS",
     "build_preset",
     "preset_summaries",
     "odroid_xu3",

@@ -51,7 +51,6 @@ __all__ = [
     "a13_like",
     "generic_quad",
     "PLATFORM_REGISTRY",
-    "PRESET_BUILDERS",
     "build_preset",
     "preset_summaries",
 ]
@@ -354,9 +353,6 @@ PLATFORM_REGISTRY.register("jetson_nano", jetson_nano, calibrated=True)
 PLATFORM_REGISTRY.register("kirin990_like", kirin990_like, calibrated=False)
 PLATFORM_REGISTRY.register("a13_like", a13_like, calibrated=False)
 PLATFORM_REGISTRY.register("generic_quad", generic_quad, calibrated=False)
-
-#: Backwards-compatible alias (a mapping of ``name -> builder``).
-PRESET_BUILDERS = PLATFORM_REGISTRY
 
 
 def build_preset(name: str) -> Soc:

@@ -5,8 +5,8 @@ query, the Section IV case study) enumerates the (configuration x cluster x
 cores x frequency) grid and prices every point through the energy model.
 The grid is a pure function of a small set of inputs — the trained dynamic
 DNN, the platform topology, the knob restrictions and the temperature used
-for leakage — so long scenarios and sweeps re-derive the same lists hundreds
-of times.  This module memoises that work.
+for leakage — so long scenarios and sweeps re-derive the same tables
+hundreds of times.  This module memoises that work.
 
 Four layers cooperate:
 
@@ -14,7 +14,7 @@ Four layers cooperate:
   individual priced points (one energy-model evaluation each) for the
   lifetime of the space.
 * :class:`OperatingPointCache` memoises the *spaces* themselves (so the
-  point memo survives across decision epochs), the assembled point lists of
+  point memo survives across decision epochs), the assembled point tables of
   each enumeration query, and the Pareto fronts derived from them.
 * The same cache memoises each application's *selection*: the operating
   point a policy chose from the decision front, keyed by the front's query
@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.dnn.training import TrainedDynamicDNN
 from repro.perfmodel.energy import EnergyModel
@@ -50,7 +50,6 @@ from repro.rtm.operating_points import (
     OperatingPoint,
     OperatingPointSpace,
     OperatingPointTable,
-    pareto_front,
 )
 
 __all__ = [
@@ -128,7 +127,7 @@ def soc_topology_key(soc: Soc) -> tuple:
 class CacheStats:
     """Hit/miss statistics of one :class:`OperatingPointCache`.
 
-    ``hits``/``misses`` count enumeration-list lookups, and a selection
+    ``hits``/``misses`` count enumeration-table lookups, and a selection
     served whole from the selection memo counts as one more hit (the cache
     answered the query without enumerating).  ``pareto_hits`` /
     ``pareto_misses`` count Pareto-front lookups and ``selection_hits`` /
@@ -150,7 +149,7 @@ class CacheStats:
 
     @property
     def lookups(self) -> int:
-        """Total enumeration-list lookups plus selections served whole."""
+        """Total enumeration-table lookups plus selections served whole."""
         return self.hits + self.misses
 
     @property
@@ -180,12 +179,12 @@ class CacheStats:
 
 
 class OperatingPointCache:
-    """Memoises operating-point spaces, enumeration lists, fronts and selections.
+    """Memoises operating-point spaces, enumeration tables, fronts and selections.
 
     Parameters
     ----------
     max_entries:
-        Bound on the memoised enumeration lists, Pareto fronts and
+        Bound on the memoised enumeration tables, Pareto fronts and
         selections (each counted separately, LRU eviction).  Spaces are not
         evicted: there is one per (application model, platform, knob-limit)
         combination, a small set in any realistic scenario.
@@ -197,10 +196,8 @@ class OperatingPointCache:
         self.max_entries = max_entries
         self.stats = CacheStats()
         self._spaces: Dict[tuple, OperatingPointSpace] = {}
-        self._points: "OrderedDict[tuple, List[OperatingPoint]]" = OrderedDict()
-        self._pareto: "OrderedDict[tuple, List[OperatingPoint]]" = OrderedDict()
-        # Columnar twins of the two memos above: assembled tables per
-        # enumeration query and Pareto-front tables (index views) per key.
+        # Assembled tables per enumeration query and Pareto-front tables
+        # (index views) per key.
         self._tables: "OrderedDict[tuple, OperatingPointTable]" = OrderedDict()
         self._pareto_tables: "OrderedDict[tuple, OperatingPointTable]" = OrderedDict()
         # Chosen point (or None) per complete selection key; see selection_for.
@@ -250,7 +247,7 @@ class OperatingPointCache:
             if space is not None:
                 # Key equality with different live instances means the key
                 # could not tell them apart (e.g. an id()-based fallback whose
-                # id was recycled).  The list/front memos were derived from
+                # id was recycled).  The table/front memos were derived from
                 # the old instances under these same keys, so they must go
                 # with the space.
                 self.invalidate("space_rebuilt")
@@ -312,39 +309,6 @@ class OperatingPointCache:
             temperature_c,
         )
 
-    def enumerate(
-        self,
-        space: OperatingPointSpace,
-        clusters: Optional[Sequence[str]] = None,
-        configurations: Optional[Sequence[float]] = None,
-        core_counts: Optional[Sequence[int]] = None,
-        frequencies: Optional[dict] = None,
-        temperature_c: float = 45.0,
-    ) -> List[OperatingPoint]:
-        """Memoised :meth:`OperatingPointSpace.enumerate`.
-
-        Returns a fresh list on every call (entries are shared, points are
-        immutable), identical to what a direct enumeration would produce.
-        """
-        key = self.query_key(
-            space, clusters, configurations, core_counts, frequencies, temperature_c
-        )
-        cached = self._points.get(key)
-        if cached is not None:
-            self._points.move_to_end(key)
-            self.stats.hits += 1
-            return list(cached)
-        self.stats.misses += 1
-        points = space.enumerate(
-            clusters=clusters,
-            configurations=configurations,
-            core_counts=core_counts,
-            frequencies=frequencies,
-            temperature_c=temperature_c,
-        )
-        self._store(self._points, key, points)
-        return list(points)
-
     def enumerate_table(
         self,
         space: OperatingPointSpace,
@@ -360,9 +324,9 @@ class OperatingPointCache:
 
         Tables are immutable (read-only columns), so the memoised instance is
         returned directly — no defensive copy is needed.  Counts into the
-        same ``hits``/``misses`` statistics as the point-list lookups.
-        ``_key`` lets a caller that already built this query's
-        :meth:`query_key` pass it instead of having it rebuilt.
+        ``hits``/``misses`` statistics.  ``_key`` lets a caller that already
+        built this query's :meth:`query_key` pass it instead of having it
+        rebuilt.
         """
         key = _key
         if key is None:
@@ -382,7 +346,7 @@ class OperatingPointCache:
             frequencies=frequencies,
             temperature_c=temperature_c,
         )
-        self._store_table(self._tables, key, table)
+        self._store(self._tables, key, table)
         return table
 
     def pareto_table_for(
@@ -397,7 +361,7 @@ class OperatingPointCache:
         ``key`` must determine ``table`` (callers pass the query key — or a
         tuple of query keys for a multi-cluster union — of the enumeration
         that produced it).  Counts into the ``pareto_hits``/``pareto_misses``
-        statistics alongside the point-list fronts.
+        statistics.
         """
         full_key = (key, tuple(objectives), tuple(maximise))
         cached = self._pareto_tables.get(full_key)
@@ -407,32 +371,8 @@ class OperatingPointCache:
             return cached
         self.stats.pareto_misses += 1
         front = table.pareto(objectives=objectives, maximise=maximise)
-        self._store_table(self._pareto_tables, full_key, front)
+        self._store(self._pareto_tables, full_key, front)
         return front
-
-    def pareto_for(
-        self,
-        key: tuple,
-        points: Sequence[OperatingPoint],
-        objectives: Sequence[str] = DECISION_OBJECTIVES,
-        maximise: Sequence[str] = DECISION_MAXIMISE,
-    ) -> List[OperatingPoint]:
-        """Memoised Pareto front of a point list identified by ``key``.
-
-        ``key`` must determine ``points`` (callers pass the query key — or a
-        tuple of query keys for a multi-cluster union — of the enumeration
-        that produced them).
-        """
-        full_key = (key, tuple(objectives), tuple(maximise))
-        cached = self._pareto.get(full_key)
-        if cached is not None:
-            self._pareto.move_to_end(full_key)
-            self.stats.pareto_hits += 1
-            return list(cached)
-        self.stats.pareto_misses += 1
-        front = pareto_front(points, objectives=objectives, maximise=maximise)
-        self._store(self._pareto, full_key, front)
-        return list(front)
 
     def selection_for(
         self, key: tuple, select: Callable[[], Optional[OperatingPoint]]
@@ -454,21 +394,10 @@ class OperatingPointCache:
             return chosen
         self.stats.selection_misses += 1
         chosen = select()
-        self._store_table(self._selections, key, chosen)
+        self._store(self._selections, key, chosen)
         return chosen
 
-    def _store(
-        self,
-        table: "OrderedDict[tuple, List[OperatingPoint]]",
-        key: tuple,
-        value: Sequence[OperatingPoint],
-    ) -> None:
-        table[key] = list(value)
-        while len(table) > self.max_entries:
-            table.popitem(last=False)
-            self.stats.evictions += 1
-
-    def _store_table(self, store: OrderedDict, key: tuple, value: object) -> None:
+    def _store(self, store: OrderedDict, key: tuple, value: object) -> None:
         store[key] = value
         while len(store) > self.max_entries:
             store.popitem(last=False)
@@ -482,11 +411,9 @@ class OperatingPointCache:
         Keys are complete, so this is a staleness/memory bound rather than a
         correctness requirement; the per-point pricing inside the memoised
         spaces is pure and survives (points are functions of their key
-        alone), so re-warming after a flush costs list assembly, not
+        alone), so re-warming after a flush costs table assembly, not
         energy-model evaluations.
         """
-        self._points.clear()
-        self._pareto.clear()
         self._tables.clear()
         self._pareto_tables.clear()
         self._selections.clear()
@@ -495,8 +422,6 @@ class OperatingPointCache:
     def clear(self) -> None:
         """Drop everything, including the memoised spaces and statistics."""
         self._spaces.clear()
-        self._points.clear()
-        self._pareto.clear()
         self._tables.clear()
         self._pareto_tables.clear()
         self._selections.clear()
@@ -504,14 +429,8 @@ class OperatingPointCache:
 
     @property
     def entry_count(self) -> int:
-        """Currently memoised enumeration lists, tables, fronts and selections."""
-        return (
-            len(self._points)
-            + len(self._pareto)
-            + len(self._tables)
-            + len(self._pareto_tables)
-            + len(self._selections)
-        )
+        """Currently memoised enumeration tables, fronts and selections."""
+        return len(self._tables) + len(self._pareto_tables) + len(self._selections)
 
     @property
     def points_priced(self) -> int:

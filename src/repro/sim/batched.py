@@ -19,10 +19,10 @@ fingerprints are the contract.  Four properties make that sound:
   the original order rather than "equivalently".
 * The operating-point cache's invalidations bound staleness and memory for a
   long-lived manager; they are not a correctness requirement (keys are
-  complete).  The five shared operating-point stores (tables, fronts, their
-  point-list twins and per-application selections) therefore ignore flush
-  requests, which is what turns N managers' redundant re-enumerations and
-  re-selections into hits.
+  complete).  The three shared operating-point stores (tables, fronts and
+  per-application selections) therefore ignore flush requests, which is
+  what turns N managers' redundant re-enumerations and re-selections into
+  hits.
 * Replica count and order cannot influence any replica's trace: each
   replica's event queue is private, and the shared stores hold pure
   functions of complete keys — *which* replica computed an entry first
@@ -82,7 +82,7 @@ __all__ = [
 class SharedSimulationStores:
     """Cross-replica value-keyed stores plus their hit/miss counters.
 
-    One instance is shared by every replica of a batch.  All five
+    One instance is shared by every replica of a batch.  All three
     operating-point stores are keyed by the cache's own complete query keys
     (model cache key, platform topology key, online cores, temperature
     bucket, ...) — the selection store adds the policy and requirements keys
@@ -95,8 +95,6 @@ class SharedSimulationStores:
     def __init__(self) -> None:
         self.tables: OrderedDict = OrderedDict()
         self.pareto_tables: OrderedDict = OrderedDict()
-        self.points: OrderedDict = OrderedDict()
-        self.pareto_points: OrderedDict = OrderedDict()
         self.selections: OrderedDict = OrderedDict()
         self.decisions: Dict[tuple, tuple] = {}
         #: Shared pricing model for replicas that did not supply their own —
@@ -126,7 +124,7 @@ class SharedOperatingPointCache(OperatingPointCache):
     """A per-replica cache view whose entry stores are shared and never flushed.
 
     Each replica's manager gets its own instance (``space_for`` keeps
-    per-instance ``OperatingPointSpace`` identity bookkeeping), but the five
+    per-instance ``OperatingPointSpace`` identity bookkeeping), but the three
     entry dictionaries alias the batch-wide stores.  ``invalidate`` only
     counts: entry keys are complete, so flushing is a staleness/memory bound
     for long-lived managers, not a correctness requirement — and a batch is
@@ -137,8 +135,6 @@ class SharedOperatingPointCache(OperatingPointCache):
         super().__init__(max_entries=max_entries)
         self._tables = stores.tables
         self._pareto_tables = stores.pareto_tables
-        self._points = stores.points
-        self._pareto = stores.pareto_points
         self._selections = stores.selections
 
     def invalidate(self, reason: str) -> None:

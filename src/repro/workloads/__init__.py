@@ -25,7 +25,6 @@ from repro.workloads.fuzzer import ScenarioFuzzer
 from repro.workloads.generator import WorkloadGenerator, WorkloadGeneratorConfig
 from repro.workloads.requirements import MetricSample, Requirements, Violation
 from repro.workloads.scenarios import (
-    SCENARIO_BUILDERS,
     SCENARIO_REGISTRY,
     Scenario,
     ScenarioEvent,
@@ -67,7 +66,6 @@ __all__ = [
     "MetricSample",
     "Requirements",
     "Violation",
-    "SCENARIO_BUILDERS",
     "SCENARIO_REGISTRY",
     "Scenario",
     "ScenarioEvent",

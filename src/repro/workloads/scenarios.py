@@ -52,9 +52,7 @@ __all__ = [
     "accepted_scenario_params",
     "scenario_summaries",
     "scenario_is_seeded",
-    "SEEDED_SCENARIOS",
     "SCENARIO_REGISTRY",
-    "SCENARIO_BUILDERS",
 ]
 
 
@@ -339,25 +337,17 @@ def thermal_stress_scenario(
 # ----------------------------------------------------------------- registry
 #
 # Named scenarios selectable from the CLI (``repro-experiments scenarios
-# list`` / ``sweep --scenarios ...``), from experiment specs
-# (:mod:`repro.experiments`) and from the parallel sweep runner.  Every
-# registered builder has the uniform signature
-# ``builder(seed=0, platform_name="odroid_xu3") -> Scenario`` so that sweep
-# cases can be described by (name, seed, platform) triples that cross process
-# boundaries without pickling closures.  Builders that are deterministic by
-# construction (the hand-written timelines above) simply ignore the seed.
+# list`` / ``sweep --scenarios ...``) and from experiment specs
+# (:mod:`repro.experiments`).  Every registered builder has the uniform
+# signature ``builder(seed=0, platform_name="odroid_xu3") -> Scenario`` so
+# that sweep cases can be described by (name, seed, platform) triples that
+# cross process boundaries without pickling closures.  Builders that are
+# deterministic by construction (the hand-written timelines above) simply
+# ignore the seed.
 
 #: Builders of named scenarios, keyed by registry name.  A mapping of
 #: ``name -> builder`` with per-entry metadata (``seeded``).
 SCENARIO_REGISTRY: Registry[Scenario] = Registry("scenario")
-
-#: Registry names whose builder actually varies with ``seed``.  Deterministic
-#: timelines (the paper's hand-written scenarios) are absent; sweeping them
-#: across seeds would just repeat the identical simulation.  This is a
-#: legacy public mirror of the registry's ``seeded`` metadata (the source of
-#: truth read by :func:`scenario_is_seeded`), kept in sync by
-#: :func:`register_scenario` — the only supported registration path.
-SEEDED_SCENARIOS: set = set()
 
 
 def register_scenario(
@@ -393,8 +383,6 @@ def register_scenario(
         if not (builder.__doc__ or "").strip():
             raise ValueError(f"scenario {name!r} needs a docstring describing the workload")
         SCENARIO_REGISTRY.register(name, builder, seeded=seeded, params=params)
-        if seeded:
-            SEEDED_SCENARIOS.add(name)
         return builder
 
     return decorator
@@ -818,8 +806,3 @@ def overload_scenario(
             **params,
         },
     )
-
-
-#: Backwards-compatible alias: scenario builders by name (all entries are
-#: zero-argument callables; new code should use :func:`build_scenario`).
-SCENARIO_BUILDERS = SCENARIO_REGISTRY

@@ -70,17 +70,16 @@ def fresh_dynamic_dnn():
 def registry_grid_cached():
     """Traces of every registry scenario x manager at seed 0 (cache enabled).
 
-    Session-scoped because two test modules consume the same 48 simulations:
-    the golden-trace regression locks their fingerprints, and the parity
-    sweep compares them against cache-off / multi-worker reruns.
+    Session-scoped because several test modules consume the same serial
+    grid: the golden-trace regression locks its fingerprints, and the parity
+    tests compare it against cache-off, multi-worker and batched reruns.
     """
-    from repro.analysis import ParallelSweepRunner
-    from repro.analysis.parallel import MANAGER_REGISTRY
+    from repro.experiments import MANAGER_REGISTRY, grid_specs, run_many
     from repro.workloads.scenarios import SCENARIO_REGISTRY
 
-    runner = ParallelSweepRunner(workers=1)
-    result = runner.grid(
-        sorted(SCENARIO_REGISTRY), sorted(MANAGER_REGISTRY), seeds=[0], use_op_cache=True
+    batch = run_many(
+        grid_specs(sorted(SCENARIO_REGISTRY), sorted(MANAGER_REGISTRY), [0]),
+        backend="serial",
     )
-    assert not result.errors, result.errors
-    return result
+    assert not batch.errors, batch.errors
+    return batch

@@ -58,14 +58,15 @@ class TestBackendRegistry:
 
 class TestBatchedSerialParity:
     @pytest.mark.integration
-    def test_every_scenario_under_every_manager_seed0(self):
+    def test_every_scenario_under_every_manager_seed0(self, registry_grid_cached):
         # The acceptance grid: all registered scenarios x all managers at
-        # seed 0, bit-identical fingerprints between the two backends.
+        # seed 0, bit-identical fingerprints between the two backends.  The
+        # serial side is the session's shared registry grid.
         specs = grid_specs(sorted(SCENARIO_REGISTRY), MANAGERS, seeds=[0])
-        serial = run_many(specs, backend="serial")
         batched = run_many(specs, backend="batched")
-        assert not serial.errors and not batched.errors
-        assert _fingerprints(serial) == _fingerprints(batched)
+        assert not batched.errors
+        assert set(batched.traces) == set(registry_grid_cached.traces)
+        assert _fingerprints(registry_grid_cached) == _fingerprints(batched)
 
     def test_fuzzed_scenarios_sample(self):
         specs = [

@@ -366,6 +366,17 @@ class TestCommands:
         assert row.split()[1:3] == ["0", "0"]
 
 
+class TestCliByteParity:
+    def test_sweep_output_is_identical_across_worker_counts(self, capsys):
+        # A seeded scenario, so both invocations really run two distinct cases.
+        argv = ["sweep", "--scenarios", "steady", "--managers", "rtm", "--seeds", "2"]
+        assert main([*argv, "--workers", "1"]) == 0
+        serial_output = capsys.readouterr().out
+        assert main([*argv, "--workers", "2"]) == 0
+        parallel_output = capsys.readouterr().out
+        assert serial_output == parallel_output
+
+
 class TestComposeCommand:
     def test_compose_prints_the_overview(self, capsys):
         assert main(["scenarios", "compose", "--op", "mix", "--a", "steady", "--b", "bursty"]) == 0

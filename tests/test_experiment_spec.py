@@ -2,7 +2,7 @@
 
 Covers the generic registry, spec round-tripping (dict / TOML / JSON),
 content-hash stability across process boundaries, spec execution parity with
-the legacy sweep path (golden fingerprints), and worker-count-independent
+the serial registry grid (golden fingerprints), and worker-count-independent
 replay of committed spec files — the reproducibility contract of the API.
 """
 
@@ -17,18 +17,20 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis.parallel import SweepCase
 from repro.experiments import (
+    MANAGER_REGISTRY,
+    ExperimentBatch,
     ExperimentSpec,
     SpecError,
     dump_specs,
     grid_specs,
     load_specs,
+    make_manager,
     run,
     run_many,
 )
 from repro.registry import Registry
-from repro.sim.engine import SimulatorConfig
+from repro.rtm import RuntimeManager
 from tests.test_golden_traces import GOLDEN_FINGERPRINTS
 
 
@@ -82,6 +84,23 @@ class TestRegistry:
         registry = self.make()
         registry.unregister("alpha")
         assert "alpha" not in registry
+
+
+class TestManagerRegistry:
+    def test_known_managers(self):
+        assert {"rtm", "rtm_min_energy", "governor_only", "static_deployment"} <= set(
+            MANAGER_REGISTRY
+        )
+
+    def test_make_manager_builds_fresh_instances(self):
+        a = make_manager("rtm")
+        b = make_manager("rtm")
+        assert isinstance(a, RuntimeManager)
+        assert a is not b
+
+    def test_unknown_manager_raises_with_available_names(self):
+        with pytest.raises(KeyError, match="unknown manager 'nope'.*rtm"):
+            make_manager("nope")
 
 
 FULL_SPEC = ExperimentSpec(
@@ -342,28 +361,11 @@ class TestSpecExecution:
         result = run(ExperimentSpec(scenario=scenario, manager=manager, seed=0))
         assert result.trace.fingerprint() == GOLDEN_FINGERPRINTS[(scenario, manager)]
 
-    def test_spec_run_is_bit_identical_to_the_legacy_sweep_path(self, registry_grid_cached):
-        """Acceptance: run(spec) of rush_hour x rtm == the SweepCase path."""
+    def test_spec_run_is_bit_identical_to_the_serial_grid(self, registry_grid_cached):
+        """Acceptance: run(spec) of rush_hour x rtm == its serial run_many grid row."""
         spec_trace = run(ExperimentSpec(scenario="rush_hour", manager="rtm", seed=0)).trace
-        legacy_trace = registry_grid_cached.traces["rush_hour/rtm/seed0"]
-        assert spec_trace.fingerprint() == legacy_trace.fingerprint()
-
-    def test_sweep_case_to_spec_round_trip(self):
-        case = SweepCase(
-            name="x", scenario="steady", manager="rtm", seed=4,
-            platform_name="jetson_nano", use_op_cache=False,
-        )
-        spec = case.to_spec()
-        assert spec.label == "x"
-        assert (spec.scenario, spec.manager, spec.seed) == ("steady", "rtm", 4)
-        assert spec.platform == "jetson_nano" and spec.use_op_cache is False
-        config = SimulatorConfig(decision_interval_ms=125.0)
-        assert case.to_spec(config).simulator["decision_interval_ms"] == 125.0
-
-    def test_sweep_case_with_callables_does_not_convert(self):
-        case = SweepCase(name="x", scenario=lambda: None, manager="rtm")
-        with pytest.raises(ValueError, match="callable scenario/manager factories"):
-            case.to_spec()
+        grid_trace = registry_grid_cached.traces["rush_hour/rtm/seed0"]
+        assert spec_trace.fingerprint() == grid_trace.fingerprint()
 
     def test_rtm_policy_and_overrides_reach_the_manager(self):
         from repro.experiments import build_manager_from_spec
@@ -444,6 +446,13 @@ class TestSpecExecution:
             run(ExperimentSpec(scenario="nope"))
 
 
+#: Every execution backend, with the worker count each one runs at.
+BACKENDS = [("serial", 1), ("process", 2), ("batched", 1)]
+
+#: Keeps the generated scenarios of the backend tests short.
+SHORT = {"duration_ms": 2000.0}
+
+
 class TestRunMany:
     def test_rejects_duplicate_labels(self):
         spec = ExperimentSpec(scenario="steady")
@@ -454,14 +463,130 @@ class TestRunMany:
         with pytest.raises(ValueError, match="workers"):
             run_many([ExperimentSpec(scenario="steady")], workers=0)
 
-    def test_errors_are_captured_per_spec(self):
+    @pytest.mark.parametrize("backend,workers", BACKENDS)
+    def test_errors_are_captured_per_spec(self, backend, workers):
         specs = [
             ExperimentSpec(name="bad", scenario="steady", platform="not_a_platform"),
             ExperimentSpec(scenario="single_dnn"),
         ]
-        batch = run_many(specs, validate=False)
-        assert "unknown platform preset" in batch.errors["bad"]
+        batch = run_many(specs, backend=backend, workers=workers, validate=False)
+        assert list(batch.errors) == ["bad"]
+        # The first line names the exception; tracebacks may follow it.
+        assert batch.errors["bad"].splitlines()[0].startswith(
+            "KeyError: \"unknown platform preset 'not_a_platform'"
+        )
         assert list(batch.traces) == ["single_dnn/rtm/seed0"]
+
+    @pytest.mark.parametrize("backend,workers", BACKENDS)
+    def test_unknown_registry_names_fail_only_their_spec(self, backend, workers):
+        # Unvalidated, a misspelled scenario fails while the scenario is
+        # built, inside the backend, and must not take its neighbours along.
+        specs = [
+            ExperimentSpec(name="bad", scenario="not_a_scenario"),
+            ExperimentSpec(scenario="single_dnn", scenario_params=SHORT),
+            ExperimentSpec(scenario="single_dnn", manager="governor_only", scenario_params=SHORT),
+        ]
+        batch = run_many(specs, backend=backend, workers=workers, validate=False)
+        assert list(batch.errors) == ["bad"]
+        assert "unknown scenario 'not_a_scenario'" in batch.errors["bad"]
+        assert list(batch.traces) == ["single_dnn/rtm/seed0", "single_dnn/governor_only/seed0"]
+
+    @pytest.mark.parametrize("backend,workers", BACKENDS)
+    def test_results_come_back_in_submission_order(self, backend, workers):
+        # Submitted out of label order, so sorting would show.
+        specs = [
+            ExperimentSpec(scenario="steady", manager="rtm", seed=1, scenario_params=SHORT),
+            ExperimentSpec(scenario="single_dnn", manager="governor_only", scenario_params=SHORT),
+            ExperimentSpec(
+                scenario="steady", manager="governor_only", seed=0, scenario_params=SHORT
+            ),
+            ExperimentSpec(scenario="single_dnn", manager="rtm", scenario_params=SHORT),
+        ]
+        batch = run_many(specs, backend=backend, workers=workers)
+        assert not batch.errors
+        assert list(batch.traces) == [spec.label for spec in specs]
+        assert all(len(trace.jobs) > 0 for trace in batch.traces.values())
+
+    @pytest.mark.parametrize("backend,workers", BACKENDS)
+    def test_simulator_overrides_reach_every_backend(self, backend, workers):
+        specs = [
+            ExperimentSpec(
+                name="fast",
+                scenario="single_dnn",
+                scenario_params=SHORT,
+                simulator={"decision_interval_ms": 250.0},
+            ),
+            ExperimentSpec(name="default", scenario="single_dnn", scenario_params=SHORT),
+        ]
+        batch = run_many(specs, backend=backend, workers=workers)
+        assert not batch.errors
+        # More decision epochs in the same simulated time.
+        assert len(batch.traces["fast"].decisions) > len(batch.traces["default"].decisions)
+
+    @pytest.mark.parametrize("backend,workers", [("process", 3), ("batched", 1)])
+    def test_aggregates_match_the_serial_batch(self, backend, workers):
+        specs = [
+            ExperimentSpec(scenario="single_dnn", manager="rtm", scenario_params=SHORT),
+            ExperimentSpec(
+                name="rtm_no_dvfs",
+                scenario="single_dnn",
+                manager="rtm",
+                scenario_params=SHORT,
+                rtm={"enable_dvfs": False},
+            ),
+            ExperimentSpec(scenario="single_dnn", manager="governor_only", scenario_params=SHORT),
+        ]
+        serial = run_many(specs, backend="serial")
+        other = run_many(specs, backend=backend, workers=workers)
+        assert not serial.errors and not other.errors
+        assert list(serial.traces) == list(other.traces)
+        assert serial.violation_rates() == other.violation_rates()
+        assert serial.energies_mj() == other.energies_mj()
+        assert serial.mean_accuracies() == other.mean_accuracies()
+        assert serial.best_case() == other.best_case()
+
+    @pytest.mark.parametrize("backend,workers", BACKENDS)
+    def test_failed_specs_drop_out_of_the_aggregates(self, backend, workers):
+        specs = [
+            ExperimentSpec(scenario="steady", seed=1, scenario_params=SHORT),
+            ExperimentSpec(
+                name="steady/rtm/seed2",
+                scenario="steady",
+                seed=2,
+                scenario_params={**SHORT, "not_a_param": 1},
+            ),
+            ExperimentSpec(scenario="steady", seed=3, scenario_params=SHORT),
+        ]
+        batch = run_many(specs, backend=backend, workers=workers, validate=False)
+        survivors = ["steady/rtm/seed1", "steady/rtm/seed3"]
+        assert "not_a_param" in batch.errors["steady/rtm/seed2"]
+        assert list(batch.violation_rates()) == survivors
+        assert list(batch.energies_mj()) == survivors
+        assert list(batch.mean_accuracies()) == survivors
+        assert batch.best_case() in survivors
+
+    @pytest.mark.parametrize("backend,workers", BACKENDS)
+    def test_every_spec_failing_leaves_no_best_case(self, backend, workers):
+        specs = [
+            ExperimentSpec(scenario="steady", seed=seed, scenario_params={"not_a_param": 1})
+            for seed in (1, 2)
+        ]
+        batch = run_many(specs, backend=backend, workers=workers, validate=False)
+        assert list(batch.errors) == ["steady/rtm/seed1", "steady/rtm/seed2"]
+        assert not batch.results
+        with pytest.raises(ValueError, match="no results"):
+            batch.best_case()
+
+    @pytest.mark.parametrize("backend,workers", BACKENDS)
+    def test_empty_spec_list_yields_an_empty_batch(self, backend, workers):
+        batch = run_many([], backend=backend, workers=workers)
+        assert len(batch) == 0
+        assert not batch.errors and not batch.skipped
+        assert batch.violation_rates() == {}
+
+    def test_empty_batch_best_case_raises(self):
+        with pytest.raises(ValueError, match="no results"):
+            ExperimentBatch().best_case()
 
     def test_spec_file_replay_is_worker_count_independent(self, tmp_path):
         """Acceptance: a sweep from a spec file re-runs identically on 1 and N workers."""
@@ -488,6 +613,29 @@ class TestRunMany:
             "steady/governor_only/seed0",
             "steady/governor_only/seed1",
         ]
+
+
+class TestBatchAggregates:
+    """A batch's aggregates answer the paper's comparisons: managers on one
+    scenario, and one manager across seeds."""
+
+    def test_manager_grid_compares_managers_on_one_scenario(self):
+        batch = run_many(grid_specs(["single_dnn"], ["rtm", "governor_only"], [0]))
+        labels = {"single_dnn/rtm/seed0", "single_dnn/governor_only/seed0"}
+        assert not batch.errors
+        assert set(batch.traces) == labels
+        assert set(batch.violation_rates()) == labels
+        assert batch.best_case() in labels
+        assert all(energy >= 0 for energy in batch.energies_mj().values())
+        assert all(0 <= accuracy <= 100 for accuracy in batch.mean_accuracies().values())
+
+    def test_seed_grid_runs_each_seed_on_its_own_workload(self):
+        batch = run_many(grid_specs(["steady"], ["rtm"], [1, 2]))
+        assert not batch.errors
+        assert list(batch.traces) == ["steady/rtm/seed1", "steady/rtm/seed2"]
+        assert all(0.0 <= rate <= 1.0 for rate in batch.violation_rates().values())
+        # A seeded scenario draws a different workload for every seed.
+        assert len({trace.fingerprint() for trace in batch.traces.values()}) == 2
 
 
 class TestCommittedExampleSpecs:

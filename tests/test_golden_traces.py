@@ -229,15 +229,15 @@ class TestTraceReplayGoldens:
 
 
 def _regenerate() -> None:  # pragma: no cover - maintenance hook
-    from repro.analysis import ParallelSweepRunner
-    from repro.analysis.parallel import MANAGER_REGISTRY
+    from repro.experiments import MANAGER_REGISTRY, grid_specs, run_many
     from repro.workloads.scenarios import SCENARIO_REGISTRY
 
-    result = ParallelSweepRunner(workers=1).grid(
-        sorted(SCENARIO_REGISTRY), sorted(MANAGER_REGISTRY), seeds=[0]
+    batch = run_many(
+        grid_specs(sorted(SCENARIO_REGISTRY), sorted(MANAGER_REGISTRY), [0]),
+        backend="serial",
     )
-    assert not result.errors, result.errors
-    for name, trace in result.traces.items():
+    assert not batch.errors, batch.errors
+    for name, trace in batch.traces.items():
         scenario, manager = name.rsplit("/seed0", 1)[0].split("/")
         print(f'    ("{scenario}", "{manager}"): "{trace.fingerprint()}",')
 

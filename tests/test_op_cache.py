@@ -15,7 +15,7 @@ from repro.rtm.cache import (
     temperature_bucket_c,
 )
 from repro.rtm.manager import RTMConfig, RuntimeManager
-from repro.rtm.operating_points import OperatingPointSpace, pareto_front
+from repro.rtm.operating_points import OperatingPointSpace
 from repro.rtm.state import AppRuntimeState, SystemState
 from repro.workloads.requirements import Requirements
 from repro.workloads.tasks import make_dnn_application
@@ -129,30 +129,15 @@ class TestOperatingPointCache:
     def cache(self):
         return OperatingPointCache()
 
-    def test_enumerate_matches_direct_enumeration(
-        self, cache, trained_dnn, xu3, energy_model
-    ):
-        space = cache.space_for(trained_dnn, xu3, energy_model)
-        direct = OperatingPointSpace(trained_dnn, xu3, energy_model).enumerate(
-            temperature_c=45.0
-        )
-        assert cache.enumerate(space, temperature_c=45.0) == direct
-
     def test_hit_and_miss_counting(self, cache, trained_dnn, xu3, energy_model):
         space = cache.space_for(trained_dnn, xu3, energy_model)
-        cache.enumerate(space, temperature_c=45.0)
+        cache.enumerate_table(space, temperature_c=45.0)
         assert (cache.stats.hits, cache.stats.misses) == (0, 1)
-        cache.enumerate(space, temperature_c=45.0)
+        cache.enumerate_table(space, temperature_c=45.0)
         assert (cache.stats.hits, cache.stats.misses) == (1, 1)
-        cache.enumerate(space, temperature_c=50.0)  # different bucket -> miss
+        cache.enumerate_table(space, temperature_c=50.0)  # different bucket -> miss
         assert (cache.stats.hits, cache.stats.misses) == (1, 2)
         assert cache.stats.hit_rate == pytest.approx(1 / 3)
-
-    def test_cached_list_is_a_defensive_copy(self, cache, trained_dnn, xu3, energy_model):
-        space = cache.space_for(trained_dnn, xu3, energy_model)
-        first = cache.enumerate(space, temperature_c=45.0)
-        first.clear()
-        assert cache.enumerate(space, temperature_c=45.0)
 
     def test_space_is_memoised_per_identity(self, cache, trained_dnn, xu3, energy_model):
         space = cache.space_for(trained_dnn, xu3, energy_model)
@@ -166,38 +151,25 @@ class TestOperatingPointCache:
 
     def test_space_rebuild_flushes_derived_memos(self, cache, trained_dnn, xu3, energy_model):
         space = cache.space_for(trained_dnn, xu3, energy_model)
-        cache.enumerate(space, temperature_c=45.0)
+        cache.enumerate_table(space, temperature_c=45.0)
         assert cache.entry_count == 1
-        # Same key, different platform instance: the old memoised lists were
+        # Same key, different platform instance: the old memoised tables were
         # derived from the replaced objects and must be flushed with them.
         rebuilt = cache.space_for(trained_dnn, odroid_xu3(), energy_model)
         assert rebuilt is not space
         assert cache.entry_count == 0
         assert cache.stats.invalidations == {"space_rebuilt": 1}
 
-    def test_pareto_front_is_memoised(self, cache, trained_dnn, xu3, energy_model):
-        space = cache.space_for(trained_dnn, xu3, energy_model)
-        points = cache.enumerate(space, temperature_c=45.0)
-        key = cache.query_key(space, temperature_c=45.0)
-        front = cache.pareto_for(key, points)
-        assert front == pareto_front(
-            points,
-            objectives=("latency_ms", "energy_mj", "power_mw"),
-            maximise=("accuracy_percent", "confidence_percent"),
-        )
-        assert cache.pareto_for(key, points) == front
-        assert (cache.stats.pareto_hits, cache.stats.pareto_misses) == (1, 1)
-
-    def test_invalidate_flushes_lists_but_not_pricing(
+    def test_invalidate_flushes_tables_but_not_pricing(
         self, cache, trained_dnn, xu3, energy_model
     ):
         space = cache.space_for(trained_dnn, xu3, energy_model)
-        cache.enumerate(space, temperature_c=45.0)
+        cache.enumerate_table(space, temperature_c=45.0)
         priced = cache.points_priced
         cache.invalidate("cores_offline")
         assert cache.stats.invalidations == {"cores_offline": 1}
         assert cache.entry_count == 0
-        cache.enumerate(space, temperature_c=45.0)
+        cache.enumerate_table(space, temperature_c=45.0)
         assert cache.stats.misses == 2  # re-assembled ...
         assert cache.points_priced == priced  # ... without re-pricing
 
@@ -205,7 +177,9 @@ class TestOperatingPointCache:
         small = OperatingPointCache(max_entries=2)
         space = small.space_for(trained_dnn, xu3, energy_model)
         for temperature in (25.0, 30.0, 35.0, 40.0):
-            small.enumerate(space, clusters=["a7"], core_counts=[1], temperature_c=temperature)
+            small.enumerate_table(
+                space, clusters=["a7"], core_counts=[1], temperature_c=temperature
+            )
         assert small.entry_count == 2
         assert small.stats.evictions == 2
 
@@ -213,16 +187,20 @@ class TestOperatingPointCache:
         self, cache, trained_dnn, xu3, energy_model
     ):
         space = cache.space_for(trained_dnn, xu3, energy_model)
-        online = cache.enumerate(space, clusters=["a15"], core_counts=[1], temperature_c=45.0)
+        online = cache.enumerate_table(
+            space, clusters=["a15"], core_counts=[1], temperature_c=45.0
+        ).points
         xu3.cluster("a15").cores[3].set_online(False)
-        offline = cache.enumerate(space, clusters=["a15"], core_counts=[1], temperature_c=45.0)
+        offline = cache.enumerate_table(
+            space, clusters=["a15"], core_counts=[1], temperature_c=45.0
+        ).points
         assert cache.stats.misses == 2  # the key changed, no stale hit
         # One fewer online core draws less idle power at identical settings.
         assert offline[0].power_mw < online[0].power_mw
 
     def test_clear_resets_everything(self, cache, trained_dnn, xu3, energy_model):
         space = cache.space_for(trained_dnn, xu3, energy_model)
-        cache.enumerate(space, temperature_c=45.0)
+        cache.enumerate_table(space, temperature_c=45.0)
         cache.clear()
         assert cache.entry_count == 0
         assert cache.stats.lookups == 0

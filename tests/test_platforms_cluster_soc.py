@@ -6,7 +6,7 @@ from repro.platforms.cluster import Cluster, ClusterPerformanceParams
 from repro.platforms.core import CoreType
 from repro.platforms.dvfs import FrequencyDomain, make_opp_table
 from repro.platforms.presets import (
-    PRESET_BUILDERS,
+    PLATFORM_REGISTRY,
     a13_like,
     build_preset,
     jetson_nano,
@@ -152,7 +152,7 @@ class TestSoc:
 
 class TestPresets:
     def test_registry_builds_every_preset(self):
-        for name in PRESET_BUILDERS:
+        for name in PLATFORM_REGISTRY:
             soc = build_preset(name)
             assert soc.name == name
             assert soc.clusters
@@ -169,7 +169,7 @@ class TestPresets:
         from repro.platforms import preset_summaries
 
         summaries = preset_summaries()
-        assert set(summaries) == set(PRESET_BUILDERS)
+        assert set(summaries) == set(PLATFORM_REGISTRY)
         xu3 = summaries["odroid_xu3"]
         assert xu3["calibrated"] is True
         assert xu3["total_cores"] == 9  # 4x A15 + 4x A7 + Mali

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.workloads import (
-    SCENARIO_BUILDERS,
     SCENARIO_REGISTRY,
     Scenario,
     build_scenario,
@@ -47,9 +46,6 @@ class TestRegistryContents:
         }
         assert composition_layer <= set(SCENARIO_REGISTRY)
         assert len(SCENARIO_REGISTRY) >= 20
-
-    def test_builders_alias_is_the_registry(self):
-        assert SCENARIO_BUILDERS is SCENARIO_REGISTRY
 
     def test_every_entry_has_a_summary(self):
         summaries = scenario_summaries()

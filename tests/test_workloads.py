@@ -6,7 +6,7 @@ from repro.platforms.core import CoreType
 from repro.workloads.generator import WorkloadGenerator, WorkloadGeneratorConfig
 from repro.workloads.requirements import MetricSample, Requirements, Violation
 from repro.workloads.scenarios import (
-    SCENARIO_BUILDERS,
+    SCENARIO_REGISTRY,
     ScenarioEventKind,
     fig2_scenario,
     multi_dnn_scenario,
@@ -202,7 +202,7 @@ class TestScenarios:
         # The paper's own timelines are always registered; the registry also
         # carries the synthetic scenario families (tested in
         # test_scenario_registry.py).
-        assert {"fig2", "single_dnn", "multi_dnn", "thermal_stress"} <= set(SCENARIO_BUILDERS)
+        assert {"fig2", "single_dnn", "multi_dnn", "thermal_stress"} <= set(SCENARIO_REGISTRY)
 
 
 class TestWorkloadGenerator:
