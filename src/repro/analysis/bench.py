@@ -1,18 +1,28 @@
-"""Decision-kernel benchmark harness with a tracked JSON trajectory.
+"""Benchmark harnesses and the one writer and gate of every ``BENCH_*.json``.
 
 ``repro-experiments bench`` times the two numbers every performance PR is
 judged on — mean ``decide()`` time per decision epoch (with the
 operating-point cache enabled and disabled) and end-to-end simulation time —
-for a grid of registry scenarios x managers, and writes them to a
-``BENCH_*.json`` file that is committed next to the code.  CI re-runs a smoke
-subset on every push and fails when decide()-per-epoch regresses more than a
+for a grid of registry scenarios x managers; ``bench --backend batched``
+times the lock-step batched engine against the serial reference; and
+``fleet bench`` (:mod:`repro.fleet.bench`) times a large orchestrated fleet.
+Each writes a ``BENCH_*.json`` file that is committed next to the code, and
+CI re-runs each one and fails when a gated metric regresses more than a
 configured fraction against the committed baseline, so the perf trajectory
-of the decision path is enforced, not just observed.
+is enforced, not just observed.
 
-The committed file may carry a ``reference`` section: timings of an older
-implementation measured with this same harness (the pre-columnar-kernel
-profile seeded it).  When present it is preserved across refreshes and the
-report prints speedup factors against it.
+All three documents go through :func:`write_bench_file`, which builds one
+envelope (``schema_version``, ``generated_by``, ``generated_at_unix``,
+``host``, ``config``, ``results``, then any extra sections), and all three
+gates through :func:`compare_bench`, which compares ``{case: {metric:
+value}}`` maps.  The decision kernel's results are already keyed by case; a
+single-pass bench gates its flat results as one case (:func:`gate_cases`).
+
+The decision kernel's committed file may carry a ``reference`` section:
+timings of an older implementation measured with this same harness (the
+pre-columnar-kernel profile seeded it).  When present it is preserved across
+refreshes (:func:`reference_sections`) and the report prints speedup factors
+against it.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import json
 import platform
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.runner import (
     build_manager_from_spec,
@@ -31,7 +41,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.spec import ExperimentSpec
 from repro.ioutils import atomic_write_text
-from repro.sim.engine import ManagerProtocol, Simulator, SimulatorConfig
+from repro.sim.engine import ManagerProtocol, Simulator
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -39,19 +49,18 @@ __all__ = [
     "BENCH_KIND_BATCHED",
     "DEFAULT_BENCH_PATH",
     "DEFAULT_BATCHED_BENCH_PATH",
+    "GATED_FIELDS",
     "BenchTimings",
     "BenchRegression",
     "BatchedBenchResult",
     "run_bench_spec",
     "run_bench_specs",
-    "run_bench_case",
-    "run_bench",
     "run_batched_bench",
+    "reference_sections",
     "write_bench_file",
-    "write_batched_bench_file",
     "load_bench_file",
+    "gate_cases",
     "compare_bench",
-    "compare_batched_bench",
 ]
 
 BENCH_SCHEMA_VERSION = 1
@@ -62,7 +71,9 @@ DEFAULT_BENCH_PATH = "BENCH_decision_kernel.json"
 #: Where the committed perf trajectory of the batched engine lives.
 DEFAULT_BATCHED_BENCH_PATH = "BENCH_batched_engine.json"
 
-#: Benchmark fields gated by :func:`compare_bench` (lower is better).
+#: Per-case decision-kernel fields gated by :func:`compare_bench` (lower is
+#: better).  End-to-end times are not gated: they carry the full simulation
+#: noise of the machine, while decide() time is what the trajectory tracks.
 GATED_FIELDS = ("decide_ms_per_epoch_cached", "decide_ms_per_epoch_uncached")
 
 #: ``bench_runs``/``bench_cases`` kind tags in the results store.
@@ -232,54 +243,6 @@ def run_bench_specs(
     return results
 
 
-def run_bench_case(
-    scenario_name: str,
-    manager_name: str,
-    repeats: int = 3,
-    platform_name: str = "odroid_xu3",
-    seed: int = 0,
-    simulator_config: Optional[SimulatorConfig] = None,
-) -> BenchTimings:
-    """Benchmark one (scenario, manager) combination (spec-backed front-end)."""
-    spec = ExperimentSpec(
-        scenario=scenario_name,
-        manager=manager_name,
-        platform=platform_name,
-        seed=seed,
-        simulator=dataclasses.asdict(simulator_config) if simulator_config else {},
-    )
-    return run_bench_spec(spec, repeats=repeats)
-
-
-def run_bench(
-    scenarios: Sequence[str],
-    managers: Sequence[str],
-    repeats: int = 3,
-    platform_name: str = "odroid_xu3",
-    seed: int = 0,
-    simulator_config: Optional[SimulatorConfig] = None,
-    progress=None,
-) -> List[BenchTimings]:
-    """Benchmark a scenarios x managers grid.
-
-    ``progress`` is an optional callable invoked with each finished
-    :class:`BenchTimings` (the CLI prints a row per case).
-    """
-    simulator = dataclasses.asdict(simulator_config) if simulator_config else {}
-    specs = [
-        ExperimentSpec(
-            scenario=scenario_name,
-            manager=manager_name,
-            platform=platform_name,
-            seed=seed,
-            simulator=simulator,
-        )
-        for scenario_name in scenarios
-        for manager_name in managers
-    ]
-    return run_bench_specs(specs, repeats=repeats, progress=progress)
-
-
 # ------------------------------------------------------- batched-engine bench
 
 
@@ -367,71 +330,6 @@ def run_batched_bench(
     )
 
 
-def write_batched_bench_file(
-    path: str,
-    result: BatchedBenchResult,
-    repeats: int,
-    platform_name: str,
-    grid: Optional[Dict[str, object]] = None,
-    store=None,
-) -> Dict[str, object]:
-    """Write the batched-engine benchmark JSON (and return the document).
-
-    The write is atomic, and with a ``store`` the document is also appended
-    to its ``bench_runs`` table — the JSON file is then just a view over the
-    newest stored run.
-    """
-    document: Dict[str, object] = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "generated_by": "repro-experiments bench --backend batched",
-        "generated_at_unix": int(time.time()),
-        "host": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "system": platform.system(),
-        },
-        "config": {"repeats": repeats, "platform": platform_name, **(grid or {})},
-        "results": result.as_dict(),
-    }
-    atomic_write_text(path, json.dumps(document, indent=2, sort_keys=False) + "\n")
-    if store is not None:
-        store.put_bench_run(BENCH_KIND_BATCHED, document)
-    return document
-
-
-def compare_batched_bench(
-    result: BatchedBenchResult,
-    baseline: Dict[str, object],
-    max_regression: float = 0.25,
-) -> List[BenchRegression]:
-    """Gate a fresh batched-engine timing against a committed baseline.
-
-    Only ``batched_s`` is gated — the serial reference is re-measured for
-    the speedup report, not tracked.  Gating is skipped when the baseline
-    measured a different spec count (the grids are not comparable).
-    """
-    if max_regression < 0:
-        raise ValueError("max_regression must be non-negative")
-    baseline_results = baseline.get("results", {})
-    if not isinstance(baseline_results, dict):
-        return []
-    if baseline_results.get("specs") != result.specs:
-        return []
-    base_value = baseline_results.get("batched_s")
-    if not base_value:
-        return []
-    if result.batched_s > float(base_value) * (1.0 + max_regression):
-        return [
-            BenchRegression(
-                case="batched_engine",
-                metric="batched_s",
-                baseline=float(base_value),
-                current=result.batched_s,
-            )
-        ]
-    return []
-
-
 def _speedups(reference: Dict[str, dict], results: Dict[str, dict]) -> Dict[str, dict]:
     speedups: Dict[str, dict] = {}
     for key, current in results.items():
@@ -452,45 +350,64 @@ def _speedups(reference: Dict[str, dict], results: Dict[str, dict]) -> Dict[str,
     return speedups
 
 
+def reference_sections(path: str, results: Mapping[str, dict]) -> Dict[str, object]:
+    """The decision kernel's extra sections, carried over from the file at ``path``.
+
+    An existing ``reference`` (with its ``reference_note``) is kept unchanged
+    and ``speedup_vs_reference`` is recomputed against the fresh per-case
+    ``results``.  Empty when the file is missing, unreadable or holds no
+    reference.
+    """
+    try:
+        existing = load_bench_file(path)
+    except (OSError, ValueError):
+        return {}
+    reference = existing.get("reference")
+    if not reference:
+        return {}
+    sections: Dict[str, object] = {"reference": reference}
+    note = str(existing.get("reference_note", ""))
+    if note:
+        sections["reference_note"] = note
+    sections["speedup_vs_reference"] = _speedups(reference, results)
+    return sections
+
+
 def write_bench_file(
     path: str,
-    results: Sequence[BenchTimings],
-    repeats: int,
-    platform_name: str,
-    seed: int = 0,
-    reference: Optional[Dict[str, dict]] = None,
-    reference_note: str = "",
+    kind: str,
+    generated_by: str,
+    config: Dict[str, object],
+    results: Dict[str, object],
+    extra: Optional[Dict[str, object]] = None,
     store=None,
 ) -> Dict[str, object]:
-    """Write the benchmark JSON (and return the document).
+    """Write one benchmark JSON document (and return it).
 
-    ``reference`` timings — typically the pre-optimisation profile carried
-    over from the existing file — are embedded unchanged, and speedup factors
-    against them are recomputed from the fresh results.  The write is atomic,
-    and with a ``store`` the document is appended to its ``bench_runs`` table
-    so the committed JSON becomes a view over the warehouse's bench trend.
+    Every ``BENCH_*.json`` shares this envelope: ``schema_version``,
+    ``generated_by``, ``generated_at_unix``, ``host``, ``config`` and
+    ``results``, followed by the ``extra`` top-level sections in their given
+    order (the decision kernel's :func:`reference_sections`).  The write is
+    atomic, and with a ``store`` the document is appended to its
+    ``bench_runs`` table under ``kind``, so the committed JSON becomes a view
+    over the warehouse's bench trend.
     """
-    result_map = {timings.key: timings.as_dict() for timings in results}
     document: Dict[str, object] = {
         "schema_version": BENCH_SCHEMA_VERSION,
-        "generated_by": "repro-experiments bench",
+        "generated_by": generated_by,
         "generated_at_unix": int(time.time()),
         "host": {
             "python": platform.python_version(),
             "machine": platform.machine(),
             "system": platform.system(),
         },
-        "config": {"repeats": repeats, "platform": platform_name, "seed": seed},
-        "results": result_map,
+        "config": config,
+        "results": results,
+        **(extra or {}),
     }
-    if reference:
-        document["reference"] = reference
-        if reference_note:
-            document["reference_note"] = reference_note
-        document["speedup_vs_reference"] = _speedups(reference, result_map)
     atomic_write_text(path, json.dumps(document, indent=2, sort_keys=False) + "\n")
     if store is not None:
-        store.put_bench_run(BENCH_KIND_DECISION, document)
+        store.put_bench_run(kind, document)
     return document
 
 
@@ -500,29 +417,51 @@ def load_bench_file(path: str) -> Dict[str, object]:
         return json.load(stream)
 
 
+def gate_cases(
+    kind: str,
+    results: Dict[str, object],
+    baseline: Mapping[str, object],
+    grid: Optional[Sequence[str]] = None,
+) -> Tuple[Dict[str, dict], Dict[str, dict]]:
+    """The ``(current, baseline)`` case maps :func:`compare_bench` gates.
+
+    Without ``grid`` the ``results`` are already keyed by case (the decision
+    kernel) and meet the ``baseline`` document's results case by case.  A
+    single-pass bench (batched engine, fleet) passes its ``grid`` keys: its
+    flat results are one case named ``kind``, and the baseline contributes
+    that case only when it measured the same grid — equal values under every
+    grid key — since a different grid is not comparable.
+    """
+    base = baseline.get("results")
+    if not isinstance(base, dict):
+        base = {}
+    if grid is None:
+        return results, base  # type: ignore[return-value]
+    same_grid = all(base.get(key) == results.get(key) for key in grid)
+    return {kind: results}, ({kind: base} if same_grid else {})
+
+
 def compare_bench(
-    current: Sequence[BenchTimings],
-    baseline: Dict[str, object],
+    current: Mapping[str, Mapping[str, object]],
+    baseline: Mapping[str, Mapping[str, object]],
+    metrics: Sequence[str],
     max_regression: float = 0.25,
 ) -> List[BenchRegression]:
-    """Gate fresh timings against a committed baseline document.
+    """Gate fresh ``{case: {metric: value}}`` timings against a baseline map.
 
-    Returns the decide()-per-epoch metrics that are more than
-    ``max_regression`` (fraction) slower than the baseline for cases present
-    in both.  End-to-end times are not gated: they carry the full simulation
-    noise of the machine, while decide() time is what the decision-kernel
-    trajectory tracks.
+    Returns every gated ``metric`` that is more than ``max_regression``
+    (fraction) slower than the baseline, for cases present in both maps.  A
+    metric missing or zero in the baseline, or missing in the fresh timings,
+    is not gated.
     """
     if max_regression < 0:
         raise ValueError("max_regression must be non-negative")
-    baseline_results = baseline.get("results", {})
     regressions: List[BenchRegression] = []
-    for timings in current:
-        base = baseline_results.get(timings.key)
+    for case, fresh in current.items():
+        base = baseline.get(case)
         if not base:
             continue
-        fresh = timings.as_dict()
-        for metric in GATED_FIELDS:
+        for metric in metrics:
             base_value = base.get(metric)
             value = fresh.get(metric)
             if not base_value or value is None:
@@ -530,7 +469,7 @@ def compare_bench(
             if value > base_value * (1.0 + max_regression):
                 regressions.append(
                     BenchRegression(
-                        case=timings.key,
+                        case=case,
                         metric=metric,
                         baseline=float(base_value),
                         current=float(value),

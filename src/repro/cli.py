@@ -61,20 +61,22 @@ from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.analysis import (
+    BENCH_KIND_BATCHED,
     BENCH_KIND_DECISION,
     DEFAULT_BATCHED_BENCH_PATH,
     DEFAULT_BENCH_PATH,
+    GATED_FIELDS,
     adaptation_events,
     application_timeline,
-    compare_batched_bench,
     compare_bench,
     format_operating_points,
     format_table,
     format_trace_comparison,
+    gate_cases,
     load_bench_file,
+    reference_sections,
     run_batched_bench,
     run_bench_specs,
-    write_batched_bench_file,
     write_bench_file,
 )
 from repro.data.cifar import make_validation_set
@@ -102,12 +104,10 @@ from repro.fleet import (
     FLEET_POLICY_REGISTRY,
     FleetSpec,
     FleetSpecError,
-    compare_fleet_bench,
     fleet_scenario_summaries,
     load_fleet_specs,
     run_fleet,
     run_fleet_bench,
-    write_fleet_bench_file,
 )
 from repro.perfmodel import CalibratedLatencyModel, EnergyModel
 from repro.platforms import (
@@ -759,6 +759,72 @@ def _add_robustness_arguments(subparser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_backend_arguments(subparser: argparse.ArgumentParser) -> None:
+    """``--backend/--workers``, shared by run/sweep."""
+    subparser.add_argument(
+        "--backend",
+        default=None,
+        choices=sorted(EXECUTION_BACKEND_REGISTRY),
+        help="execution backend (default: process when --workers > 1, else serial)",
+    )
+    subparser.add_argument(
+        "--workers", type=int, default=1, help="worker processes (process backend only)"
+    )
+
+
+def _add_dump_spec_argument(subparser: argparse.ArgumentParser, what: str) -> None:
+    """``--dump-spec FILE``, shared by every verb that builds experiment specs."""
+    subparser.add_argument(
+        "--dump-spec",
+        default=None,
+        metavar="FILE",
+        help=f"write {what} to FILE ('-' for stdout) instead of running",
+    )
+
+
+def _add_fleet_mix_arguments(subparser: argparse.ArgumentParser) -> None:
+    """``--devices PRESET=COUNT ... --backend``, shared by fleet run/sweep."""
+    subparser.add_argument(
+        "--devices",
+        nargs="+",
+        default=None,
+        metavar="PRESET=COUNT",
+        help="device mix override (default: the scenario's own mix)",
+    )
+    subparser.add_argument(
+        "--backend",
+        default="batched",
+        choices=list(FLEET_BACKENDS),
+        help="per-device execution backend (identical fingerprints; default batched)",
+    )
+
+
+def _add_bench_file_arguments(
+    subparser: argparse.ArgumentParser, default_output: str, output_help: str, gated: str
+) -> None:
+    """``--output/--no-write/--compare/--max-regression``, shared by bench/fleet bench."""
+    subparser.add_argument("--output", default=default_output, help=output_help)
+    subparser.add_argument(
+        "--no-write",
+        dest="output",
+        action="store_const",
+        const=None,
+        help="measure and print only; do not write the JSON file",
+    )
+    subparser.add_argument(
+        "--compare",
+        default=None,
+        metavar="BASELINE_JSON",
+        help=f"gate {gated} against this committed baseline file",
+    )
+    subparser.add_argument(
+        "--max-regression",
+        type=float,
+        default=0.25,
+        help=f"allowed {gated} slowdown vs --compare (fraction, default 0.25)",
+    )
+
+
 @contextmanager
 def _store_session(args: argparse.Namespace) -> "Iterator[Optional[ResultsStore]]":
     """Open ``--store`` (or yield ``None``) and always close it.
@@ -807,22 +873,29 @@ def _resume_store_conflict(args: argparse.Namespace) -> bool:
     return False
 
 
-def _open_existing_store(path: str):
-    """Open a store that must already exist (the read-side verbs).
+@contextmanager
+def _existing_store(path: str) -> "Iterator[Optional[ResultsStore]]":
+    """Open a store that must already exist (the read-side verbs), then close it.
 
-    Returns ``None`` after printing an error when the file is missing or
+    Yields ``None`` after printing an error when the file is missing or
     unreadable — opening would otherwise silently create an empty store.
     """
     from pathlib import Path
 
     if not Path(path).exists():
         print(f"no results store at {path}", file=sys.stderr)
-        return None
+        yield None
+        return
     try:
-        return ResultsStore(path)
+        store = ResultsStore(path)
     except Exception as error:  # noqa: BLE001 - reported to the user (StoreError, sqlite)
         print(f"cannot open results store {path}: {error}", file=sys.stderr)
-        return None
+        yield None
+        return
+    try:
+        yield store
+    finally:
+        store.close()
 
 
 def _print_stored_case_table(stored: "dict[str, StoredResult]") -> None:
@@ -891,7 +964,7 @@ def _load_faults_overlay(path: str) -> "tuple[Optional[dict], Optional[str]]":
 
     try:
         plan = FaultPlan.from_file(path)
-    except (OSError, FaultPlanError) as error:
+    except FaultPlanError as error:
         return None, f"cannot load fault plan {path!r}: {error}"
     if plan.is_empty:
         return None, f"fault plan {path!r} declares no events and no job crashes"
@@ -1095,17 +1168,83 @@ BATCHED_BENCH_SMOKE_SCENARIOS = ["rush_hour", "steady"]
 BATCHED_BENCH_SMOKE_MANAGERS = ["rtm", "governor_only"]
 
 
+def _single_pass_resume_conflict(args: argparse.Namespace, applies_to: str, bench: str) -> bool:
+    """True (after printing the error) when a single-pass bench gets --resume.
+
+    The batched-engine and fleet benches time one monolithic pass; there is
+    no per-case unit to resume, unlike the decision-kernel grid.
+    """
+    if not args.resume:
+        return False
+    print(
+        f"--resume applies to {applies_to}; {bench} is a single timed pass "
+        "(drop --resume, keep --store to append the run)",
+        file=sys.stderr,
+    )
+    return True
+
+
+def _gate_and_write(
+    args: argparse.Namespace,
+    output: Optional[str],
+    kind: str,
+    results: Dict[str, object],
+    *,
+    generated_by: str,
+    config: Dict[str, object],
+    metrics: Sequence[str],
+    noun: str,
+    label: str,
+    grid: Optional[Sequence[str]] = None,
+    extra: Optional[Dict[str, object]] = None,
+    gap: str = "",
+) -> "tuple[int, Optional[Dict[str, object]]]":
+    """The shared tail of ``bench``, ``bench --backend batched`` and ``fleet bench``.
+
+    Load ``--compare`` (exit 2 if unreadable) and gate ``metrics`` against it
+    (exit 1 on a regression; ``grid`` as in :func:`gate_cases`), then write
+    ``output`` and append it to ``--store``.  Returns the exit code and the
+    written document, if any.  ``noun`` and ``label`` name the bench in the
+    regression header and the store line; ``gap`` is the decision-kernel
+    report's blank line before each verdict.
+    """
+    exit_code = 0
+    if args.compare is not None:
+        try:
+            baseline = load_bench_file(args.compare)
+        except (OSError, ValueError) as error:
+            print(f"cannot load baseline {args.compare!r}: {error}", file=sys.stderr)
+            return 2, None
+        current, base = gate_cases(kind, results, baseline, grid)
+        regressions = compare_bench(current, base, metrics, args.max_regression)
+        if regressions:
+            print(
+                f"\n{len(regressions)} {noun} regression(s) beyond "
+                f"{args.max_regression:.0%} of {args.compare}:",
+                file=sys.stderr,
+            )
+            for regression in regressions:
+                print(f"  {regression}", file=sys.stderr)
+            exit_code = 1
+        else:
+            print(f"{gap}no regressions beyond {args.max_regression:.0%} of {args.compare}")
+    document = None
+    if output is not None:
+        with _store_session(args) as store:
+            document = write_bench_file(
+                output, kind, generated_by, config, results, extra=extra, store=store
+            )
+        print(f"{gap}wrote {output}")
+        if args.store is not None:
+            print(f"appended {label} run to {args.store}")
+    return exit_code, document
+
+
 def _cmd_bench_batched(args: argparse.Namespace) -> int:
     """Benchmark the batched engine against the serial reference backend."""
-    if args.resume:
-        # The batched comparison times one monolithic engine pass; there is
-        # no per-case unit to resume, unlike the decision-kernel grid.
-        print(
-            "--resume applies to the per-case decision-kernel bench; the batched "
-            "comparison is a single timed pass (drop --resume, keep --store to "
-            "append the run)",
-            file=sys.stderr,
-        )
+    if _single_pass_resume_conflict(
+        args, "the per-case decision-kernel bench", "the batched comparison"
+    ):
         return 2
     scenarios = args.scenarios or (
         BATCHED_BENCH_SMOKE_SCENARIOS if args.smoke else BENCH_DEFAULT_SCENARIOS
@@ -1151,50 +1290,29 @@ def _cmd_bench_batched(args: argparse.Namespace) -> int:
         return 1
     print("fingerprints identical across backends")
 
-    exit_code = 0
-    if args.compare is not None:
-        try:
-            baseline = load_bench_file(args.compare)
-        except (OSError, ValueError) as error:
-            print(f"cannot load baseline {args.compare!r}: {error}", file=sys.stderr)
-            return 2
-        regressions = compare_batched_bench(
-            result, baseline, max_regression=args.max_regression
-        )
-        if regressions:
-            print(
-                f"\n{len(regressions)} batched-engine regression(s) beyond "
-                f"{args.max_regression:.0%} of {args.compare}:",
-                file=sys.stderr,
-            )
-            for regression in regressions:
-                print(f"  {regression}", file=sys.stderr)
-            exit_code = 1
-        else:
-            print(f"no regressions beyond {args.max_regression:.0%} of {args.compare}")
-
-    output = args.output
-    if output == DEFAULT_BENCH_PATH:
-        # The untouched default points at the decision-kernel file; the
-        # batched comparison tracks its own trajectory.
-        output = DEFAULT_BATCHED_BENCH_PATH
-    if output is not None:
-        with _store_session(args) as store:
-            write_batched_bench_file(
-                output,
-                result,
-                repeats=repeats,
-                platform_name=args.platform,
-                grid={
-                    "scenarios": list(scenarios),
-                    "managers": list(managers),
-                    "seeds": seeds_count,
-                },
-                store=store,
-            )
-        print(f"wrote {output}")
-        if args.store is not None:
-            print(f"appended batched bench run to {args.store}")
+    # The untouched default points at the decision-kernel file; the batched
+    # comparison tracks its own trajectory.  Only the batched wall time is
+    # gated (the serial reference is re-measured for the speedup report), and
+    # a baseline that timed another spec count measured another grid.
+    output = DEFAULT_BATCHED_BENCH_PATH if args.output == DEFAULT_BENCH_PATH else args.output
+    exit_code, _ = _gate_and_write(
+        args,
+        output,
+        BENCH_KIND_BATCHED,
+        result.as_dict(),
+        generated_by="repro-experiments bench --backend batched",
+        config={
+            "repeats": repeats,
+            "platform": args.platform,
+            "scenarios": list(scenarios),
+            "managers": list(managers),
+            "seeds": seeds_count,
+        },
+        metrics=("batched_s",),
+        grid=("specs",),
+        noun="batched-engine",
+        label="batched bench",
+    )
     return exit_code
 
 
@@ -1239,82 +1357,55 @@ def cmd_bench(args: argparse.Namespace) -> int:
         results = run_bench_specs(
             specs, repeats=repeats, progress=progress, store=store, resume=args.resume
         )
-        rows = [
-            [
-                timings.key,
-                timings.decisions,
-                timings.decide_ms_per_epoch_cached,
-                timings.decide_ms_per_epoch_uncached,
-                timings.e2e_s,
-                timings.e2e_s_uncached,
-            ]
-            for timings in results
+    rows = [
+        [
+            timings.key,
+            timings.decisions,
+            timings.decide_ms_per_epoch_cached,
+            timings.decide_ms_per_epoch_uncached,
+            timings.e2e_s,
+            timings.e2e_s_uncached,
         ]
-        print()
-        print(
-            format_table(
-                [
-                    "case",
-                    "epochs",
-                    "decide ms (cached)",
-                    "decide ms (uncached)",
-                    "e2e s",
-                    "e2e s (uncached)",
-                ],
-                rows,
-                precision=4,
-            )
+        for timings in results
+    ]
+    print()
+    print(
+        format_table(
+            [
+                "case",
+                "epochs",
+                "decide ms (cached)",
+                "decide ms (uncached)",
+                "e2e s",
+                "e2e s (uncached)",
+            ],
+            rows,
+            precision=4,
         )
+    )
 
-        exit_code = 0
-        if args.compare is not None:
-            try:
-                baseline = load_bench_file(args.compare)
-            except (OSError, ValueError) as error:
-                print(f"cannot load baseline {args.compare!r}: {error}", file=sys.stderr)
-                return 2
-            regressions = compare_bench(results, baseline, max_regression=args.max_regression)
-            if regressions:
-                print(
-                    f"\n{len(regressions)} decide()-per-epoch regression(s) beyond "
-                    f"{args.max_regression:.0%} of {args.compare}:",
-                    file=sys.stderr,
-                )
-                for regression in regressions:
-                    print(f"  {regression}", file=sys.stderr)
-                exit_code = 1
-            else:
-                print(f"\nno regressions beyond {args.max_regression:.0%} of {args.compare}")
-
-        if args.output is not None:
-            reference = None
-            reference_note = ""
-            try:
-                existing = load_bench_file(args.output)
-                reference = existing.get("reference")
-                reference_note = str(existing.get("reference_note", ""))
-            except (OSError, ValueError):
-                pass
-            document = write_bench_file(
-                args.output,
-                results,
-                repeats=repeats,
-                platform_name=args.platform,
-                reference=reference,
-                reference_note=reference_note,
-                store=store,
+    result_map = {timings.key: timings.as_dict() for timings in results}
+    exit_code, document = _gate_and_write(
+        args,
+        args.output,
+        BENCH_KIND_DECISION,
+        result_map,
+        generated_by="repro-experiments bench",
+        config={"repeats": repeats, "platform": args.platform, "seed": 0},
+        metrics=GATED_FIELDS,
+        noun="decide()-per-epoch",
+        label="bench",
+        extra=reference_sections(args.output, result_map) if args.output else None,
+        gap="\n",
+    )
+    speedups = (document or {}).get("speedup_vs_reference") or {}
+    for case, entry in speedups.items():
+        if "decide_ms_per_epoch_uncached" in entry:
+            print(
+                f"  {case}: {entry['decide_ms_per_epoch_uncached']}x faster uncached "
+                f"decide, {entry.get('e2e_s', '?')}x faster e2e vs reference"
             )
-            print(f"\nwrote {args.output}")
-            if args.store is not None:
-                print(f"appended bench run to {args.store}")
-            speedups = document.get("speedup_vs_reference") or {}
-            for case, entry in speedups.items():
-                if "decide_ms_per_epoch_uncached" in entry:
-                    print(
-                        f"  {case}: {entry['decide_ms_per_epoch_uncached']}x faster uncached "
-                        f"decide, {entry.get('e2e_s', '?')}x faster e2e vs reference"
-                    )
-        return exit_code
+    return exit_code
 
 
 # --------------------------------------------------------------- fleet verbs
@@ -1496,12 +1587,7 @@ def cmd_fleet_sweep(args: argparse.Namespace) -> int:
 
 def cmd_fleet_bench(args: argparse.Namespace) -> int:
     """Benchmark a large orchestrated fleet against the static baseline."""
-    if args.resume:
-        print(
-            "--resume applies to per-case verbs; the fleet benchmark is a "
-            "single timed pass (drop --resume, keep --store to append the run)",
-            file=sys.stderr,
-        )
+    if _single_pass_resume_conflict(args, "per-case verbs", "the fleet benchmark"):
         return 2
     if args.devices < 1:
         print("--devices must be at least 1", file=sys.stderr)
@@ -1543,33 +1629,26 @@ def cmd_fleet_bench(args: argparse.Namespace) -> int:
         f"(improvement {result.violation_improvement:+.4f}, "
         f"{result.migrations} migration(s))"
     )
-
-    exit_code = 0
-    if args.compare is not None:
-        try:
-            baseline = load_bench_file(args.compare)
-        except (OSError, ValueError) as error:
-            print(f"cannot load baseline {args.compare!r}: {error}", file=sys.stderr)
-            return 2
-        regressions = compare_fleet_bench(result, baseline, max_regression=args.max_regression)
-        if regressions:
-            print(
-                f"\n{len(regressions)} fleet regression(s) beyond "
-                f"{args.max_regression:.0%} of {args.compare}:",
-                file=sys.stderr,
-            )
-            for regression in regressions:
-                print(f"  {regression}", file=sys.stderr)
-            exit_code = 1
-        else:
-            print(f"no regressions beyond {args.max_regression:.0%} of {args.compare}")
-
-    if args.output is not None:
-        with _store_session(args) as store:
-            write_fleet_bench_file(args.output, result, seed=args.seed, store=store)
-        print(f"wrote {args.output}")
-        if args.store is not None:
-            print(f"appended fleet bench run to {args.store}")
+    # Only the orchestrated wall time is gated (the static and serial passes
+    # are measured for the report), against a baseline of the same fleet
+    # size and scenario.
+    exit_code, _ = _gate_and_write(
+        args,
+        args.output,
+        BENCH_KIND_FLEET,
+        result.as_dict(),
+        generated_by="repro-experiments fleet bench",
+        config={
+            "devices": result.devices,
+            "scenario": result.scenario,
+            "policy": result.policy,
+            "seed": args.seed,
+        },
+        metrics=("orchestrated_s",),
+        grid=("devices", "scenario"),
+        noun="fleet",
+        label="fleet bench",
+    )
     return exit_code
 
 
@@ -1599,10 +1678,9 @@ def cmd_fleet_scenarios_list(args: argparse.Namespace) -> int:
 
 def cmd_store_ls(args: argparse.Namespace) -> int:
     """List every result in a store: spec ids, labels, headline metrics."""
-    store = _open_existing_store(args.store)
-    if store is None:
-        return 2
-    try:
+    with _existing_store(args.store) as store:
+        if store is None:
+            return 2
         results = store.results()
         errors = store.errors()
         if not results and not errors:
@@ -1648,20 +1726,15 @@ def cmd_store_ls(args: argparse.Namespace) -> int:
         print(f"{args.store}: {summary}")
         print(f"combined fingerprint digest: {store.fingerprint_digest()}")
         return 0
-    finally:
-        store.close()
 
 
 def cmd_store_show(args: argparse.Namespace) -> int:
     """Print one stored result in full: metrics, timing and the spec TOML."""
-    store = _open_existing_store(args.store)
-    if store is None:
-        return 2
-    try:
+    with _existing_store(args.store) as store:
+        if store is None:
+            return 2
         record = store.get(args.spec_id)
         error = store.get_error(args.spec_id) if record is None else None
-    finally:
-        store.close()
     if record is None:
         if error is not None:
             # No result, but the spec failed: print the full stored message
@@ -1690,13 +1763,10 @@ def cmd_store_show(args: argparse.Namespace) -> int:
 
 def cmd_store_export(args: argparse.Namespace) -> int:
     """Export a store to jsonl/csv rows or a replayable TOML spec batch."""
-    store = _open_existing_store(args.store)
-    if store is None:
-        return 2
-    try:
+    with _existing_store(args.store) as store:
+        if store is None:
+            return 2
         count = store.export(args.out, format=args.format)
-    finally:
-        store.close()
     noun = "spec(s)" if args.format == "toml" else "row(s)"
     print(f"exported {count} {noun} to {args.out} ({args.format})")
     return 0
@@ -1704,17 +1774,15 @@ def cmd_store_export(args: argparse.Namespace) -> int:
 
 def cmd_store_gc(args: argparse.Namespace) -> int:
     """Prune a store to its newest ``--keep-latest`` results and compact it."""
-    store = _open_existing_store(args.store)
-    if store is None:
-        return 2
-    try:
-        deleted = store.gc(args.keep_latest)
+    with _existing_store(args.store) as store:
+        if store is None:
+            return 2
+        try:
+            deleted = store.gc(args.keep_latest)
+        except ValueError as error:
+            print(str(error), file=sys.stderr)
+            return 2
         remaining = len(store)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    finally:
-        store.close()
     print(f"gc: deleted {deleted} result(s), kept {remaining} (newest first)")
     return 0
 
@@ -1726,13 +1794,10 @@ def cmd_store_diff(args: argparse.Namespace) -> int:
     behaviour; a mismatch on re-execution means the codebase's behaviour has
     drifted since the result was recorded.  Exit 1 on mismatch.
     """
-    store = _open_existing_store(args.store)
-    if store is None:
-        return 2
-    try:
+    with _existing_store(args.store) as store:
+        if store is None:
+            return 2
         record = store.get(args.spec_id)
-    finally:
-        store.close()
     if record is None:
         print(f"no result for spec id {args.spec_id!r} in {args.store}", file=sys.stderr)
         return 1
@@ -1796,12 +1861,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--baselines", action="store_true", help="also run the governor-only and static baselines"
     )
     scenario.add_argument("--events", action="store_true", help="print adaptation events")
-    scenario.add_argument(
-        "--dump-spec",
-        default=None,
-        metavar="FILE",
-        help="write the experiment spec(s) to FILE ('-' for stdout) instead of running",
-    )
+    _add_dump_spec_argument(scenario, "the experiment spec(s)")
     scenario.set_defaults(func=cmd_scenario)
 
     scenarios = subparsers.add_parser("scenarios", help="inspect the scenario registry")
@@ -1840,12 +1900,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--run", action="store_true", help="also simulate the composition under --manager"
     )
     compose.add_argument("--manager", default="rtm", help="manager for --run / --dump-spec")
-    compose.add_argument(
-        "--dump-spec",
-        default=None,
-        metavar="FILE",
-        help="write the equivalent experiment spec to FILE ('-' for stdout) instead",
-    )
+    _add_dump_spec_argument(compose, "the equivalent experiment spec")
     compose.set_defaults(func=cmd_scenarios_compose)
 
     trace = subparsers.add_parser(
@@ -1903,12 +1958,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="platform preset (default: the platform recorded in the trace)",
     )
-    trace_replay.add_argument(
-        "--dump-spec",
-        default=None,
-        metavar="FILE",
-        help="write the equivalent experiment spec to FILE ('-' for stdout) instead",
-    )
+    _add_dump_spec_argument(trace_replay, "the equivalent experiment spec")
     trace_replay.set_defaults(func=cmd_trace_replay)
     trace_stats = trace_sub.add_parser(
         "stats", help="summarise a trace file: arrivals, kinds, inter-arrival gaps"
@@ -1948,15 +1998,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="execute experiment spec files (TOML or JSON)"
     )
     run.add_argument("specs", nargs="+", metavar="SPEC", help="spec files to execute")
-    run.add_argument(
-        "--backend",
-        default=None,
-        choices=sorted(EXECUTION_BACKEND_REGISTRY),
-        help="execution backend (default: process when --workers > 1, else serial)",
-    )
-    run.add_argument(
-        "--workers", type=int, default=1, help="worker processes (process backend only)"
-    )
+    _add_backend_arguments(run)
     run.add_argument(
         "--faults",
         default=None,
@@ -1986,15 +2028,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--seeds", type=int, default=1, help="number of seeds per combination")
     sweep.add_argument("--seed-base", type=int, default=0, help="first seed of the range")
-    sweep.add_argument(
-        "--backend",
-        default=None,
-        choices=sorted(EXECUTION_BACKEND_REGISTRY),
-        help="execution backend (default: process when --workers > 1, else serial)",
-    )
-    sweep.add_argument(
-        "--workers", type=int, default=1, help="worker processes (process backend only)"
-    )
+    _add_backend_arguments(sweep)
     sweep.add_argument("--platform", default="odroid_xu3", help="platform preset")
     sweep.add_argument(
         "--cache-stats",
@@ -2006,12 +2040,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run managers without the operating-point cache (identical results, slower)",
     )
-    sweep.add_argument(
-        "--dump-spec",
-        default=None,
-        metavar="FILE",
-        help="write the sweep's experiment specs to FILE ('-' for stdout) instead of running",
-    )
+    _add_dump_spec_argument(sweep, "the sweep's experiment specs")
     _add_robustness_arguments(sweep)
     _add_store_arguments(sweep)
     sweep.set_defaults(func=cmd_sweep)
@@ -2057,37 +2086,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="CI subset: rush_hour x rtm, single repeat (batched: 2x2 grid, 2 seeds)",
     )
-    bench.add_argument(
-        "--output",
-        default=DEFAULT_BENCH_PATH,
-        help=f"JSON file to write (default {DEFAULT_BENCH_PATH}; "
+    _add_bench_file_arguments(
+        bench,
+        DEFAULT_BENCH_PATH,
+        f"JSON file to write (default {DEFAULT_BENCH_PATH}; "
         f"{DEFAULT_BATCHED_BENCH_PATH} with --backend batched)",
+        gated="decide()-per-epoch",
     )
-    bench.add_argument(
-        "--no-write",
-        dest="output",
-        action="store_const",
-        const=None,
-        help="measure and print only; do not write the JSON file",
-    )
-    bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE_JSON",
-        help="gate decide()-per-epoch against this committed baseline file",
-    )
-    bench.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        help="allowed decide()-per-epoch slowdown vs --compare (fraction, default 0.25)",
-    )
-    bench.add_argument(
-        "--dump-spec",
-        default=None,
-        metavar="FILE",
-        help="write the bench grid's experiment specs to FILE ('-' for stdout) instead of running",
-    )
+    _add_dump_spec_argument(bench, "the bench grid's experiment specs")
     _add_store_arguments(bench)
     bench.set_defaults(func=cmd_bench)
 
@@ -2116,20 +2122,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="least_loaded",
         help="placement policy (see 'fleet policies list'; ignored with SPEC files)",
     )
-    fleet_run.add_argument(
-        "--devices",
-        nargs="+",
-        default=None,
-        metavar="PRESET=COUNT",
-        help="device mix override (default: the scenario's own mix)",
-    )
     fleet_run.add_argument("--seed", type=int, default=0, help="fleet scenario seed")
-    fleet_run.add_argument(
-        "--backend",
-        default="batched",
-        choices=list(FLEET_BACKENDS),
-        help="per-device execution backend (identical fingerprints; default batched)",
-    )
+    _add_fleet_mix_arguments(fleet_run)
     _add_store_arguments(fleet_run)
     fleet_run.set_defaults(func=cmd_fleet_run)
 
@@ -2145,21 +2139,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=["static", "least_loaded", "thermal_headroom"],
         help="placement policies to compare (see 'fleet policies list')",
     )
-    fleet_sweep.add_argument(
-        "--devices",
-        nargs="+",
-        default=None,
-        metavar="PRESET=COUNT",
-        help="device mix override (default: the scenario's own mix)",
-    )
     fleet_sweep.add_argument("--seeds", type=int, default=1, help="seeds per policy")
     fleet_sweep.add_argument("--seed-base", type=int, default=0, help="first seed")
-    fleet_sweep.add_argument(
-        "--backend",
-        default="batched",
-        choices=list(FLEET_BACKENDS),
-        help="per-device execution backend (identical fingerprints; default batched)",
-    )
+    _add_fleet_mix_arguments(fleet_sweep)
     _add_store_arguments(fleet_sweep)
     fleet_sweep.set_defaults(func=cmd_fleet_sweep)
 
@@ -2182,29 +2164,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the serial re-run and its fingerprint identity check",
     )
-    fleet_bench.add_argument(
-        "--output",
-        default=DEFAULT_FLEET_BENCH_PATH,
-        help=f"JSON file to write (default {DEFAULT_FLEET_BENCH_PATH})",
-    )
-    fleet_bench.add_argument(
-        "--no-write",
-        dest="output",
-        action="store_const",
-        const=None,
-        help="measure and print only; do not write the JSON file",
-    )
-    fleet_bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE_JSON",
-        help="gate the orchestrated wall time against this committed baseline",
-    )
-    fleet_bench.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        help="allowed orchestrated slowdown vs --compare (fraction, default 0.25)",
+    _add_bench_file_arguments(
+        fleet_bench,
+        DEFAULT_FLEET_BENCH_PATH,
+        f"JSON file to write (default {DEFAULT_FLEET_BENCH_PATH})",
+        gated="orchestrated wall time",
     )
     _add_store_arguments(fleet_bench)
     fleet_bench.set_defaults(func=cmd_fleet_bench)

@@ -38,9 +38,14 @@ A batch file holds several experiments as an array of tables::
     scenario = "steady"
     manager = "governor_only"
 
-Load with :meth:`ExperimentSpec.load` (single spec) or :func:`load_specs`
-(always a list), write with :meth:`ExperimentSpec.save` or
-:func:`dump_specs`.
+In JSON a batch is a top-level array (``{"experiment": [...]}`` is read
+too).  Load with :meth:`ExperimentSpec.load` (single spec) or
+:func:`load_specs` (always a list), write with :meth:`ExperimentSpec.save`
+or :func:`dump_specs`.
+
+Fleet spec files (:mod:`repro.fleet.spec`) share this layout under a
+``[[fleet]]`` batch table, through the same :func:`read_tables`,
+:func:`write_tables` and :func:`tables_to_toml`.
 """
 
 from __future__ import annotations
@@ -50,9 +55,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Type, Union
 
-from repro.ioutils import atomic_write_text
+from repro.ioutils import atomic_write_text, read_table_file
 
 __all__ = [
     "ExperimentSpec",
@@ -60,6 +65,9 @@ __all__ = [
     "load_specs",
     "dump_specs",
     "specs_to_toml",
+    "read_tables",
+    "write_tables",
+    "tables_to_toml",
 ]
 
 
@@ -336,15 +344,11 @@ class ExperimentSpec:
         The write is atomic (same-directory temp file + rename), so a crash
         mid-save can never truncate a previously-good spec file.
         """
-        path = Path(path)
-        if path.suffix.lower() == ".json":
-            atomic_write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")
-        else:
-            atomic_write_text(path, self.to_toml())
+        dump_specs([self], path)
 
     def to_toml(self) -> str:
         """TOML form of the spec (a single top-level experiment)."""
-        return _spec_toml(self, header=None)
+        return specs_to_toml([self])
 
 
 # ----------------------------------------------------------- batch handling
@@ -354,46 +358,11 @@ def load_specs(path: Union[str, Path]) -> List[ExperimentSpec]:
     """Load one or many specs from a TOML or JSON file.
 
     A file holding a single experiment yields a one-element list; a batch
-    file (``[[experiment]]`` tables in TOML, ``{"experiment": [...]}`` or a
-    top-level array in JSON) yields them in file order.
+    file (``[[experiment]]`` tables in TOML, a top-level array or
+    ``{"experiment": [...]}`` in JSON) yields them in file order.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as error:
-        raise SpecError(f"cannot read spec file {path}: {error}") from None
-    if path.suffix.lower() == ".json":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise SpecError(f"invalid JSON in {path}: {error}") from None
-    else:
-        try:
-            import tomllib
-        except ModuleNotFoundError:  # Python 3.10: tomli is the stdlib backport
-            import tomli as tomllib
-
-        try:
-            data = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as error:
-            raise SpecError(f"invalid TOML in {path}: {error}") from None
-    if isinstance(data, list):
-        documents = data
-    elif isinstance(data, dict) and "experiment" in data:
-        extra = sorted(set(data) - {"experiment"})
-        if extra:
-            raise SpecError(
-                f"batch spec file {path} mixes [[experiment]] tables with "
-                f"top-level keys {extra}"
-            )
-        documents = data["experiment"]
-        if not isinstance(documents, list):
-            raise SpecError(f"'experiment' in {path} must be an array of tables")
-    else:
-        documents = [data]
-    if not documents:
-        raise SpecError(f"spec file {path} holds no experiments")
-    return [ExperimentSpec.from_dict(document) for document in documents]
+    tables = read_tables(path, "experiment", SpecError, "spec")
+    return [ExperimentSpec.from_dict(table) for table in tables]
 
 
 def dump_specs(specs: Sequence[ExperimentSpec], path: Union[str, Path]) -> None:
@@ -403,6 +372,49 @@ def dump_specs(specs: Sequence[ExperimentSpec], path: Union[str, Path]) -> None:
     ``[[experiment]]`` batch.  Either form round-trips through
     :func:`load_specs`.  Writes are atomic (temp file + rename).
     """
+    write_tables(specs, path, "experiment")
+
+
+def specs_to_toml(specs: Sequence[ExperimentSpec]) -> str:
+    """TOML text for one spec (top-level) or several (``[[experiment]]``)."""
+    return tables_to_toml(specs, "experiment")
+
+
+def read_tables(
+    path: Union[str, Path], batch: str, error_cls: Type[SpecError], noun: str
+) -> List[object]:
+    """The spec tables of a TOML or JSON file, in file order.
+
+    A file holds one spec at the top level or a batch: ``[[batch]]`` tables
+    in TOML, a top-level array or ``{batch: [...]}`` in JSON.  Every problem
+    raises ``error_cls``, naming the file as a ``noun`` file.
+    """
+    data = read_table_file(path, error_cls, noun)
+    if isinstance(data, list):
+        tables = data
+    elif isinstance(data, dict) and batch in data:
+        extra = sorted(set(data) - {batch})
+        if extra:
+            raise error_cls(
+                f"batch {noun} file {path} mixes [[{batch}]] tables with "
+                f"top-level keys {extra}"
+            )
+        tables = data[batch]
+        if not isinstance(tables, list):
+            raise error_cls(f"'{batch}' in {path} must be an array of tables")
+    else:
+        tables = [data]
+    if not tables:
+        raise error_cls(f"{noun} file {path} holds no {batch}s")
+    return tables
+
+
+def write_tables(specs: Sequence, path: Union[str, Path], batch: str) -> None:
+    """Write specs (anything with ``to_dict``) atomically, TOML unless ``.json``.
+
+    One spec is written at the top level; several as a top-level JSON array
+    or ``[[batch]]`` TOML tables.
+    """
     path = Path(path)
     if path.suffix.lower() == ".json":
         payload = (
@@ -410,14 +422,14 @@ def dump_specs(specs: Sequence[ExperimentSpec], path: Union[str, Path]) -> None:
         )
         atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
     else:
-        atomic_write_text(path, specs_to_toml(specs))
+        atomic_write_text(path, tables_to_toml(specs, batch))
 
 
-def specs_to_toml(specs: Sequence[ExperimentSpec]) -> str:
-    """TOML text for one spec (top-level) or several (``[[experiment]]``)."""
+def tables_to_toml(specs: Sequence, batch: str) -> str:
+    """TOML text for one spec (top-level) or several (``[[batch]]`` tables)."""
     if len(specs) == 1:
-        return specs[0].to_toml()
-    return "\n".join(_spec_toml(spec, header="experiment") for spec in specs)
+        return _table_toml(specs[0].to_dict(), header=None)
+    return "\n".join(_table_toml(spec.to_dict(), header=batch) for spec in specs)
 
 
 # ------------------------------------------------------------- TOML writing
@@ -477,8 +489,7 @@ def _toml_key(key: str) -> str:
     return _toml_value(key)
 
 
-def _spec_toml(spec: ExperimentSpec, header: Optional[str]) -> str:
-    data = spec.to_dict()
+def _table_toml(data: Dict[str, object], header: Optional[str]) -> str:
     lines: List[str] = []
     if header:
         lines.append(f"[[{header}]]")

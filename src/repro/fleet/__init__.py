@@ -17,9 +17,7 @@ from repro.fleet.bench import (
     BENCH_KIND_FLEET,
     DEFAULT_FLEET_BENCH_PATH,
     FleetBenchResult,
-    compare_fleet_bench,
     run_fleet_bench,
-    write_fleet_bench_file,
 )
 from repro.fleet.orchestrator import (
     FLEET_BACKENDS,
@@ -69,7 +67,6 @@ __all__ = [
     "MigrationRecord",
     "PlacementPolicy",
     "build_fleet_scenario",
-    "compare_fleet_bench",
     "dump_fleet_specs",
     "fleet_scenario_summaries",
     "fleet_specs_to_toml",
@@ -78,5 +75,4 @@ __all__ = [
     "register_fleet_scenario",
     "run_fleet",
     "run_fleet_bench",
-    "write_fleet_bench_file",
 ]

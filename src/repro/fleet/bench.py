@@ -5,32 +5,28 @@ Times a large mixed-preset fleet (1000 devices by default) under the
 batched execution backend (shared operating-point/pricing stores), and
 verifies the serial/batched fleet-fingerprint identity along the way.  The
 committed ``BENCH_fleet.json`` is the perf trajectory; CI re-runs the same
-configuration and fails on a >25% wall-time regression, mirroring the
-decision-kernel and batched-engine gates.
+configuration and fails on a >25% wall-time regression.  The document is
+written and gated by the shared :func:`~repro.analysis.bench.write_bench_file`
+and :func:`~repro.analysis.bench.compare_bench`, like the decision-kernel and
+batched-engine benches.
 """
 
 from __future__ import annotations
 
-import json
-import platform
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
-from repro.analysis.bench import BENCH_SCHEMA_VERSION, BenchRegression
 from repro.dnn.training import IncrementalTrainer
 from repro.dnn.zoo import make_dynamic_cifar_dnn
 from repro.fleet.orchestrator import run_fleet
 from repro.fleet.spec import FleetSpec
-from repro.ioutils import atomic_write_text
 
 __all__ = [
     "BENCH_KIND_FLEET",
     "DEFAULT_FLEET_BENCH_PATH",
     "FleetBenchResult",
     "run_fleet_bench",
-    "write_fleet_bench_file",
-    "compare_fleet_bench",
 ]
 
 #: Where the committed perf trajectory of the fleet orchestrator lives.
@@ -171,73 +167,3 @@ def run_fleet_bench(
         orchestrated_fingerprint=orchestrated.fingerprint(),
         static_fingerprint=static.fingerprint(),
     )
-
-
-def write_fleet_bench_file(
-    path: str,
-    result: FleetBenchResult,
-    seed: int,
-    store=None,
-) -> Dict[str, object]:
-    """Write the fleet benchmark JSON (and return the document).
-
-    Atomic write; with a ``store`` the document is also appended to its
-    ``bench_runs`` table under the ``fleet`` kind.
-    """
-    document: Dict[str, object] = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "generated_by": "repro-experiments fleet bench",
-        "generated_at_unix": int(time.time()),
-        "host": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "system": platform.system(),
-        },
-        "config": {
-            "devices": result.devices,
-            "scenario": result.scenario,
-            "policy": result.policy,
-            "seed": seed,
-        },
-        "results": result.as_dict(),
-    }
-    atomic_write_text(path, json.dumps(document, indent=2, sort_keys=False) + "\n")
-    if store is not None:
-        store.put_bench_run(BENCH_KIND_FLEET, document)
-    return document
-
-
-def compare_fleet_bench(
-    result: FleetBenchResult,
-    baseline: Dict[str, object],
-    max_regression: float = 0.25,
-) -> List[BenchRegression]:
-    """Gate a fresh fleet timing against a committed baseline.
-
-    Only ``orchestrated_s`` is gated (the static and serial passes are
-    measured for the report, not tracked).  Gating is skipped when the
-    baseline ran a different fleet size or scenario — the runs are not
-    comparable.
-    """
-    if max_regression < 0:
-        raise ValueError("max_regression must be non-negative")
-    baseline_results = baseline.get("results", {})
-    if not isinstance(baseline_results, dict):
-        return []
-    if baseline_results.get("devices") != result.devices:
-        return []
-    if baseline_results.get("scenario") != result.scenario:
-        return []
-    base_value = baseline_results.get("orchestrated_s")
-    if not base_value:
-        return []
-    if result.orchestrated_s > float(base_value) * (1.0 + max_regression):
-        return [
-            BenchRegression(
-                case="fleet",
-                metric="orchestrated_s",
-                baseline=float(base_value),
-                current=result.orchestrated_s,
-            )
-        ]
-    return []

@@ -21,9 +21,11 @@ A fleet spec file is TOML (or JSON) with the fields at the top level::
     odroid_xu3 = 12
     jetson_nano = 8
 
-A batch file holds several fleets as ``[[fleet]]`` tables; load with
+A batch file holds several fleets as ``[[fleet]]`` tables in TOML, or as a
+top-level array in JSON (``{"fleet": [...]}`` is read too); load with
 :meth:`FleetSpec.load` (single) or :func:`load_fleet_specs` (always a list),
-write with :meth:`FleetSpec.save` or :func:`dump_fleet_specs`.
+write with :meth:`FleetSpec.save` or :func:`dump_fleet_specs`, all through
+the experiment-spec file machinery (:mod:`repro.experiments.spec`).
 """
 
 from __future__ import annotations
@@ -35,8 +37,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.experiments.spec import SpecError, _normalise, _toml_key, _toml_value
-from repro.ioutils import atomic_write_text
+from repro.experiments.spec import (
+    SpecError,
+    _normalise,
+    read_tables,
+    tables_to_toml,
+    write_tables,
+)
 
 __all__ = [
     "FleetSpec",
@@ -250,15 +257,11 @@ class FleetSpec:
 
     def save(self, path: Union[str, Path]) -> None:
         """Write the spec to a file (TOML unless the suffix is ``.json``)."""
-        path = Path(path)
-        if path.suffix.lower() == ".json":
-            atomic_write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")
-        else:
-            atomic_write_text(path, self.to_toml())
+        dump_fleet_specs([self], path)
 
     def to_toml(self) -> str:
         """TOML form of the spec (a single top-level fleet)."""
-        return _fleet_toml(self, header=None)
+        return fleet_specs_to_toml([self])
 
 
 # ----------------------------------------------------------- batch handling
@@ -268,86 +271,18 @@ def load_fleet_specs(path: Union[str, Path]) -> List[FleetSpec]:
     """Load one or many fleet specs from a TOML or JSON file.
 
     A file holding a single fleet yields a one-element list; a batch file
-    (``[[fleet]]`` tables in TOML, ``{"fleet": [...]}`` or a top-level list
+    (``[[fleet]]`` tables in TOML, a top-level array or ``{"fleet": [...]}``
     in JSON) yields them all in file order.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as error:
-        raise FleetSpecError(f"cannot read fleet spec file {path}: {error}") from None
-    if path.suffix.lower() == ".json":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise FleetSpecError(f"invalid JSON in {path}: {error}") from None
-    else:
-        try:
-            import tomllib
-        except ModuleNotFoundError:  # Python 3.10: tomli is the stdlib backport
-            import tomli as tomllib
-
-        try:
-            data = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as error:
-            raise FleetSpecError(f"invalid TOML in {path}: {error}") from None
-    if isinstance(data, list):
-        documents = data
-    elif isinstance(data, dict) and "fleet" in data:
-        extra = sorted(set(data) - {"fleet"})
-        if extra:
-            raise FleetSpecError(
-                f"batch fleet spec file {path} mixes [[fleet]] tables with "
-                f"top-level keys {extra}"
-            )
-        documents = data["fleet"]
-        if not isinstance(documents, list):
-            raise FleetSpecError(f"'fleet' in {path} must be an array of tables")
-    else:
-        documents = [data]
-    if not documents:
-        raise FleetSpecError(f"fleet spec file {path} holds no fleets")
-    return [FleetSpec.from_dict(document) for document in documents]
+    tables = read_tables(path, "fleet", FleetSpecError, "fleet spec")
+    return [FleetSpec.from_dict(table) for table in tables]
 
 
 def dump_fleet_specs(specs: Sequence[FleetSpec], path: Union[str, Path]) -> None:
     """Write fleet specs to a file (TOML unless the suffix is ``.json``)."""
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        documents = [spec.to_dict() for spec in specs]
-        payload = documents[0] if len(documents) == 1 else {"fleet": documents}
-        atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
-    else:
-        atomic_write_text(path, fleet_specs_to_toml(specs))
+    write_tables(specs, path, "fleet")
 
 
 def fleet_specs_to_toml(specs: Sequence[FleetSpec]) -> str:
     """TOML text for one fleet spec (top-level) or several (``[[fleet]]``)."""
-    if len(specs) == 1:
-        return specs[0].to_toml()
-    return "\n".join(_fleet_toml(spec, header="fleet") for spec in specs)
-
-
-def _fleet_toml(spec: FleetSpec, header: Optional[str]) -> str:
-    data = spec.to_dict()
-    lines: List[str] = []
-    if header:
-        lines.append(f"[[{header}]]")
-    prefix = f"{header}." if header else ""
-    tables: List[str] = []
-    for key, value in data.items():
-        if value is None or value == {}:
-            continue  # TOML has no null; defaults are restored on load
-        if isinstance(value, dict):
-            tables.append(f"[{prefix}{key}]" if header else f"[{key}]")
-            tables.extend(
-                f"{_toml_key(sub_key)} = {_toml_value(sub_value)}"
-                for sub_key, sub_value in value.items()
-            )
-            tables.append("")
-        else:
-            lines.append(f"{_toml_key(key)} = {_toml_value(value)}")
-    lines.append("")
-    if tables:
-        lines.extend(tables)
-    return "\n".join(lines).rstrip("\n") + "\n"
+    return tables_to_toml(specs, "fleet")

@@ -1,4 +1,4 @@
-"""Crash-safe file writing shared by every artefact writer in the repo.
+"""Crash-safe file writing for every artefact writer, and one input-file reader.
 
 A plain ``Path.write_text`` truncates the destination before writing, so a
 crash (or ``kill -9``) mid-write leaves a half-file that the corresponding
@@ -20,17 +20,23 @@ platforms (notably Windows) do not allow opening directories.
 dir-fsync sequence as a context manager yielding the raw binary stream, for
 writers that produce output incrementally (the streaming arrival-trace
 writer) instead of as one in-memory string.
+
+:func:`read_table_file` parses the TOML (or, by suffix, JSON) files that
+describe experiments, fleets and fault plans, and turns every way such a
+file can be unreadable — missing, not UTF-8, malformed — into the caller's
+own format error.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator, Union
+from typing import IO, Iterator, Type, Union
 
-__all__ = ["atomic_write_text", "atomic_binary_writer", "fsync_directory"]
+__all__ = ["atomic_write_text", "atomic_binary_writer", "fsync_directory", "read_table_file"]
 
 
 def fsync_directory(path: Union[str, Path]) -> None:
@@ -100,3 +106,31 @@ def atomic_write_text(path: Union[str, Path], text: str, encoding: str = "utf-8"
     """
     with atomic_binary_writer(path) as stream:
         stream.write(text.encode(encoding))
+
+
+def read_table_file(path: Union[str, Path], error_cls: Type[Exception], noun: str) -> object:
+    """Parse a TOML file (JSON when the suffix is ``.json``) into plain data.
+
+    A file that cannot be read or decoded as UTF-8 raises ``error_cls`` with
+    ``cannot read {noun} file ...``; a syntax error raises it with ``invalid
+    JSON/TOML in ...``.  ``tomllib`` is imported only here, on first use, so
+    importing the package does not pay for it.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as error:
+        raise error_cls(f"cannot read {noun} file {path}: {error}") from None
+    if path.suffix.lower() == ".json":
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as error:
+            raise error_cls(f"invalid JSON in {path}: {error}") from None
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10: tomli is the stdlib backport
+        import tomli as tomllib
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as error:
+        raise error_cls(f"invalid TOML in {path}: {error}") from None

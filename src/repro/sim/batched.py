@@ -293,10 +293,12 @@ class _BatchedSimulator(Simulator):
         return decision
 
     def _interval_power_and_utilisation(self, now_ms: float):
-        # Fused replay of the reference implementation and the memoised power
-        # fast path below: identical expressions in identical order, but the
-        # per-cluster utilisation lists are never materialised on the fast
-        # path (a thermal sample runs for every replica at every interval).
+        # Fused, memoised replay of the reference implementation and of
+        # ClusterPowerModel.cluster_power_mw (static leakage, then one
+        # sequential addition per listed core, then the idle remainder):
+        # identical expressions in identical order, but the per-cluster
+        # utilisation lists are never materialised on the fast path (a
+        # thermal sample runs for every replica at every interval).
         interval_ms = max(now_ms - self._last_sample_ms, 1e-9)
         self._accrue_interval_busy_time(now_ms)
         busy_core_ms = self._busy_core_ms
@@ -381,54 +383,6 @@ class _BatchedSimulator(Simulator):
             # coefficient without changing a bit of the result.
             params.ceff_mw_per_mhz_v2 * voltage * voltage * frequency,
         )
-
-    def _total_power_mw(self, per_cluster_cores) -> float:
-        thermal = self.soc.thermal
-        temperature_c = thermal.temperature_c
-        memo = self._cluster_power_memo
-        total = 0.0
-        for name, cluster in self.soc._clusters.items():
-            utilisations = per_cluster_cores.get(name) or []
-            online = self._online_core_count(cluster)
-            if type(cluster.power_model) is not ClusterPowerModel or len(utilisations) > online:
-                # Custom power model, or an invalid sample set — take the
-                # scalar path (which carries the canonical validation error).
-                total += cluster.power_mw(
-                    core_utilisations=utilisations, temperature_c=temperature_c
-                )
-                continue
-            key = (name, cluster.frequency_mhz)
-            entry = memo.get(key)
-            if entry is None:
-                entry = self._cluster_power_entry(cluster)
-                memo[key] = entry
-            (
-                static_base,
-                dyn_full,
-                dyn_idle,
-                leak_coefficient,
-                reference_c,
-                idle_fraction,
-                dyn_coefficient,
-            ) = entry
-            # Replay of ClusterPowerModel.cluster_power_mw: static leakage,
-            # then one sequential addition per listed core, then the idle
-            # remainder — same expressions, same order.
-            cluster_total = static_base * exp(
-                leak_coefficient * (temperature_c - reference_c)
-            )
-            for utilisation in utilisations:
-                if utilisation >= 1.0:
-                    cluster_total += dyn_full
-                else:
-                    cluster_total += dyn_coefficient * (
-                        utilisation if utilisation > idle_fraction else idle_fraction
-                    )
-            idle_cores = online - len(utilisations)
-            if idle_cores > 0:
-                cluster_total += idle_cores * dyn_idle
-            total += cluster_total
-        return total
 
 
 # ------------------------------------------------------------------- the batch

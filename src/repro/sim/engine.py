@@ -299,17 +299,9 @@ class Simulator:
         """Delivered accuracy of a job that ran at ``configuration``."""
         return application.accuracy_of(configuration)
 
-    def _job_violations(self, application: DNNApplication, sample: MetricSample) -> tuple:
-        """Metric names of the requirement violations of one job sample."""
-        return application.requirements.violated_metrics(sample)
-
     def _manager_decide(self, state: SystemState):
         """Run one manager decision epoch."""
         return self.manager.decide(state)
-
-    def _total_power_mw(self, per_cluster_cores: Dict[str, List[float]]) -> float:
-        """Platform power draw for the sampled per-cluster utilisations."""
-        return self.soc.total_power_mw(per_cluster_cores)
 
     def _online_core_count(self, cluster) -> int:
         """Number of powered cores in ``cluster``."""
@@ -738,7 +730,7 @@ class Simulator:
             accuracy_percent=accuracy,
             fps=1000.0 / effective_period if effective_period > 0 else None,
         )
-        violations = self._job_violations(application, sample)
+        violations = application.requirements.violated_metrics(sample)
         state.last_sample = sample
         state.jobs_completed += 1
         if violations:
@@ -851,7 +843,7 @@ class Simulator:
             if fraction > 1e-3 and full_cores < online:
                 utilisations.append(fraction)
             per_cluster_cores[cluster.name] = utilisations
-        power_mw = self._total_power_mw(per_cluster_cores)
+        power_mw = self.soc.total_power_mw(per_cluster_cores)
         # Running jobs continue into the next interval: the part after this
         # sample will be accrued then, so the accumulator resets here.
         self._busy_core_ms = {}

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import ClassVar, Dict, Mapping, Optional, Tuple, Type, Union
 
 from repro.errors import FaultPlanError
+from repro.ioutils import read_table_file
 
 __all__ = [
     "FaultPlanError",
@@ -412,23 +413,7 @@ class FaultPlan:
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "FaultPlan":
         """Load a plan from a TOML (``[[events]]`` tables) or JSON file."""
-        path = Path(path)
-        text = path.read_text(encoding="utf-8")
-        if path.suffix.lower() == ".json":
-            try:
-                data = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise FaultPlanError(f"{path}: invalid JSON: {exc}") from None
-        else:
-            try:
-                import tomllib  # Python 3.11+
-            except ModuleNotFoundError:  # pragma: no cover - 3.10 fallback
-                import tomli as tomllib  # type: ignore[no-redef]
-            try:
-                data = tomllib.loads(text)
-            except tomllib.TOMLDecodeError as exc:
-                raise FaultPlanError(f"{path}: invalid TOML: {exc}") from None
-        return cls.from_dict(data)
+        return cls.from_dict(read_table_file(path, FaultPlanError, "fault plan"))
 
     def content_key(self) -> str:
         """Canonical string form, stable across load paths; used for dedup."""

@@ -87,6 +87,31 @@ class TestSpecCommands:
         assert "single_dnn/rtm/seed0" in captured.out
 
 
+class TestUnreadableInputFiles:
+    """Spec files and fault plans that are not UTF-8 are usage errors, not crashes."""
+
+    @pytest.fixture
+    def bad(self, tmp_path):
+        path = tmp_path / "bad.toml"
+        path.write_bytes(b"\x00\xff\xfe")
+        return path
+
+    def test_run_rejects_a_non_utf8_spec_file(self, capsys, bad):
+        assert main(["run", str(bad)]) == 2
+        assert "invalid spec: cannot read spec file" in capsys.readouterr().err
+
+    def test_run_rejects_a_non_utf8_fault_plan(self, capsys, tmp_path, bad):
+        spec = tmp_path / "ok.toml"
+        spec.write_text('scenario = "single_dnn"\n')
+        assert main(["run", str(spec), "--faults", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot load fault plan" in err and "cannot read fault plan file" in err
+
+    def test_fleet_run_rejects_a_non_utf8_spec_file(self, capsys, bad):
+        assert main(["fleet", "run", str(bad)]) == 2
+        assert "invalid fleet spec: cannot read fleet spec file" in capsys.readouterr().err
+
+
 class TestParser:
     def test_requires_a_command(self):
         parser = build_parser()
@@ -798,6 +823,80 @@ class TestBenchCommand:
             )
             == 2
         )
+        assert "cannot load baseline" in capsys.readouterr().err
+
+    def test_bench_output_keeps_the_reference_and_recomputes_speedups(self, capsys, tmp_path):
+        import json
+
+        from repro.analysis import load_bench_file
+
+        output_path = tmp_path / "bench.json"
+        reference = {"steady/rtm": {"decide_ms_per_epoch_uncached": 1e3, "e2e_s": 1e3}}
+        output_path.write_text(
+            json.dumps({"reference": reference, "reference_note": "older kernel", "results": {}})
+        )
+        args = ["bench", "--scenarios", "steady", "--managers", "rtm", "--repeats", "1"]
+        assert main([*args, "--output", str(output_path)]) == 0
+        assert "faster uncached decide" in capsys.readouterr().out
+        document = load_bench_file(str(output_path))
+        assert list(document)[-3:] == ["reference", "reference_note", "speedup_vs_reference"]
+        assert document["reference"] == reference
+        assert document["reference_note"] == "older kernel"
+        speedup = document["speedup_vs_reference"]["steady/rtm"]
+        fresh = document["results"]["steady/rtm"]
+        assert speedup["decide_ms_per_epoch_uncached"] == round(
+            1e3 / fresh["decide_ms_per_epoch_uncached"], 2
+        )
+        assert speedup["e2e_s"] == round(1e3 / fresh["e2e_s"], 2)
+
+
+#: The two single-pass benches: their command line, the grid their baseline
+#: must share for the gate to apply, and their gated metric.
+SINGLE_PASS_BENCHES = {
+    "batched": (["bench", "--backend", "batched", "--smoke"], {"specs": 8}, "batched_s"),
+    "fleet": (
+        ["fleet", "bench", "--devices", "5", "--no-serial-check"],
+        {"devices": 5, "scenario": "fleet_mixed_platforms"},
+        "orchestrated_s",
+    ),
+}
+
+
+class TestSinglePassBenchGates:
+    """``--compare`` of ``bench --backend batched`` and ``fleet bench``."""
+
+    def _bench(self, tmp_path, bench, **baseline_results):
+        import json
+
+        command, grid, metric = SINGLE_PASS_BENCHES[bench]
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({"results": {**grid, metric: 1e-9, **baseline_results}}))
+        return main([*command, "--no-write", "--compare", str(baseline)])
+
+    @pytest.mark.parametrize("bench", sorted(SINGLE_PASS_BENCHES))
+    def test_gate_fails_on_a_regression(self, capsys, tmp_path, bench):
+        assert self._bench(tmp_path, bench) == 1
+        err = capsys.readouterr().err
+        assert "regression(s) beyond 25%" in err
+        assert SINGLE_PASS_BENCHES[bench][2] in err
+
+    @pytest.mark.parametrize(
+        "bench, other_grid",
+        [
+            ("batched", {"specs": 9}),
+            ("fleet", {"devices": 6}),
+            ("fleet", {"scenario": "fleet_rush_hour_regional"}),
+        ],
+    )
+    def test_gate_skips_a_baseline_of_another_grid(self, capsys, tmp_path, bench, other_grid):
+        assert self._bench(tmp_path, bench, **other_grid) == 0
+        assert "no regressions beyond 25%" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bench", sorted(SINGLE_PASS_BENCHES))
+    def test_missing_baseline_is_a_usage_error(self, capsys, tmp_path, bench):
+        command = SINGLE_PASS_BENCHES[bench][0]
+        missing = str(tmp_path / "missing.json")
+        assert main([*command, "--no-write", "--compare", missing]) == 2
         assert "cannot load baseline" in capsys.readouterr().err
 
 

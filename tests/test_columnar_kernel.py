@@ -13,12 +13,17 @@ import numpy as np
 import pytest
 
 from repro.analysis.bench import (
+    BENCH_KIND_DECISION,
+    GATED_FIELDS,
     BenchTimings,
     compare_bench,
+    gate_cases,
     load_bench_file,
-    run_bench_case,
+    reference_sections,
+    run_bench_spec,
     write_bench_file,
 )
+from repro.experiments import ExperimentSpec
 from repro.perfmodel.roofline import RooflineLatencyModel
 from repro.rtm.cache import (
     DECISION_MAXIMISE,
@@ -339,10 +344,16 @@ class TestCachedTablePath:
         assert cache.entry_count == 0
 
 
+def _gate(timings, baseline, max_regression):
+    """Gate one decision-kernel case against a baseline document."""
+    current, base = gate_cases(BENCH_KIND_DECISION, {timings.key: timings.as_dict()}, baseline)
+    return compare_bench(current, base, GATED_FIELDS, max_regression=max_regression)
+
+
 class TestBenchHarness:
     @pytest.fixture(scope="class")
     def timings(self):
-        return run_bench_case("steady", "rtm", repeats=1)
+        return run_bench_spec(ExperimentSpec(scenario="steady", manager="rtm"), repeats=1)
 
     def test_case_produces_positive_timings(self, timings):
         assert timings.key == "steady/rtm"
@@ -353,10 +364,19 @@ class TestBenchHarness:
         assert timings.decide_ms_per_epoch_uncached > 0
 
     def test_write_and_load_round_trip(self, timings, tmp_path):
+        import json
+
         path = tmp_path / "bench.json"
         reference = {"steady/rtm": {"decide_ms_per_epoch_uncached": 100.0, "e2e_s": 10.0}}
+        path.write_text(json.dumps({"reference": reference}))
+        results = {timings.key: timings.as_dict()}
         document = write_bench_file(
-            str(path), [timings], repeats=1, platform_name="odroid_xu3", reference=reference
+            str(path),
+            BENCH_KIND_DECISION,
+            "repro-experiments bench",
+            {"repeats": 1, "platform": "odroid_xu3", "seed": 0},
+            results,
+            extra=reference_sections(str(path), results),
         )
         loaded = load_bench_file(str(path))
         assert loaded["results"]["steady/rtm"] == document["results"]["steady/rtm"]
@@ -373,7 +393,7 @@ class TestBenchHarness:
                 }
             }
         }
-        regressions = compare_bench([timings], tight, max_regression=0.25)
+        regressions = _gate(timings, tight, max_regression=0.25)
         assert {r.metric for r in regressions} == {
             "decide_ms_per_epoch_cached",
             "decide_ms_per_epoch_uncached",
@@ -389,10 +409,10 @@ class TestBenchHarness:
                 }
             }
         }
-        assert compare_bench([timings], loose, max_regression=0.25) == []
+        assert _gate(timings, loose, max_regression=0.25) == []
 
     def test_compare_ignores_unknown_cases(self, timings):
-        assert compare_bench([timings], {"results": {}}, max_regression=0.0) == []
+        assert _gate(timings, {"results": {}}, max_regression=0.0) == []
 
     def test_committed_baseline_shows_kernel_speedups(self):
         # The acceptance bar of this PR: the committed trajectory must show
@@ -408,9 +428,9 @@ class TestBenchHarness:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            run_bench_case("steady", "rtm", repeats=0)
+            run_bench_spec(ExperimentSpec(scenario="steady", manager="rtm"), repeats=0)
         with pytest.raises(ValueError):
-            compare_bench([], {}, max_regression=-0.1)
+            compare_bench({}, {}, GATED_FIELDS, max_regression=-0.1)
 
 
 class TestBenchTimingsShape:

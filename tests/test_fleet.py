@@ -24,7 +24,6 @@ from repro.fleet import (
     FleetSpecError,
     DeviceTelemetry,
     build_fleet_scenario,
-    compare_fleet_bench,
     dump_fleet_specs,
     fleet_specs_to_toml,
     load_fleet_specs,
@@ -111,6 +110,22 @@ class TestFleetSpec:
         dump_fleet_specs(specs, path)
         assert "[[fleet]]" in path.read_text()
         assert load_fleet_specs(path) == specs
+
+    def test_json_batch_round_trip_is_a_top_level_array(self, tmp_path):
+        import json
+
+        specs = [
+            FleetSpec(scenario="fleet_device_churn", policy="static"),
+            FleetSpec(scenario="fleet_device_churn", policy="least_loaded"),
+        ]
+        path = tmp_path / "batch.json"
+        dump_fleet_specs(specs, path)
+        assert isinstance(json.loads(path.read_text()), list)
+        assert load_fleet_specs(path) == specs
+        # The earlier {"fleet": [...]} form of a JSON batch still loads.
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps({"fleet": [spec.to_dict() for spec in specs]}))
+        assert load_fleet_specs(legacy) == specs
 
     def test_fleet_id_ignores_device_insertion_order(self):
         forward = FleetSpec(
@@ -374,8 +389,9 @@ class TestFleetBenchHelpers:
         with pytest.raises(ValueError):
             bench_device_mix(0)
 
-    def test_compare_fleet_bench_gates_and_skips(self):
-        from repro.fleet.bench import FleetBenchResult
+    def test_fleet_gate_flags_regressions_and_skips_other_grids(self):
+        from repro.analysis.bench import compare_bench, gate_cases
+        from repro.fleet.bench import BENCH_KIND_FLEET, FleetBenchResult
 
         result = FleetBenchResult(
             devices=100,
@@ -391,13 +407,20 @@ class TestFleetBenchHelpers:
             orchestrated_fingerprint="aa",
             static_fingerprint="bb",
         )
+
+        def gate(baseline, max_regression):
+            # The fleet verb's gate: orchestrated_s, on the same size and scenario.
+            grid = ("devices", "scenario")
+            current, base = gate_cases(BENCH_KIND_FLEET, result.as_dict(), baseline, grid)
+            return compare_bench(current, base, ("orchestrated_s",), max_regression)
+
         baseline = {"results": {"devices": 100, "scenario": "fleet_mixed_platforms", "orchestrated_s": 1.0}}
-        regressions = compare_fleet_bench(result, baseline, max_regression=0.25)
+        regressions = gate(baseline, max_regression=0.25)
         assert len(regressions) == 1 and regressions[0].metric == "orchestrated_s"
-        assert not compare_fleet_bench(result, baseline, max_regression=2.0)
+        assert not gate(baseline, max_regression=2.0)
         # A baseline from a different fleet size is not comparable.
         other = {"results": {"devices": 10, "scenario": "fleet_mixed_platforms", "orchestrated_s": 1.0}}
-        assert not compare_fleet_bench(result, other, max_regression=0.0)
+        assert not gate(other, max_regression=0.0)
 
 
 # --------------------------------------------------------------------- CLI
