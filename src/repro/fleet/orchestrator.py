@@ -22,6 +22,12 @@ so the fleet fingerprint is independent of device-table insertion order and
 bit-identical between the serial and batched execution backends (the batched
 backend shares operating-point/pricing stores fleet-wide, exactly like
 :class:`~repro.sim.batched.BatchedEngine`).
+
+Memory: building the devices and running the fleet suspend the cyclic garbage
+collector (:func:`~repro.sim.batched.gc_suspended`) on both backends, as a
+batch does.  Every device simulator is a reference cycle that stays live for
+the whole run, so a collection during either phase scans all N of them and
+frees none; the collector's prior state is restored on return or raise.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from repro.fleet.policies import DeviceTelemetry, PlacementPolicy, make_fleet_po
 from repro.fleet.scenarios import FleetAppTemplate, FleetScenario, build_fleet_scenario
 from repro.fleet.spec import FleetSpec
 from repro.platforms.presets import build_preset
-from repro.sim.batched import SharedSimulationStores, make_batched_simulator
+from repro.sim.batched import SharedSimulationStores, gc_suspended, make_batched_simulator
 from repro.sim.engine import Simulator
 from repro.sim.faults import CoreFailure, CoreRecovery, FaultPlan, FrequencyCap
 from repro.sim.trace import SimulationTrace
@@ -206,7 +212,8 @@ class FleetOrchestrator:
         self._stores: Optional[SharedSimulationStores] = (
             SharedSimulationStores() if backend == "batched" else None
         )
-        self._build_devices()
+        with gc_suspended():
+            self._build_devices()
 
     # ---------------------------------------------------------- construction
 
@@ -425,7 +432,18 @@ class FleetOrchestrator:
     # ------------------------------------------------------------------- run
 
     def run(self) -> FleetResult:
-        """Execute the fleet run and return the aggregated result."""
+        """Execute the fleet run and return the aggregated result.
+
+        The cyclic garbage collector is suspended for the run, as it is while
+        the devices are built: every device simulator is a reference cycle
+        that stays live until the run ends, so a collection mid-run scans
+        every device and frees none.  Its prior state is restored on return
+        or raise.
+        """
+        with gc_suspended():
+            return self._run()
+
+    def _run(self) -> FleetResult:
         spec = self.spec
         # The shared trained model carries its active configuration as
         # mutable state; a previous run that ended compressed would leak

@@ -50,9 +50,10 @@ from __future__ import annotations
 
 import gc
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import exp
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.perfmodel.calibrated import CalibratedLatencyModel
 from repro.perfmodel.energy import EnergyModel, InferenceCost
@@ -71,6 +72,7 @@ __all__ = [
     "BatchedEngine",
     "SharedSimulationStores",
     "SharedOperatingPointCache",
+    "gc_suspended",
     "make_batched_simulator",
     "scenario_content_key",
 ]
@@ -481,6 +483,23 @@ def make_batched_simulator(
     )
 
 
+@contextmanager
+def gc_suspended() -> Iterator[None]:
+    """Suspend the cyclic garbage collector for the ``with`` block.
+
+    The state found on entry (``gc.isenabled()``) is restored on every exit,
+    return or raise: a caller that had disabled the collector finds it
+    disabled, and a nested suspension leaves the outer one in force.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 @dataclass
 class BatchedCase:
     """One replica of a batch.
@@ -529,19 +548,17 @@ class BatchedEngine:
         traces progressively rather than when the whole batch drains.  A
         deduplicated group fires once per member label.
 
-        Garbage collection is suspended for the duration of the batch:
-        hundreds of simultaneously-live replicas make cyclic-GC scans the
-        single largest cost of a large batch, and the engine's object graph
-        is reference-counted (traces and stores only grow, event closures
-        die with their events), so nothing needs the collector mid-run.
+        Garbage collection is suspended for the duration of the batch
+        (:func:`gc_suspended`): hundreds of simultaneously-live replicas make
+        cyclic-GC scans the single largest cost of a large batch, and they
+        buy nothing.  Every replica is a reference cycle (the simulator is
+        reachable from its own queued callbacks and its runtimes' release
+        hooks), so a finished replica is freed only by the collector, never
+        by reference counting, and every replica stays live until the batch
+        ends anyway: a collection mid-run scans them all and frees none.
         """
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with gc_suspended():
             return self._run(cases, on_complete)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
 
     def _run(
         self, cases: List[BatchedCase], on_complete=None

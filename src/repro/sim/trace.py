@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -126,6 +127,54 @@ class FaultRecord:
     target: str = ""
     value: float = 0.0
     detail: str = ""
+
+
+#: Records per sha256 update in :meth:`SimulationTrace.fingerprint`, and the
+#: lifetime of its float memo: large enough to amortise both, small enough
+#: that a trace of any length is hashed in a few MB.
+_CHUNK_RECORDS = 4096
+
+#: The values each record contributes to the fingerprint, in hashed order.
+_POWER_FIELDS = attrgetter("time_ms", "power_mw", "temperature_c", "throttling")
+_DECISION_FIELDS = attrgetter("time_ms", "num_actions", "trigger")
+_FAULT_FIELDS = attrgetter("time_ms", "kind", "target", "value")
+_JOB_ATTRIBUTES = attrgetter(
+    "app_id",
+    "job_index",
+    "release_ms",
+    "start_ms",
+    "finish_ms",
+    "latency_ms",
+    "energy_mj",
+    "configuration",
+    "accuracy_percent",
+    "cluster",
+    "cores",
+    "frequency_mhz",
+)
+
+
+def _job_fields(job: JobRecord) -> tuple:
+    """A job's hashed values: its attributes, then its violations as one
+    tuple and its dropped flag."""
+    return (*_JOB_ATTRIBUTES(job), tuple(job.violations), job.dropped)
+
+
+def _float_text(value: float) -> str:
+    """``repr(round(value, 6))`` of a built-in float.
+
+    In ``1e-4 <= abs(value) < 1e9`` that is ``"%.6f" % value`` without its
+    trailing zeros, which costs one formatting instead of a rounding and a
+    ``repr``: ``%.6f`` and ``round(value, 6)`` take the same correctly
+    rounded 6-decimal digits, and that decimal has at most 15 significant
+    digits, so it is what ``repr`` prints for the double it parses to.
+    Outside that range ``repr`` may switch to exponent notation (or print
+    nan and inf), so the expression itself is used.
+    """
+    if 1e-4 <= abs(value) < 1e9:
+        formatted = ("%.6f" % value).rstrip("0")
+        return formatted + "0" if formatted[-1] == "." else formatted
+    return repr(round(value, 6))
 
 
 @dataclass
@@ -260,55 +309,57 @@ class SimulationTrace:
     def fingerprint(self) -> str:
         """Compact deterministic digest of the behavioural content of the trace.
 
-        Covers every job, power sample and decision (time, action count and
-        trigger).  Cache counters are deliberately excluded: caching must not
-        change behaviour, and the golden-trace regression tests assert
-        exactly that by comparing fingerprints of cached and uncached runs.
-        Floats are rounded to 6 decimals so last-ulp libm differences across
-        platforms cannot flip the digest.
+        Covers the duration, then every job, power sample, decision (time,
+        action count and trigger) and fault (time, kind, target and value).
+        Cache counters are deliberately excluded: caching must not change
+        behaviour, and the golden-trace regression tests assert exactly that
+        by comparing fingerprints of cached and uncached runs.  Floats are
+        rounded to 6 decimals so last-ulp libm differences across platforms
+        cannot flip the digest.
+
+        The hashed bytes are, record after record, ``repr`` of the record's
+        tuple of values with every float ``v`` replaced by ``round(v, 6)`` (a
+        job's violations are one nested tuple, left as it is).  They are fed
+        to one sha256 in chunks of ``_CHUNK_RECORDS`` records, which gives
+        the digest of one update per record while memory stays bounded on any
+        trace.  Within a chunk each distinct non-zero built-in float is
+        formatted once (:func:`_float_text`, exact by construction); every
+        other value (zeros, float subclasses such as ``np.float64``, ints,
+        bools and strings) is rounded and ``repr``-ed as it is.
+        ``tests/test_fingerprint_encoder.py`` keeps the one-update-per-record
+        encoding as the reference this one must match.
         """
         digest = hashlib.sha256()
+        # Only non-zero built-in floats are memoised: 0.0 and -0.0 are one
+        # key but two texts, and 1 == 1.0 == np.float64(1.0) are one key too.
+        memo: Dict[float, str] = {}
 
-        def add(*values: object) -> None:
-            rounded = tuple(
-                round(value, 6) if isinstance(value, float) else value for value in values
-            )
-            digest.update(repr(rounded).encode("utf-8"))
+        def text(value: object) -> str:
+            if type(value) is float and value != 0.0:
+                formatted = memo.get(value)
+                if formatted is None:
+                    formatted = memo[value] = _float_text(value)
+                return formatted
+            return repr(round(value, 6) if isinstance(value, float) else value)
 
-        add("duration", self.duration_ms)
-        for job in self.jobs:
-            add(
-                "job",
-                job.app_id,
-                job.job_index,
-                job.release_ms,
-                job.start_ms,
-                job.finish_ms,
-                job.latency_ms,
-                job.energy_mj,
-                job.configuration,
-                job.accuracy_percent,
-                job.cluster,
-                job.cores,
-                job.frequency_mhz,
-                tuple(job.violations),
-                job.dropped,
-            )
-        for sample in self.power_samples:
-            add(
-                "power",
-                sample.time_ms,
-                sample.power_mw,
-                sample.temperature_c,
-                sample.throttling,
-            )
-        for decision in self.decisions:
-            add("decision", decision.time_ms, decision.num_actions, decision.trigger)
+        digest.update(("('duration', %s)" % text(self.duration_ms)).encode("utf-8"))
         # Fault records extend the digest only when faults were injected, so
         # every fault-free fingerprint minted before fault injection existed
         # is unchanged.
-        for fault in self.faults:
-            add("fault", fault.time_ms, fault.kind, fault.target, fault.value)
+        for kind, records, fields in (
+            ("job", self.jobs, _job_fields),
+            ("power", self.power_samples, _POWER_FIELDS),
+            ("decision", self.decisions, _DECISION_FIELDS),
+            ("fault", self.faults, _FAULT_FIELDS),
+        ):
+            head = "('%s', " % kind
+            for start in range(0, len(records), _CHUNK_RECORDS):
+                memo.clear()
+                chunk = records[start:start + _CHUNK_RECORDS]
+                text_of_chunk = "".join(
+                    [head + ", ".join(map(text, fields(record))) + ")" for record in chunk]
+                )
+                digest.update(text_of_chunk.encode("utf-8"))
         return digest.hexdigest()[:16]
 
     # -------------------------------------------------------------- summary

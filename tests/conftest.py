@@ -9,6 +9,8 @@ changed) are function-scoped.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.data.cifar import make_validation_set
@@ -58,6 +60,22 @@ def xu3():
 def nano():
     """A fresh Jetson Nano platform model (tests may mutate it)."""
     return jetson_nano()
+
+
+@pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
+def collector_enabled(request):
+    """Run the test with the cyclic garbage collector on, then off.
+
+    The test receives the state it starts in and must find it unchanged
+    after the code under test returns or raises; the fixture restores the
+    session's state afterwards.
+    """
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 @pytest.fixture

@@ -6,6 +6,8 @@ replica's trace fingerprint must equal its serial twin's, and neither the
 number of replicas in the batch nor their order may leak into any result.
 """
 
+import gc
+
 import pytest
 
 from repro.experiments import (
@@ -13,9 +15,11 @@ from repro.experiments import (
     ExperimentSpec,
     grid_specs,
     make_execution_backend,
+    make_manager,
     run_many,
 )
-from repro.workloads import SCENARIO_REGISTRY
+from repro.sim.batched import BatchedCase, BatchedEngine
+from repro.workloads import SCENARIO_REGISTRY, build_scenario
 
 #: Every registered manager the sweeps exercise.
 MANAGERS = ["rtm", "rtm_min_energy", "governor_only", "static_deployment"]
@@ -128,3 +132,35 @@ class TestBatchedErrorIsolation:
         batch = run_many([good, bad], backend="batched", validate=False)
         assert good.label in batch.traces
         assert "bad" in batch.errors
+
+
+class TestCollectorSuspension:
+    """A batch runs with the cyclic collector off and leaves it as found."""
+
+    @staticmethod
+    def _cases():
+        return [
+            BatchedCase(
+                label=f"steady-{seed}",
+                scenario=build_scenario("steady", seed=seed, **SHORT),
+                manager=make_manager("rtm"),
+            )
+            for seed in (0, 1)
+        ]
+
+    def test_run_suspends_and_restores_the_collector(self, collector_enabled):
+        seen = []
+        traces, errors = BatchedEngine().run(
+            self._cases(), on_complete=lambda label, trace: seen.append(gc.isenabled())
+        )
+        assert gc.isenabled() is collector_enabled
+        assert not errors and len(traces) == 2
+        assert seen == [False, False]
+
+    def test_run_restores_the_collector_when_it_raises(self, collector_enabled):
+        def consumer_fails(label, trace):
+            raise RuntimeError("consumer failed")
+
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            BatchedEngine().run(self._cases(), on_complete=consumer_fails)
+        assert gc.isenabled() is collector_enabled

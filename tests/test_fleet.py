@@ -13,6 +13,7 @@ Regenerate the golden table after an intentional behaviour change with::
 
 from __future__ import annotations
 
+import gc
 from typing import Dict, Tuple
 
 import pytest
@@ -30,8 +31,10 @@ from repro.fleet import (
     make_fleet_policy,
     run_fleet,
 )
+from repro.fleet import orchestrator as orchestrator_module
 from repro.fleet.bench import bench_device_mix
-from repro.fleet.orchestrator import FleetResult
+from repro.fleet.orchestrator import FleetOrchestrator, FleetResult
+from repro.fleet.policies import LeastLoadedPlacement
 
 #: Small pinned device mixes: big enough for placement to matter, small
 #: enough that the whole grid stays test-suite friendly.
@@ -330,6 +333,96 @@ class TestFleetInvariants:
             for record in fleet_grid[(scenario, "least_loaded")].migrations:
                 assert record.arrival_ms == pytest.approx(record.time_ms + spec_latency)
                 assert record.source != record.target
+
+
+# ------------------------------------------------------ garbage collection
+
+
+class _CollectorProbe(LeastLoadedPlacement):
+    """Least-loaded placement that records the collector's state per call."""
+
+    def bind(self, device_ids):
+        super().bind(device_ids)
+        self.collector_states = []
+
+    def place(self, app_id, candidates):
+        self.collector_states.append(gc.isenabled())
+        return super().place(app_id, candidates)
+
+
+class _FailingPlacement(LeastLoadedPlacement):
+    def place(self, app_id, candidates):
+        raise RuntimeError("placement failed")
+
+
+@pytest.fixture
+def throwaway_policies():
+    """Register the two test-only placement policies for one test."""
+    FLEET_POLICY_REGISTRY.register("collector_probe", _CollectorProbe, rebalances=True)
+    FLEET_POLICY_REGISTRY.register("failing", _FailingPlacement, rebalances=True)
+    try:
+        yield
+    finally:
+        FLEET_POLICY_REGISTRY.unregister("collector_probe")
+        FLEET_POLICY_REGISTRY.unregister("failing")
+
+
+def _probe_spec(policy: str) -> FleetSpec:
+    return FleetSpec(
+        scenario="fleet_device_churn",
+        policy=policy,
+        devices={"generic_quad": 2, "odroid_xu3": 2},
+    )
+
+
+@pytest.mark.parametrize("backend", ["serial", "batched"])
+class TestCollectorSuspension:
+    """Building and running a fleet suspend the cyclic collector and leave it
+    as they found it, on return and on raise."""
+
+    def test_off_inside_construction_and_run_then_restored(
+        self, backend, collector_enabled, trained_dnn, throwaway_policies, monkeypatch
+    ):
+        factory_states = []
+        for name in ("Simulator", "make_batched_simulator"):
+            factory = getattr(orchestrator_module, name)
+
+            def spy(*args, _factory=factory, **kwargs):
+                factory_states.append(gc.isenabled())
+                return _factory(*args, **kwargs)
+
+            monkeypatch.setattr(orchestrator_module, name, spy)
+        orchestrator = FleetOrchestrator(
+            _probe_spec("collector_probe"), backend=backend, trained=trained_dnn
+        )
+        assert gc.isenabled() is collector_enabled
+        result = orchestrator.run()
+        assert gc.isenabled() is collector_enabled
+        assert factory_states == [False] * len(result.device_ids)
+        placements = orchestrator.policy.collector_states
+        assert placements and not any(placements)
+
+    def test_restored_when_placement_raises(
+        self, backend, collector_enabled, trained_dnn, throwaway_policies
+    ):
+        orchestrator = FleetOrchestrator(
+            _probe_spec("failing"), backend=backend, trained=trained_dnn
+        )
+        with pytest.raises(RuntimeError, match="placement failed"):
+            orchestrator.run()
+        assert gc.isenabled() is collector_enabled
+
+    def test_restored_when_construction_raises(
+        self, backend, collector_enabled, trained_dnn, monkeypatch
+    ):
+        def broken_factory(*args, **kwargs):
+            raise RuntimeError("simulator construction failed")
+
+        for name in ("Simulator", "make_batched_simulator"):
+            monkeypatch.setattr(orchestrator_module, name, broken_factory)
+        with pytest.raises(RuntimeError, match="simulator construction failed"):
+            FleetOrchestrator(_probe_spec("least_loaded"), backend=backend, trained=trained_dnn)
+        assert gc.isenabled() is collector_enabled
 
 
 # ------------------------------------------------------- orchestration wins
