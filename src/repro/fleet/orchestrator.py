@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.dnn.training import IncrementalTrainer, TrainedDynamicDNN
 from repro.dnn.zoo import make_dynamic_cifar_dnn
@@ -291,6 +291,7 @@ class FleetOrchestrator:
         self._telemetry: Dict[str, DeviceTelemetry] = {
             d: self._sample_device(d, 0.0)[0] for d in self.device_ids
         }
+        self._refresh_candidates()
         self._apps: Dict[str, _AppState] = {
             t.app_id: _AppState(template=t)
             for t in sorted(self.scenario.arrivals, key=lambda t: (t.arrival_ms, t.app_id))
@@ -339,16 +340,27 @@ class FleetOrchestrator:
         sync, so load-aware policies see placements made earlier in the same
         epoch window."""
         self._assigned[device_id] += delta
-        self._telemetry[device_id].assigned_apps = self._assigned[device_id]
+        self._telemetry[device_id].set_assigned(self._assigned[device_id])
 
-    def _candidates(self, exclude: Sequence[str] = ()) -> List[DeviceTelemetry]:
-        """Eligible devices in canonical order, minus ``exclude``."""
-        banned = set(exclude)
-        return [
-            self._telemetry[d]
-            for d in self.device_ids
-            if self._eligible[d] and d not in banned
-        ]
+    def _refresh_candidates(self) -> None:
+        """Rebuild the eligible snapshots, canonical order, as one tuple.
+
+        Called whenever the set changes: after each telemetry resample (which
+        replaces every snapshot object) and when churn flips a device's
+        eligibility.  In between, placements update the snapshots in place.
+        """
+        self._eligible_telemetry: Tuple[DeviceTelemetry, ...] = tuple(
+            self._telemetry[d] for d in self.device_ids if self._eligible[d]
+        )
+
+    def _candidates(self, exclude: Collection[str] = ()) -> Sequence[DeviceTelemetry]:
+        """Eligible devices in canonical order, minus ``exclude``.
+
+        Without exclusions this is the shared tuple itself, not a copy.
+        """
+        if not exclude:
+            return self._eligible_telemetry
+        return [t for t in self._eligible_telemetry if t.device_id not in exclude]
 
     # -------------------------------------------------------------- placement
 
@@ -473,12 +485,15 @@ class FleetOrchestrator:
                 event = churn[churn_pos]
                 churn_pos += 1
                 device_id = self.device_ids[event.device_index]
-                self._eligible[device_id] = event.kind == "up"
-                self._telemetry[device_id].eligible = self._eligible[device_id]
+                eligible = event.kind == "up"
+                if self._eligible[device_id] != eligible:
+                    self._eligible[device_id] = eligible
+                    self._telemetry[device_id].eligible = eligible
+                    self._refresh_candidates()
                 if event.kind == "down" and self.policy.rebalances:
                     for state in self._resident_on(device_id):
                         target = self.policy.place(
-                            state.template.app_id, self._candidates(exclude=[device_id])
+                            state.template.app_id, self._candidates(exclude={device_id})
                         )
                         if target is not None:
                             self._migrate(state, event.time_ms, target, reason="churn")
@@ -519,12 +534,14 @@ class FleetOrchestrator:
                     state.target_id = None
                     state.pending_arrival_ms = None
 
-            # 6. Telemetry at the boundary.
+            # 6. Telemetry at the boundary: new snapshot objects, so the
+            # candidate tuple is rebuilt over them.
             bad_by_device: Dict[str, Dict[str, int]] = {}
             for device_id in self.device_ids:
                 telemetry, bad_by_app = self._sample_device(device_id, window_end)
                 self._telemetry[device_id] = telemetry
                 bad_by_device[device_id] = bad_by_app
+            self._refresh_candidates()
 
             # 7. Evict/rebalance off overloaded or degraded devices.
             if self.policy.rebalances and window_end < duration:
@@ -561,7 +578,10 @@ class FleetOrchestrator:
         ]
         if not flagged:
             return
-        flagged_set = set(flagged)
+        # Targets: eligible devices that are not flagged themselves (every
+        # source is flagged).  Migrations only update snapshots in place, so
+        # one copy serves the whole loop.
+        candidates = self._candidates(exclude=set(flagged))
         budget = spec.max_migrations_per_epoch
         for device_id in flagged:
             if budget <= 0:
@@ -580,10 +600,6 @@ class FleetOrchestrator:
                 key=lambda s: (-bad_by_app.get(s.template.app_id, 0), s.template.app_id)
             )
             victim = victims[0]
-            candidates = [
-                t for t in self._candidates(exclude=[device_id])
-                if t.device_id not in flagged_set
-            ]
             target = self.policy.place(victim.template.app_id, candidates)
             if target is None:
                 continue

@@ -18,8 +18,9 @@ never depends on device-table insertion order, wall clock or hash seeds.
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.registry import Registry
@@ -37,8 +38,14 @@ class DeviceTelemetry:
     """One per-epoch telemetry snapshot of one device.
 
     ``assigned_apps`` counts residents plus in-flight inbound migrations and
-    is updated by the orchestrator as it places apps within an epoch, so
-    load-aware policies see their own placements immediately.
+    is updated by the orchestrator (through :meth:`set_assigned`) as it
+    places apps within an epoch, so load-aware policies see their own
+    placements immediately.
+
+    ``load_score`` — apps per online core plus utilisation, the least-loaded
+    key — is stored, not derived on read: it is computed when the snapshot is
+    built and recomputed by :meth:`set_assigned`, the one writer of
+    ``assigned_apps`` after construction.
     """
 
     device_id: str
@@ -52,16 +59,24 @@ class DeviceTelemetry:
     recent_violation_rate: float
     recent_jobs: int
     eligible: bool = True
+    load_score: float = field(init=False)
 
-    @property
-    def load_score(self) -> float:
-        """Apps per online core plus utilisation: the least-loaded key."""
-        return self.assigned_apps / max(self.online_cores, 1) + self.utilisation
+    def __post_init__(self) -> None:
+        self.set_assigned(self.assigned_apps)
+
+    def set_assigned(self, assigned_apps: int) -> None:
+        """Set the assigned-app count and recompute ``load_score``."""
+        self.assigned_apps = assigned_apps
+        self.load_score = assigned_apps / max(self.online_cores, 1) + self.utilisation
 
     @property
     def degraded(self) -> bool:
         """True when faults have taken cores offline."""
         return self.online_cores < self.total_cores
+
+
+#: The least-loaded ranking key: stored load score, ties on device id.
+_LOAD_KEY = operator.attrgetter("load_score", "device_id")
 
 
 class PlacementPolicy:
@@ -81,7 +96,8 @@ class PlacementPolicy:
     def place(self, app_id: str, candidates: Sequence[DeviceTelemetry]) -> Optional[str]:
         """Device id to place ``app_id`` on, or None when none is usable.
 
-        ``candidates`` holds the eligible devices in canonical order.
+        ``candidates`` holds the eligible devices in canonical order.  It is
+        a read-only sequence, shared by the placements of an epoch.
         """
         raise NotImplementedError
 
@@ -119,13 +135,16 @@ class RoundRobinPlacement(PlacementPolicy):
 
 
 class LeastLoadedPlacement(PlacementPolicy):
-    """Pick the device with the lowest apps-per-online-core + utilisation."""
+    """Pick the device with the lowest apps-per-online-core + utilisation.
+
+    Ranks on the stored ``(load_score, device_id)`` pair: one C-level key
+    per candidate.
+    """
 
     def place(self, app_id: str, candidates: Sequence[DeviceTelemetry]) -> Optional[str]:
         if not candidates:
             return None
-        chosen = min(candidates, key=lambda t: (t.load_score, t.device_id))
-        return chosen.device_id
+        return min(candidates, key=_LOAD_KEY).device_id
 
 
 class ThermalHeadroomPlacement(PlacementPolicy):

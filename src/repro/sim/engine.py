@@ -113,7 +113,14 @@ class SimulatorConfig:
 
 @dataclass(slots=True)
 class _DNNRuntime:
-    """Simulator-internal bookkeeping for one DNN application."""
+    """Simulator-internal bookkeeping for one DNN application.
+
+    One runtime per residency: a re-arrival after a departure gets a fresh
+    one.  Every release, completion and crash event carries the runtime that
+    scheduled it and is dropped once that runtime is no longer the
+    application's current one, so a departed residency's pending events
+    never act on its successor.
+    """
 
     job_index: int = 0
     busy: bool = False
@@ -123,7 +130,7 @@ class _DNNRuntime:
     current_start_ms: float = 0.0
     current_cluster: str = ""
     current_cores: int = 0
-    #: The (constant) release callback of this application, allocated once
+    #: The (constant) release callback of this residency, allocated once
     #: instead of once per scheduled release.
     release_cb: Optional[object] = None
 
@@ -258,7 +265,9 @@ class Simulator:
         """Schedule an externally-requested departure (eviction) at ``time_ms``.
 
         A no-op at fire time when the application is not resident (it may
-        have departed on its own in the meantime).
+        have departed on its own in the meantime).  Its job in flight and its
+        next release are dropped, even when the same app id arrives again
+        before they fall due.
         """
         self.prime()
 
@@ -330,11 +339,10 @@ class Simulator:
         if isinstance(application, GenericApplication):
             self._place_generic(state, application)
         elif isinstance(application, DNNApplication):
-            self._dnn_runtime[application.app_id] = _DNNRuntime()
-            self.queue.schedule(
-                self.queue.now_ms,
-                lambda app_id=application.app_id: self._release_job(app_id),
-            )
+            app_id = application.app_id
+            runtime = self._dnn_runtime[app_id] = _DNNRuntime()
+            runtime.release_cb = lambda: self._release_job(app_id, runtime)
+            self.queue.schedule(self.queue.now_ms, runtime.release_cb)
 
     def _place_generic(self, state: AppRuntimeState, application: GenericApplication) -> None:
         """Give a non-DNN application the cores it demands, preempting DNNs if needed."""
@@ -379,7 +387,13 @@ class Simulator:
             return
         self.soc.release_owner(app_id)
         self.soc.free_memory(state.application.memory_footprint_mb)
-        self._dnn_runtime.pop(app_id, None)
+        runtime = self._dnn_runtime.pop(app_id, None)
+        if runtime is not None:
+            # Its pending events are dropped from here on.  Unlinking the
+            # release callback, which refers back to the runtime, lets the
+            # runtime be freed without the cyclic collector (suspended while
+            # batches and fleets run).
+            runtime.release_cb = None
 
     def _on_requirement_change(self, event: ScenarioEvent) -> None:
         state = self._apps.get(event.app_id)
@@ -561,18 +575,19 @@ class Simulator:
 
     # ------------------------------------------------------------------ jobs
 
-    def _release_job(self, app_id: str) -> None:
+    def _release_job(self, app_id: str, runtime: _DNNRuntime) -> None:
         state = self._apps.get(app_id)
-        if state is None or not isinstance(state.application, DNNApplication):
+        if (
+            state is None
+            or not isinstance(state.application, DNNApplication)
+            or self._dnn_runtime.get(app_id) is not runtime
+        ):
             return
         application = state.application
-        runtime = self._dnn_runtime[app_id]
         queue = self.queue
         now = queue.now_ms
         period = application.period_ms()
         release_cb = runtime.release_cb
-        if release_cb is None:
-            release_cb = runtime.release_cb = lambda: self._release_job(app_id)
 
         # Schedule the next release for periodic applications regardless of
         # what happens to this one.
@@ -684,7 +699,7 @@ class Simulator:
                     )
                     self.queue.schedule(
                         start_ms + total_ms,
-                        lambda: self._crash_job(state.app_id, job_index, snapshot),
+                        lambda: self._crash_job(state.app_id, runtime, job_index, snapshot),
                     )
                     return
                 latency_ms = elapsed_ms + latency_ms
@@ -702,13 +717,14 @@ class Simulator:
         )
         self.queue.schedule(
             finish_ms,
-            lambda: self._complete_job(state.app_id, job_index, snapshot),
+            lambda: self._complete_job(state.app_id, runtime, job_index, snapshot),
         )
 
-    def _complete_job(self, app_id: str, job_index: int, snapshot: tuple) -> None:
+    def _complete_job(
+        self, app_id: str, runtime: _DNNRuntime, job_index: int, snapshot: tuple
+    ) -> None:
         state = self._apps.get(app_id)
-        runtime = self._dnn_runtime.get(app_id)
-        if state is None or runtime is None:
+        if state is None or self._dnn_runtime.get(app_id) is not runtime:
             return
         application = state.application
         assert isinstance(application, DNNApplication)
@@ -749,9 +765,11 @@ class Simulator:
             self._start_job(state, runtime, release_ms=now)
         elif period is None and state.mapping is not None:
             # Best-effort applications run back to back.
-            self.queue.schedule(now, lambda: self._release_job(app_id))
+            self.queue.schedule(now, runtime.release_cb)
 
-    def _crash_job(self, app_id: str, job_index: int, snapshot: tuple) -> None:
+    def _crash_job(
+        self, app_id: str, runtime: _DNNRuntime, job_index: int, snapshot: tuple
+    ) -> None:
         """A job whose every retry attempt crashed: account it as dropped.
 
         Mirrors :meth:`_complete_job` (busy-time accrual, backlog chaining)
@@ -759,8 +777,7 @@ class Simulator:
         elapsed time of the wasted attempts are kept on the record.
         """
         state = self._apps.get(app_id)
-        runtime = self._dnn_runtime.get(app_id)
-        if state is None or runtime is None:
+        if state is None or self._dnn_runtime.get(app_id) is not runtime:
             return
         application = state.application
         assert isinstance(application, DNNApplication)
@@ -786,7 +803,7 @@ class Simulator:
             runtime.backlog -= 1
             self._start_job(state, runtime, release_ms=now)
         elif period is None and state.mapping is not None:
-            self.queue.schedule(now, lambda: self._release_job(app_id))
+            self.queue.schedule(now, runtime.release_cb)
 
     # --------------------------------------------------------------- thermal
 

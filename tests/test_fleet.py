@@ -17,6 +17,8 @@ import gc
 from typing import Dict, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.fleet import (
@@ -46,7 +48,7 @@ SMALL_MIXES: Dict[str, Dict[str, int]] = {
     "fleet_diurnal": {"generic_quad": 4, "odroid_xu3": 4},
 }
 
-GRID_POLICIES = ("static", "least_loaded")
+GRID_POLICIES = ("static", "round_robin", "least_loaded", "thermal_headroom", "random")
 
 # Golden fleet fingerprints of the grid above (seed 0, batched backend).  A
 # changed digest means fleet *behaviour* changed — placement, migration
@@ -54,15 +56,30 @@ GRID_POLICIES = ("static", "least_loaded")
 # tests/test_golden_traces.py.  Regenerate with the module's __main__ hook.
 GOLDEN_FLEET_FINGERPRINTS: Dict[Tuple[str, str], str] = {
     ("fleet_device_churn", "least_loaded"): "04355d6ba672e4cd",
+    ("fleet_device_churn", "random"): "2b5fadf4d8353ef8",
+    ("fleet_device_churn", "round_robin"): "eeb5a8284dbdec15",
     ("fleet_device_churn", "static"): "627f7d23b9bc4039",
+    ("fleet_device_churn", "thermal_headroom"): "b35712c10828ed85",
     ("fleet_diurnal", "least_loaded"): "7233d7e898056018",
+    ("fleet_diurnal", "random"): "73334ff117840af0",
+    ("fleet_diurnal", "round_robin"): "5746a85778a47b48",
     ("fleet_diurnal", "static"): "37195436c2b84ade",
+    ("fleet_diurnal", "thermal_headroom"): "107d8669163babc5",
     ("fleet_mixed_platforms", "least_loaded"): "90c6165e479cea91",
+    ("fleet_mixed_platforms", "random"): "72c36a3f5be431ea",
+    ("fleet_mixed_platforms", "round_robin"): "492ba892072aabe1",
     ("fleet_mixed_platforms", "static"): "2459660fbb0946c6",
+    ("fleet_mixed_platforms", "thermal_headroom"): "91172f9e0d44f45e",
     ("fleet_rush_hour_regional", "least_loaded"): "6daad25fdebdfa3a",
+    ("fleet_rush_hour_regional", "random"): "fb5d4c422b91c4bf",
+    ("fleet_rush_hour_regional", "round_robin"): "90210ce554cf77d8",
     ("fleet_rush_hour_regional", "static"): "6daf92538a383b5e",
+    ("fleet_rush_hour_regional", "thermal_headroom"): "9f5f925fc9d7df8b",
     ("fleet_stragglers", "least_loaded"): "28328ebfbbcc5c99",
+    ("fleet_stragglers", "random"): "5157f9dd107b384d",
+    ("fleet_stragglers", "round_robin"): "9e468b5bff074730",
     ("fleet_stragglers", "static"): "d297648783108c69",
+    ("fleet_stragglers", "thermal_headroom"): "efbb40d04b967976",
 }
 
 
@@ -258,6 +275,52 @@ class TestPolicies:
             make_fleet_policy("least_loadedd")
 
 
+def _reference_least_loaded(candidates):
+    """The least-loaded choice, spelled out from the raw telemetry fields."""
+    return min(
+        candidates,
+        key=lambda t: (t.assigned_apps / max(t.online_cores, 1) + t.utilisation, t.device_id),
+    ).device_id
+
+
+# Small value sets make equal scores common (2 apps on 4 cores + 0.0 ties
+# 0 apps + 0.5); online_cores 0 is a fully failed device.
+_DEVICE_ROWS = st.lists(
+    st.tuples(
+        st.integers(0, 6),
+        st.integers(0, 4),
+        st.one_of(
+            st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+            st.floats(0.0, 1.0, allow_nan=False),
+        ),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestLeastLoadedRanking:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=_DEVICE_ROWS,
+        updates=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 8)), max_size=6),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_place_matches_the_reference_ranking(self, rows, updates, order):
+        candidates = [
+            _telemetry(f"dev-{i:02d}", assigned_apps=apps, online_cores=cores, utilisation=util)
+            for i, (apps, cores, util) in enumerate(rows)
+        ]
+        for index, apps in updates:
+            candidates[index % len(candidates)].set_assigned(apps)
+        order.shuffle(candidates)  # the ranking must not lean on input order
+        for t in candidates:
+            assert t.load_score == t.assigned_apps / max(t.online_cores, 1) + t.utilisation
+        policy = make_fleet_policy("least_loaded")
+        policy.bind(sorted(t.device_id for t in candidates))
+        assert policy.place("app", tuple(candidates)) == _reference_least_loaded(candidates)
+
+
 # -------------------------------------------------------------- invariants
 
 
@@ -355,16 +418,51 @@ class _FailingPlacement(LeastLoadedPlacement):
         raise RuntimeError("placement failed")
 
 
+class _SnapshotProbe(LeastLoadedPlacement):
+    """Least-loaded placement that checks every candidate it is handed
+    against the orchestrator's live state (``orchestrator`` is set by the
+    test after construction)."""
+
+    def bind(self, device_ids):
+        super().bind(device_ids)
+        self.orchestrator = None
+        self.calls = []  # (number of candidates, snapshot time) per call
+        self.problems = []
+
+    def place(self, app_id, candidates):
+        orchestrator = self.orchestrator
+        positions = [orchestrator.device_ids.index(t.device_id) for t in candidates]
+        if positions != sorted(positions):
+            self.problems.append((app_id, "candidates out of canonical order"))
+        for t in candidates:
+            device_id = t.device_id
+            if t is not orchestrator._telemetry[device_id]:
+                self.problems.append((app_id, device_id, "stale snapshot"))
+            if not orchestrator._eligible[device_id]:
+                self.problems.append((app_id, device_id, "ineligible candidate"))
+            if t.assigned_apps != orchestrator._assigned[device_id]:
+                self.problems.append((app_id, device_id, "assigned count behind"))
+            if t.load_score != t.assigned_apps / max(t.online_cores, 1) + t.utilisation:
+                self.problems.append((app_id, device_id, "stale load score"))
+        self.calls.append((len(candidates), candidates[0].time_ms if candidates else None))
+        return super().place(app_id, candidates)
+
+
 @pytest.fixture
 def throwaway_policies():
-    """Register the two test-only placement policies for one test."""
-    FLEET_POLICY_REGISTRY.register("collector_probe", _CollectorProbe, rebalances=True)
-    FLEET_POLICY_REGISTRY.register("failing", _FailingPlacement, rebalances=True)
+    """Register the test-only placement policies for one test."""
+    probes = {
+        "collector_probe": _CollectorProbe,
+        "failing": _FailingPlacement,
+        "snapshot_probe": _SnapshotProbe,
+    }
+    for name, factory in probes.items():
+        FLEET_POLICY_REGISTRY.register(name, factory, rebalances=True)
     try:
         yield
     finally:
-        FLEET_POLICY_REGISTRY.unregister("collector_probe")
-        FLEET_POLICY_REGISTRY.unregister("failing")
+        for name in probes:
+            FLEET_POLICY_REGISTRY.unregister(name)
 
 
 def _probe_spec(policy: str) -> FleetSpec:
@@ -423,6 +521,42 @@ class TestCollectorSuspension:
         with pytest.raises(RuntimeError, match="simulator construction failed"):
             FleetOrchestrator(_probe_spec("least_loaded"), backend=backend, trained=trained_dnn)
         assert gc.isenabled() is collector_enabled
+
+
+# ------------------------------------------------------- placement snapshots
+
+
+class TestPlacementCandidates:
+    def test_candidates_are_the_live_snapshots(self, trained_dnn, throwaway_policies):
+        """Every candidate a policy sees is the orchestrator's current snapshot
+        of an eligible device, with its assigned count and load score up to
+        date after the epoch's earlier placements and migrations."""
+        scenario = "fleet_device_churn"
+        spec = FleetSpec(
+            scenario=scenario, policy="snapshot_probe", devices=SMALL_MIXES[scenario]
+        )
+        orchestrator = FleetOrchestrator(spec, backend="batched", trained=trained_dnn)
+        probe = orchestrator.policy
+        probe.orchestrator = orchestrator
+        result = orchestrator.run()
+        assert not probe.problems, probe.problems[:5]
+        # Placements over several epochs, with and without exclusions, and
+        # the least-loaded outcome unchanged by the probing.
+        assert len({time_ms for _, time_ms in probe.calls}) > 1
+        assert len({size for size, _ in probe.calls}) > 1
+        assert any(record.reason == "churn" for record in result.migrations)
+        assert result.fingerprint() == GOLDEN_FLEET_FINGERPRINTS[(scenario, "least_loaded")]
+
+    def test_unexcluded_candidates_are_one_shared_tuple(self, trained_dnn):
+        orchestrator = FleetOrchestrator(
+            _probe_spec("least_loaded"), backend="serial", trained=trained_dnn
+        )
+        shared = orchestrator._candidates()
+        assert isinstance(shared, tuple)
+        assert orchestrator._candidates() is shared
+        excluded = orchestrator._candidates(exclude={orchestrator.device_ids[0]})
+        assert [t.device_id for t in excluded] == orchestrator.device_ids[1:]
+        assert orchestrator._candidates() is shared
 
 
 # ------------------------------------------------------- orchestration wins

@@ -1,10 +1,15 @@
 """Tests for simulator internals: accounting, penalties, preemption, actions."""
 
+import gc
+
 import pytest
 
+from repro.experiments.managers import make_manager
 from repro.rtm.manager import RuntimeManager
 from repro.rtm.state import MapApplication, SetConfiguration, SetFrequency
-from repro.sim.engine import Simulator, SimulatorConfig
+from repro.sim.batched import SharedSimulationStores, make_batched_simulator
+from repro.sim.engine import Simulator, SimulatorConfig, _DNNRuntime
+from repro.sim.faults import FaultPlan, JobCrashProfile
 from repro.workloads.requirements import Requirements
 from repro.workloads.scenarios import Scenario
 from repro.workloads.tasks import (
@@ -190,6 +195,82 @@ class TestGenericApplications:
         # Only the DNN (which never departs) still holds memory at the end.
         dnn_footprint = scenario.application("dnn1").memory_footprint_mb
         assert simulator.soc.allocated_memory_mb == pytest.approx(dnn_footprint)
+
+
+def _reference_simulator(scenario, manager):
+    return Simulator(scenario, manager)
+
+
+def _memoised_replica(scenario, manager):
+    return make_batched_simulator(scenario, manager, SharedSimulationStores())
+
+
+@pytest.mark.parametrize("engine", [_reference_simulator, _memoised_replica])
+class TestReArrival:
+    """An app that departs with a job in flight and arrives again before that
+    job ends (the fleet's eviction and migration path) starts afresh: the old
+    residency's completion, crash and release events are dropped."""
+
+    def _run(self, trained_dnn, engine, fault_plan=None):
+        scenario = Scenario(
+            name="rearrival",
+            platform_name="odroid_xu3",
+            applications=[],
+            duration_ms=2000.0,
+            fault_plan=fault_plan,
+        )
+        simulator = engine(scenario, make_manager("rtm"))
+
+        def arrival(time_ms):
+            return make_dnn_application(
+                "dnn1", trained_dnn, Requirements(target_fps=2.0), arrival_time_ms=time_ms
+            )
+
+        simulator.inject_arrival(arrival(0.0), 0.0)
+        simulator.inject_departure("dnn1", 5.0)
+        simulator.inject_arrival(arrival(10.0), 10.0)
+        return simulator.run().jobs_for("dnn1")
+
+    def _assert_one_fresh_residency(self, jobs):
+        assert [job.release_ms for job in jobs] == [10.0, 510.0, 1010.0, 1510.0]
+        assert [job.job_index for job in jobs] == [1, 2, 3, 4]
+        for job in jobs:
+            assert job.start_ms == job.release_ms
+            assert job.finish_ms == pytest.approx(job.start_ms + job.latency_ms)
+        for earlier, later in zip(jobs, jobs[1:]):
+            assert earlier.finish_ms <= later.start_ms
+
+    def test_in_flight_job_of_the_departed_residency_is_dropped(self, trained_dnn, engine):
+        self._assert_one_fresh_residency(self._run(trained_dnn, engine))
+
+    def test_lost_job_of_the_departed_residency_is_dropped(self, trained_dnn, engine):
+        # Every attempt of the first residency's job crashes; its loss lands
+        # after the re-arrival and must not be booked on the new residency.
+        crashes = JobCrashProfile(probability=1.0, max_retries=0, end_ms=5.0)
+        jobs = self._run(trained_dnn, engine, FaultPlan(job_crashes=crashes))
+        self._assert_one_fresh_residency(jobs)
+        assert not any(job.dropped for job in jobs)
+
+    def test_departed_runtime_is_freed_without_the_collector(self, trained_dnn, engine):
+        """Batches and fleets run with the cyclic collector suspended, so the
+        departed residency's bookkeeping must be freed by reference counts."""
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            existing = [o for o in gc.get_objects() if type(o) is _DNNRuntime]
+            self._run(trained_dnn, engine)
+            fresh = [
+                o
+                for o in gc.get_objects()
+                if type(o) is _DNNRuntime and all(o is not e for e in existing)
+            ]
+        finally:
+            if was_enabled:
+                gc.enable()
+        # Only the second residency's runtime is left, inside the simulator's
+        # own (live until collected) reference cycle.
+        assert len(fresh) == 1
 
 
 class TestPowerIntegration:
