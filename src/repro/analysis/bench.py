@@ -82,7 +82,11 @@ BENCH_KIND_BATCHED = "batched_engine"
 
 
 class _TimedManager:
-    """Transparent manager wrapper accumulating decide() wall time."""
+    """Transparent manager wrapper accumulating decide() wall time.
+
+    It opts out of the simulator's decision memo, so ``decide()`` runs, and
+    is timed, at every epoch instead of being replayed past the timer.
+    """
 
     def __init__(self, inner: ManagerProtocol) -> None:
         self._inner = inner
@@ -95,6 +99,9 @@ class _TimedManager:
         self.total_s += time.perf_counter() - start
         self.count += 1
         return decision
+
+    def decision_memo_key(self) -> None:
+        return None
 
     def __getattr__(self, name: str):
         # The simulator probes optional manager attributes (cache_stats);
@@ -153,9 +160,9 @@ class BenchRegression:
 def _one_run(spec: ExperimentSpec) -> tuple:
     """(e2e seconds, decide ms/epoch, decisions, jobs) of one spec execution.
 
-    Runs the plain reference :class:`Simulator`, which calls ``decide()`` at
-    every epoch; the memoised path would replay repeated epochs past the
-    timer.
+    The timed manager answers ``decide()`` at every epoch, and, not being a
+    :class:`~repro.rtm.manager.RuntimeManager` itself, keeps its own
+    operating-point cache rather than the simulator's never-flushing view.
     """
     scenario = build_scenario_from_spec(spec)
     manager = _TimedManager(build_manager_from_spec(spec))

@@ -19,9 +19,10 @@ Determinism: devices are created, advanced and inspected in canonical order
 (sorted preset, then index), policies tie-break on device id, and all
 injections go through the event queue's (time, priority, sequence) ordering —
 so the fleet fingerprint is independent of device-table insertion order and
-bit-identical between the serial and batched execution backends (the batched
-backend shares operating-point/pricing stores fleet-wide, exactly like
-:class:`~repro.sim.batched.BatchedEngine`).
+bit-identical between the two execution backends: ``batched`` (the default)
+shares one set of memo stores fleet-wide, exactly like
+:class:`~repro.sim.batched.BatchedEngine`, and ``serial`` gives every device
+private stores, as a lone run has.
 
 Memory: building the devices and running the fleet suspend the cyclic garbage
 collector (:func:`~repro.sim.batched.gc_suspended`) on both backends, as a
@@ -43,8 +44,8 @@ from repro.fleet.policies import DeviceTelemetry, PlacementPolicy, make_fleet_po
 from repro.fleet.scenarios import FleetAppTemplate, FleetScenario, build_fleet_scenario
 from repro.fleet.spec import FleetSpec
 from repro.platforms.presets import build_preset
-from repro.sim.batched import SharedSimulationStores, gc_suspended, make_batched_simulator
-from repro.sim.engine import Simulator
+from repro.sim.batched import gc_suspended
+from repro.sim.engine import SharedSimulationStores, Simulator
 from repro.sim.faults import CoreFailure, CoreRecovery, FaultPlan, FrequencyCap
 from repro.sim.trace import SimulationTrace
 from repro.workloads.requirements import Requirements
@@ -59,7 +60,8 @@ __all__ = [
     "run_fleet",
 ]
 
-#: Execution backends a fleet can run on.
+#: Execution backends a fleet can run on: memo stores private to each device
+#: or shared fleet-wide.
 FLEET_BACKENDS = ("serial", "batched")
 
 #: Devices with fewer recent jobs than this are never flagged as overloaded
@@ -188,7 +190,7 @@ class FleetOrchestrator:
     def __init__(
         self,
         spec: FleetSpec,
-        backend: str = "serial",
+        backend: str = "batched",
         trained: Optional[TrainedDynamicDNN] = None,
     ) -> None:
         if backend not in FLEET_BACKENDS:
@@ -273,10 +275,7 @@ class FleetOrchestrator:
                 ),
             )
             manager = make_manager(self.spec.manager, use_op_cache=self.spec.use_op_cache)
-            if self._stores is not None:
-                simulator = make_batched_simulator(device_scenario, manager, self._stores)
-            else:
-                simulator = Simulator(device_scenario, manager)
+            simulator = Simulator(device_scenario, manager, stores=self._stores)
             simulator.prime()
             self.simulators[device_id] = simulator
 
@@ -292,9 +291,11 @@ class FleetOrchestrator:
             d: self._sample_device(d, 0.0)[0] for d in self.device_ids
         }
         self._refresh_candidates()
+        # In app-id order, which _resident_on relies on; every other reader
+        # sorts for itself or is order-free.
         self._apps: Dict[str, _AppState] = {
             t.app_id: _AppState(template=t)
-            for t in sorted(self.scenario.arrivals, key=lambda t: (t.arrival_ms, t.app_id))
+            for t in sorted(self.scenario.arrivals, key=lambda t: t.app_id)
         }
         self.migrations: List[MigrationRecord] = []
         self._rejected = 0
@@ -552,10 +553,10 @@ class FleetOrchestrator:
         return self._collect()
 
     def _resident_on(self, device_id: str) -> List[_AppState]:
-        """Resident, migratable (DNN) apps on a device, deterministic order."""
+        """Resident, migratable (DNN) apps on a device, in app-id order."""
         return [
             state
-            for app_id, state in sorted(self._apps.items())
+            for state in self._apps.values()
             if state.status == "resident"
             and state.device_id == device_id
             and state.template.kind == "dnn"
@@ -656,7 +657,7 @@ class FleetOrchestrator:
 
 def run_fleet(
     spec: FleetSpec,
-    backend: str = "serial",
+    backend: str = "batched",
     trained: Optional[TrainedDynamicDNN] = None,
 ) -> FleetResult:
     """Run one fleet spec end to end and return its :class:`FleetResult`."""

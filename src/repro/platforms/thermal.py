@@ -19,7 +19,6 @@ signal from chattering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 __all__ = ["ThermalParams", "ThermalModel"]
 
@@ -80,7 +79,6 @@ class ThermalModel:
         self._sensor_frozen_c: float | None = None
         self.throttling = False
         self.peak_temperature_c = self._temperature_c
-        self.history: List[Tuple[float, float]] = []
 
     # ---------------------------------------------------------------- sensor
 
@@ -129,7 +127,7 @@ class ThermalModel:
     # ----------------------------------------------------------------- state
 
     def reset(self, temperature_c: float | None = None) -> None:
-        """Reset state to ambient (or a given temperature), clear history and sensor faults."""
+        """Reset state to ambient (or a given temperature) and clear sensor faults."""
         self._temperature_c = (
             temperature_c if temperature_c is not None else self.params.ambient_c
         )
@@ -137,9 +135,8 @@ class ThermalModel:
         self._sensor_frozen_c = None
         self.throttling = False
         self.peak_temperature_c = self._temperature_c
-        self.history.clear()
 
-    def step(self, power_mw: float, duration_ms: float, time_ms: float | None = None) -> float:
+    def step(self, power_mw: float, duration_ms: float) -> float:
         """Advance the model by ``duration_ms`` at a constant power.
 
         Parameters
@@ -148,8 +145,6 @@ class ThermalModel:
             Total SoC power over the interval, in milliwatts.
         duration_ms:
             Interval length in milliseconds.
-        time_ms:
-            Optional absolute timestamp recorded in the history.
 
         Returns
         -------
@@ -179,10 +174,7 @@ class ThermalModel:
         self._temperature_c = temperature
         self.peak_temperature_c = max(self.peak_temperature_c, temperature)
         self._update_throttle()
-        sensed = self.temperature_c
-        if time_ms is not None:
-            self.history.append((time_ms, sensed))
-        return sensed
+        return self.temperature_c
 
     def _update_throttle(self) -> None:
         if self.temperature_c >= self.params.throttle_threshold_c:

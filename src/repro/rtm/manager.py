@@ -254,16 +254,16 @@ class RuntimeManager:
 
     # ------------------------------------------------- table-batched path
     #
-    # The batched lock-step engine (:mod:`repro.sim.batched`) evaluates many
-    # replicas' decision epochs through shared machinery: one decision per
-    # *distinct* (manager behaviour, decision inputs) pair, replayed into
-    # every replica that asks the same question.  Three entry points support
-    # this.  ``decision_memo_key`` names the manager's behaviour by value;
-    # ``decision_signature`` names one epoch's complete decision inputs by
-    # value; ``decide_recorded`` / ``replay_decision`` capture and re-apply a
-    # decision's full side effects.  Either key method returning ``None``
-    # means "not keyable by value" and disables sharing for this instance —
-    # the engine then falls back to calling :meth:`decide` directly.
+    # The simulator (:class:`~repro.sim.engine.Simulator`) memoises decision
+    # epochs on its stores, which a batch or a fleet shares across replicas:
+    # one decision per *distinct* (manager behaviour, decision inputs) pair,
+    # replayed into every replica that asks the same question.  Three entry
+    # points support this.  ``decision_memo_key`` names the manager's
+    # behaviour by value; ``decision_signature`` names one epoch's complete
+    # decision inputs by value; ``decide_recorded`` / ``replay_decision``
+    # capture and re-apply a decision's full side effects.  Either key method
+    # returning ``None`` means "not keyable by value" and disables sharing
+    # for this instance — the simulator then calls :meth:`decide` directly.
 
     def decision_memo_key(self) -> Optional[tuple]:
         """Value key of this manager's decision behaviour, or ``None``.

@@ -11,16 +11,31 @@ application-aware :class:`~repro.rtm.manager.RuntimeManager` and the baseline
 managers in :mod:`repro.baselines` share this interface, so the Fig 2
 benchmark and the ablation study replay identical scenarios under different
 management schemes.
+
+The hot paths are memoised by value: decision epochs, job networks, costs
+and accuracies, online-core counts and per-cluster power constants.  Each
+memo replays the float arithmetic of the computation it replaces, so traces
+are bit-identical to an unmemoised run (``tests/reference_engine.py`` keeps
+those computations as the oracle).  The memos live on
+:class:`SharedSimulationStores`: private to one simulator by default, or
+passed as ``stores=`` to share decisions and operating points across the
+replicas of a batch (:mod:`repro.sim.batched`) or the devices of a fleet
+(:mod:`repro.fleet`).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
+from math import exp
 from typing import Dict, List, Optional, Protocol
 
 from repro.perfmodel.calibrated import CalibratedLatencyModel
-from repro.perfmodel.energy import EnergyModel
+from repro.perfmodel.energy import EnergyModel, InferenceCost
+from repro.platforms.power import ClusterPowerModel
 from repro.platforms.soc import Soc
+from repro.rtm.cache import OperatingPointCache
+from repro.rtm.manager import RuntimeManager
 from repro.rtm.state import (
     Action,
     AppRuntimeState,
@@ -56,7 +71,14 @@ from repro.workloads.requirements import MetricSample
 from repro.workloads.scenarios import Scenario, ScenarioEvent, ScenarioEventKind
 from repro.workloads.tasks import Application, DNNApplication, GenericApplication
 
-__all__ = ["ManagerProtocol", "SimulatorConfig", "Simulator", "simulate_scenario"]
+__all__ = [
+    "ManagerProtocol",
+    "SharedOperatingPointCache",
+    "SharedSimulationStores",
+    "SimulatorConfig",
+    "Simulator",
+    "simulate_scenario",
+]
 
 
 class ManagerProtocol(Protocol):
@@ -111,6 +133,72 @@ class SimulatorConfig:
             raise ValueError("retry_interval_ms must be positive")
 
 
+# --------------------------------------------------------------------- stores
+
+
+class SharedSimulationStores:
+    """Value-keyed memo stores of one or more simulators, plus their counters.
+
+    A simulator built without ``stores=`` gets a private instance; a batch or
+    a fleet passes one instance to every replica.  All three operating-point
+    stores are keyed by the cache's own complete query keys (model cache key,
+    platform topology key, online cores, temperature bucket, ...) — the
+    selection store adds the policy and requirements keys and the power cap —
+    and the decision store by (manager behaviour key, decision signature).
+    The cost counters aggregate the simulators' local job-cost memos (those
+    key by per-simulator object ids, so their entries are local by
+    construction).
+    """
+
+    def __init__(self) -> None:
+        self.tables: OrderedDict = OrderedDict()
+        self.pareto_tables: OrderedDict = OrderedDict()
+        self.selections: OrderedDict = OrderedDict()
+        self.decisions: Dict[tuple, tuple] = {}
+        #: Shared pricing model for simulators that did not supply their own:
+        #: stateless, so one instance serves every replica.
+        self.energy_model = EnergyModel(CalibratedLatencyModel())
+        self.decision_hits = 0
+        self.decision_misses = 0
+        self.cost_hits = 0
+        self.cost_misses = 0
+        self.deduplicated_replicas = 0
+
+    def stats(self) -> Dict[str, int]:
+        """Counter snapshot for benchmarks and diagnostics."""
+        return {
+            "decision_hits": self.decision_hits,
+            "decision_misses": self.decision_misses,
+            "cost_hits": self.cost_hits,
+            "cost_misses": self.cost_misses,
+            "deduplicated_replicas": self.deduplicated_replicas,
+            "tables": len(self.tables),
+            "pareto_tables": len(self.pareto_tables),
+            "selections": len(self.selections),
+        }
+
+
+class SharedOperatingPointCache(OperatingPointCache):
+    """A per-manager cache view whose entry stores are shared and never flushed.
+
+    Each simulator's manager gets its own instance (``space_for`` keeps
+    per-instance ``OperatingPointSpace`` identity bookkeeping), but the three
+    entry dictionaries alias the stores'.  ``invalidate`` only counts: entry
+    keys are complete, so flushing is a staleness/memory bound for
+    long-lived managers, not a correctness requirement — and a simulation is
+    short-lived by definition.
+    """
+
+    def __init__(self, stores: SharedSimulationStores, max_entries: int = 1_000_000) -> None:
+        super().__init__(max_entries=max_entries)
+        self._tables = stores.tables
+        self._pareto_tables = stores.pareto_tables
+        self._selections = stores.selections
+
+    def invalidate(self, reason: str) -> None:
+        self.stats.invalidations[reason] = self.stats.invalidations.get(reason, 0) + 1
+
+
 @dataclass(slots=True)
 class _DNNRuntime:
     """Simulator-internal bookkeeping for one DNN application.
@@ -152,6 +240,11 @@ class Simulator:
     fault_plan:
         Faults to inject during the run; defaults to the scenario's attached
         plan (``scenario.fault_plan``), if any.
+    stores:
+        Memo stores to share with other simulators (the replicas of a batch,
+        the devices of a fleet); private ones when omitted.  A cache-bearing
+        :class:`~repro.rtm.manager.RuntimeManager` has its cache replaced by
+        a never-flushing :class:`SharedOperatingPointCache` over them.
     """
 
     def __init__(
@@ -161,10 +254,20 @@ class Simulator:
         energy_model: Optional[EnergyModel] = None,
         config: Optional[SimulatorConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
+        stores: Optional[SharedSimulationStores] = None,
     ) -> None:
+        if stores is None:
+            stores = SharedSimulationStores()
+        self._stores = stores
+        if isinstance(manager, RuntimeManager) and manager.cache is not None:
+            manager.set_operating_point_cache(SharedOperatingPointCache(stores))
         self.scenario = scenario
         self.manager = manager
-        self.energy_model = energy_model or EnergyModel(CalibratedLatencyModel())
+        # Memoise pricing only for the shared default model: its latency
+        # estimator is deterministic and temperature-independent, which the
+        # cost-replay fast path relies on.
+        self._memoise_costs = energy_model is None
+        self.energy_model = energy_model or stores.energy_model
         self.config = config or SimulatorConfig()
         self.soc: Soc = scenario.build_platform()
         plan = fault_plan if fault_plan is not None else getattr(scenario, "fault_plan", None)
@@ -188,6 +291,19 @@ class Simulator:
         self._busy_core_ms: Dict[str, float] = {}
         self._last_sample_ms: float = 0.0
         self._last_utilisations: Dict[str, float] = {}
+        memo_key_fn = getattr(manager, "decision_memo_key", None)
+        self._decision_memo_key = memo_key_fn() if callable(memo_key_fn) else None
+        # Simulator-local micro-memos.  Each keys the complete input set of
+        # the call it replaces, by id() of objects this simulator holds alive
+        # for its whole lifetime (scenario applications, trained networks
+        # pinned in the cost entries, its own clusters), so ids are stable.
+        self._network_memo: Dict[tuple, object] = {}
+        self._accuracy_memo: Dict[tuple, float] = {}
+        self._cost_memo: Dict[tuple, tuple] = {}
+        self._cluster_power_memo: Dict[tuple, tuple] = {}
+        # Online-core counts per cluster, dropped whenever cores power up or
+        # down (a ``SetCoresOnline`` action is the only mutation path).
+        self._online_counts: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ run
 
@@ -279,42 +395,129 @@ class Simulator:
 
         self.queue.schedule(time_ms, _depart, priority=EVENT_PRIORITY_STRUCTURAL)
 
-    # ---------------------------------------------------------------- hooks
+    # ---------------------------------------------------------------- memos
     #
-    # Single-call-site indirections over the hot paths.  This class uses the
-    # defaults below unchanged and is the unmemoised reference engine.  The
-    # memoised replica of :mod:`repro.sim.batched` overrides them with
-    # implementations that replay the same float arithmetic and are therefore
-    # bit-identical; it runs every batch and, through
-    # :func:`simulate_scenario`, every lone run as a batch of one.  Each hook
-    # exists because profiling showed its call site dominating the cost.
+    # Memoised hot paths, one method per call site that profiling showed
+    # dominating the cost.  Each replays the float arithmetic of the plain
+    # computation it replaces (same expressions, same accumulation order —
+    # float addition is not associative), so traces are bit-identical to an
+    # unmemoised run; ``tests/reference_engine.py`` overrides these methods
+    # with the plain computations and serves as the oracle.
 
     def _job_network(self, application: DNNApplication, configuration: float):
         """The network model an inference job at ``configuration`` runs."""
-        return application.dynamic_dnn.model_for(configuration)
+        key = (id(application), configuration)
+        network = self._network_memo.get(key)
+        if network is None:
+            network = application.dynamic_dnn.model_for(configuration)
+            self._network_memo[key] = network
+        return network
 
-    def _job_cost(self, network, cluster, mapping: Mapping):
+    def _job_cost(self, network, cluster, mapping: Mapping) -> InferenceCost:
         """Latency/power/energy of one inference job at the current state."""
-        return self.energy_model.cost(
+        memoise = self._memoise_costs
+        cores_used = mapping.cores
+        if memoise:
+            online = self._online_core_count(cluster)
+            key = (id(network), id(cluster), cluster.frequency_mhz, cores_used, online)
+            entry = self._cost_memo.get(key)
+            if entry is not None:
+                self._stores.cost_hits += 1
+                (
+                    latency_ms, static_base, leak_coef, reference_c,
+                    cores_eff, dyn_busy, idle_term, _,
+                ) = entry
+                # Replay of EnergyModel.cost: the latency estimate is
+                # temperature-independent; only the leakage term varies, so
+                # recompute the static power at the current temperature and
+                # re-accumulate the per-core dynamic terms in the reference
+                # order.
+                total = static_base * exp(
+                    leak_coef * (self.soc.thermal.temperature_c - reference_c)
+                )
+                for _ in range(cores_eff):
+                    total += dyn_busy
+                if idle_term is not None:
+                    total += idle_term
+                return InferenceCost(
+                    latency_ms=latency_ms, power_mw=total, energy_mj=total * latency_ms / 1000.0
+                )
+            self._stores.cost_misses += 1
+        cost = self.energy_model.cost(
             network,
             cluster,
             frequency_mhz=None,
-            cores_used=mapping.cores,
+            cores_used=cores_used,
             temperature_c=self.soc.thermal.temperature_c,
             soc_name=self.soc.name,
         )
+        power_model = cluster.power_model
+        if memoise and type(power_model) is ClusterPowerModel:
+            params = power_model.params
+            voltage = cluster.voltage_v
+            frequency = cluster.frequency_mhz
+            dyn_busy = power_model.core_dynamic_mw(
+                voltage, frequency, self.energy_model.busy_utilisation
+            )
+            dyn_idle = power_model.core_dynamic_mw(voltage, frequency, 0.0)
+            cores_eff = min(cores_used, cluster.num_cores)
+            idle_cores = online - cores_eff
+            self._cost_memo[key] = (
+                cost.latency_ms,
+                # static_power_mw is (static * vscale) * exp-term; only the
+                # exp term is temperature-dependent.
+                params.static_mw * (voltage / params.nominal_voltage_v),
+                params.leakage_temp_coefficient,
+                params.reference_temperature_c,
+                cores_eff,
+                dyn_busy,
+                idle_cores * dyn_idle if idle_cores > 0 else None,
+                network,  # pin: keeps the id()-keyed entry unambiguous
+            )
+        return cost
 
     def _job_accuracy(self, application: DNNApplication, configuration: float) -> float:
         """Delivered accuracy of a job that ran at ``configuration``."""
-        return application.accuracy_of(configuration)
+        key = (id(application), configuration)
+        accuracy = self._accuracy_memo.get(key)
+        if accuracy is None:
+            accuracy = application.accuracy_of(configuration)
+            self._accuracy_memo[key] = accuracy
+        return accuracy
 
     def _manager_decide(self, state: SystemState):
-        """Run one manager decision epoch."""
-        return self.manager.decide(state)
+        """Run one manager decision epoch, or replay an equal earlier one.
+
+        An epoch whose (``decision_memo_key()``, ``decision_signature(state)``)
+        pair was decided before on the same stores is replayed with all its
+        side effects; ``None`` from either method opts the epoch out.
+        """
+        memo_key = self._decision_memo_key
+        if memo_key is None:
+            return self.manager.decide(state)
+        signature = self.manager.decision_signature(state)
+        if signature is None:
+            return self.manager.decide(state)
+        key = (memo_key, signature)
+        stores = self._stores
+        entry = stores.decisions.get(key)
+        if entry is not None:
+            stores.decision_hits += 1
+            actions, home_updates = entry
+            return self.manager.replay_decision(state, actions, home_updates)
+        stores.decision_misses += 1
+        decision, replay = self.manager.decide_recorded(state)
+        stores.decisions[key] = replay
+        return decision
 
     def _online_core_count(self, cluster) -> int:
         """Number of powered cores in ``cluster``."""
-        return len(cluster.online_cores)
+        counts = self._online_counts
+        count = counts.get(cluster.name)
+        if count is None:
+            count = len(cluster.online_cores)
+            counts[cluster.name] = count
+        return count
 
     # ------------------------------------------------------ scenario events
 
@@ -407,8 +610,8 @@ class Simulator:
         """Apply one timeline fault, record it, and wake the manager.
 
         Core and frequency faults are routed through :meth:`_apply_actions`
-        so the batched engine's online-count and pricing memos invalidate
-        exactly as they do for RTM-issued actions.
+        so the online-count and pricing memos invalidate exactly as they do
+        for RTM-issued actions.
         """
         injector = self._fault_injector
         assert injector is not None
@@ -519,6 +722,7 @@ class Simulator:
                         frequency_mhz = injector.clamp_frequency(cluster, frequency_mhz)
                     cluster.set_frequency(frequency_mhz)
             elif isinstance(action, SetCoresOnline):
+                self._online_counts.clear()
                 if self.soc.has_cluster(action.cluster_name):
                     cluster = self.soc.cluster(action.cluster_name)
                     online_cores = action.online_cores
@@ -838,34 +1042,95 @@ class Simulator:
     def _interval_power_and_utilisation(
         self, now_ms: float
     ) -> "tuple[float, Dict[str, float]]":
-        """Average power and per-cluster utilisation over the last interval."""
+        """Average power and per-cluster utilisation over the last interval.
+
+        A fused, memoised replay of listing each cluster's per-core
+        utilisations and pricing them with
+        ``ClusterPowerModel.cluster_power_mw`` (static leakage, then one
+        sequential addition per listed core, then the idle remainder):
+        identical expressions in identical order, but the lists are never
+        materialised on the fast path (a sample runs at every interval).
+        """
         interval_ms = max(now_ms - self._last_sample_ms, 1e-9)
         self._accrue_interval_busy_time(now_ms)
-        per_cluster_cores: Dict[str, List[float]] = {}
+        busy_core_ms = self._busy_core_ms
         cluster_utilisation: Dict[str, float] = {}
-        for cluster in self.soc.clusters:
+        temperature_c = self.soc.thermal.temperature_c
+        memo = self._cluster_power_memo
+        total = 0.0
+        for name, cluster in self.soc._clusters.items():
             # The true online count, which can be 0 when every core of the
             # cluster has failed: work stranded on a dead cluster contributes
             # no utilisation samples (the power model rejects more samples
             # than online cores).  Fault-free this is identical to the old
             # max(count, 1) form — busy work implies reserved (online) cores.
-            online = self._online_core_count(cluster)
-            avg_busy_cores = min(
-                self._busy_core_ms.get(cluster.name, 0.0) / interval_ms, float(online)
-            )
-            cluster_utilisation[cluster.name] = avg_busy_cores / max(online, 1)
+            count = self._online_core_count(cluster)
+            avg_busy_cores = busy_core_ms.get(name, 0.0) / interval_ms
+            count_f = float(count)
+            if avg_busy_cores > count_f:
+                avg_busy_cores = count_f
+            cluster_utilisation[name] = avg_busy_cores / (count if count > 0 else 1)
             full_cores = int(avg_busy_cores)
             fraction = avg_busy_cores - full_cores
-            utilisations = [1.0] * full_cores
-            if fraction > 1e-3 and full_cores < online:
-                utilisations.append(fraction)
-            per_cluster_cores[cluster.name] = utilisations
-        power_mw = self.soc.total_power_mw(per_cluster_cores)
+            has_fraction = fraction > 1e-3 and full_cores < count
+            listed = full_cores + 1 if has_fraction else full_cores
+            if type(cluster.power_model) is not ClusterPowerModel or listed > count:
+                # Custom power model, or more listed cores than online ones —
+                # materialise the list and take the scalar path (which
+                # carries the canonical validation error).
+                utilisations = [1.0] * full_cores
+                if has_fraction:
+                    utilisations.append(fraction)
+                total += cluster.power_mw(
+                    core_utilisations=utilisations, temperature_c=temperature_c
+                )
+                continue
+            key = (name, cluster.frequency_mhz)
+            entry = memo.get(key)
+            if entry is None:
+                entry = self._cluster_power_entry(cluster)
+                memo[key] = entry
+            (
+                static_base, dyn_full, dyn_idle, leak_coefficient,
+                reference_c, idle_fraction, dyn_coefficient,
+            ) = entry
+            cluster_total = static_base * exp(
+                leak_coefficient * (temperature_c - reference_c)
+            )
+            for _ in range(full_cores):
+                cluster_total += dyn_full
+            if has_fraction:
+                cluster_total += dyn_coefficient * (
+                    fraction if fraction > idle_fraction else idle_fraction
+                )
+            idle_cores = count - listed
+            if idle_cores > 0:
+                cluster_total += idle_cores * dyn_idle
+            total += cluster_total
         # Running jobs continue into the next interval: the part after this
         # sample will be accrued then, so the accumulator resets here.
         self._busy_core_ms = {}
         self._last_sample_ms = now_ms
-        return power_mw, cluster_utilisation
+        return total, cluster_utilisation
+
+    @staticmethod
+    def _cluster_power_entry(cluster) -> tuple:
+        """Memo entry of the per-cluster power constants at the current OPP."""
+        params = cluster.power_model.params
+        voltage = cluster.voltage_v
+        frequency = cluster.frequency_mhz
+        return (
+            params.static_mw * (voltage / params.nominal_voltage_v),
+            cluster.power_model.core_dynamic_mw(voltage, frequency, 1.0),
+            cluster.power_model.core_dynamic_mw(voltage, frequency, 0.0),
+            params.leakage_temp_coefficient,
+            params.reference_temperature_c,
+            params.idle_fraction,
+            # Partial-utilisation dynamic power is ceff*V*V*f*u,
+            # left-associated, so the leading product folds into one
+            # coefficient without changing a bit of the result.
+            params.ceff_mw_per_mhz_v2 * voltage * voltage * frequency,
+        )
 
     def _schedule_thermal_sample(self, time_ms: float) -> None:
         if time_ms > self.scenario.duration_ms:
@@ -880,7 +1145,7 @@ class Simulator:
         interval_ms = time_ms - self._last_sample_ms
         power_mw, utilisations = self._interval_power_and_utilisation(time_ms)
         self._last_utilisations = utilisations
-        self.soc.thermal.step(power_mw, max(interval_ms, 0.0), time_ms=time_ms)
+        self.soc.thermal.step(power_mw, max(interval_ms, 0.0))
         throttling = self.soc.thermal.throttling
         self.trace.record_power(
             PowerSample(
@@ -903,24 +1168,13 @@ def simulate_scenario(
     config: Optional[SimulatorConfig] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> SimulationTrace:
-    """Run one scenario as a batch of one and return the trace.
+    """Run one scenario on a simulator with private stores; return the trace.
 
-    The run is a one-replica memoised simulator on private
-    :class:`~repro.sim.batched.SharedSimulationStores`: it gets the decision,
-    cost and power memos and the never-flushing operating-point cache view
-    that batches use, and its trace is bit-identical to ``Simulator(...).run()``
-    — the plain :class:`Simulator` stays the reference without those memos.  A
-    cache-bearing :class:`~repro.rtm.manager.RuntimeManager` has its cache
-    replaced by that view.
+    The entry point behind ``run(spec)``, the ``serial`` and ``process``
+    execution backends and the CLI's single-run verbs.  A cache-bearing
+    :class:`~repro.rtm.manager.RuntimeManager` has its cache replaced by the
+    never-flushing view over those stores.
     """
-    # Imported here: the batched engine subclasses Simulator.
-    from repro.sim.batched import SharedSimulationStores, make_batched_simulator
-
-    return make_batched_simulator(
-        scenario,
-        manager,
-        SharedSimulationStores(),
-        energy_model=energy_model,
-        config=config,
-        fault_plan=fault_plan,
+    return Simulator(
+        scenario, manager, energy_model=energy_model, config=config, fault_plan=fault_plan
     ).run()

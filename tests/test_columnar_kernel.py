@@ -23,7 +23,7 @@ from repro.analysis.bench import (
     run_bench_spec,
     write_bench_file,
 )
-from repro.experiments import ExperimentSpec
+from repro.experiments import ExperimentSpec, run
 from repro.perfmodel.roofline import RooflineLatencyModel
 from repro.rtm.cache import (
     DECISION_MAXIMISE,
@@ -362,6 +362,12 @@ class TestBenchHarness:
         assert timings.e2e_s > 0
         assert timings.decide_ms_per_epoch_cached > 0
         assert timings.decide_ms_per_epoch_uncached > 0
+
+    def test_every_decision_epoch_is_timed(self, timings):
+        # A timed manager that let the simulator's decision memo replay
+        # repeated epochs would time fewer decide() calls than there are.
+        trace = run(ExperimentSpec(scenario="steady", manager="rtm")).trace
+        assert timings.decisions == len(trace.decisions)
 
     def test_write_and_load_round_trip(self, timings, tmp_path):
         import json

@@ -4,7 +4,9 @@ The heart of the file is the module-scoped ``fleet_grid`` fixture — one
 batched fleet run per (scenario, policy) combination on small pinned device
 mixes — shared by the conservation invariant, the golden fleet fingerprint
 table, the orchestrated-beats-static assertion and the migration checks.
-Backend and device-order identity get their own (serial / permuted) runs.
+Backend and device-order identity get their own (serial / permuted) runs,
+and every golden is reproduced once more with each device on the unmemoised
+reference engine (``tests/reference_engine.py``).
 
 Regenerate the golden table after an intentional behaviour change with::
 
@@ -37,6 +39,7 @@ from repro.fleet import orchestrator as orchestrator_module
 from repro.fleet.bench import bench_device_mix
 from repro.fleet.orchestrator import FleetOrchestrator, FleetResult
 from repro.fleet.policies import LeastLoadedPlacement
+from tests.reference_engine import ReferenceSimulator
 
 #: Small pinned device mixes: big enough for placement to matter, small
 #: enough that the whole grid stays test-suite friendly.
@@ -361,7 +364,8 @@ class TestFleetInvariants:
 
     @pytest.mark.parametrize("scenario", ["fleet_stragglers", "fleet_device_churn"])
     def test_serial_and_batched_backends_agree(self, fleet_grid, trained_dnn, scenario):
-        """The fleet digest is bit-identical across execution backends."""
+        """The fleet digest is bit-identical across execution backends:
+        memo stores private to each device or shared fleet-wide."""
         spec = FleetSpec(
             scenario=scenario, policy="least_loaded", devices=SMALL_MIXES[scenario]
         )
@@ -482,14 +486,13 @@ class TestCollectorSuspension:
         self, backend, collector_enabled, trained_dnn, throwaway_policies, monkeypatch
     ):
         factory_states = []
-        for name in ("Simulator", "make_batched_simulator"):
-            factory = getattr(orchestrator_module, name)
+        factory = orchestrator_module.Simulator
 
-            def spy(*args, _factory=factory, **kwargs):
-                factory_states.append(gc.isenabled())
-                return _factory(*args, **kwargs)
+        def spy(*args, **kwargs):
+            factory_states.append(gc.isenabled())
+            return factory(*args, **kwargs)
 
-            monkeypatch.setattr(orchestrator_module, name, spy)
+        monkeypatch.setattr(orchestrator_module, "Simulator", spy)
         orchestrator = FleetOrchestrator(
             _probe_spec("collector_probe"), backend=backend, trained=trained_dnn
         )
@@ -516,8 +519,7 @@ class TestCollectorSuspension:
         def broken_factory(*args, **kwargs):
             raise RuntimeError("simulator construction failed")
 
-        for name in ("Simulator", "make_batched_simulator"):
-            monkeypatch.setattr(orchestrator_module, name, broken_factory)
+        monkeypatch.setattr(orchestrator_module, "Simulator", broken_factory)
         with pytest.raises(RuntimeError, match="simulator construction failed"):
             FleetOrchestrator(_probe_spec("least_loaded"), backend=backend, trained=trained_dnn)
         assert gc.isenabled() is collector_enabled
@@ -600,6 +602,22 @@ class TestGoldenFleetFingerprints:
     def test_fingerprint_is_recomputable_from_the_result(self, fleet_grid):
         result = fleet_grid[("fleet_mixed_platforms", "least_loaded")]
         assert result.fingerprint() == result.fingerprint()
+
+    def test_every_combination_reproduces_on_the_reference_engine(
+        self, trained_dnn, monkeypatch
+    ):
+        """The unmemoised reference engine, run as every device, reproduces
+        each golden: the memos are checked against independent code."""
+        monkeypatch.setattr(orchestrator_module, "Simulator", ReferenceSimulator)
+        mismatches = {}
+        for (scenario, policy), golden in sorted(GOLDEN_FLEET_FINGERPRINTS.items()):
+            spec = FleetSpec(scenario=scenario, policy=policy, devices=SMALL_MIXES[scenario])
+            orchestrator = FleetOrchestrator(spec, trained=trained_dnn)
+            assert {type(s) for s in orchestrator.simulators.values()} == {ReferenceSimulator}
+            fingerprint = orchestrator.run().fingerprint()
+            if fingerprint != golden:
+                mismatches[(scenario, policy)] = (fingerprint, golden)
+        assert not mismatches, mismatches
 
 
 # ------------------------------------------------------------------- bench

@@ -138,13 +138,6 @@ class TestThermalModel:
         assert model.temperature_c == model.params.ambient_c
         assert not model.throttling
 
-    def test_history_recorded_when_timestamped(self):
-        model = ThermalModel(ThermalParams())
-        model.step(1000.0, 100.0, time_ms=100.0)
-        model.step(1000.0, 100.0, time_ms=200.0)
-        assert len(model.history) == 2
-        assert model.history[0][0] == 100.0
-
     def test_invalid_inputs_rejected(self):
         model = ThermalModel(ThermalParams())
         with pytest.raises(ValueError):

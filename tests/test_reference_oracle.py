@@ -1,8 +1,8 @@
-"""Lone runs are memoised batches of one; the plain Simulator is their oracle.
+"""Lone runs are memoised; the test-only ReferenceSimulator is their oracle.
 
-``run(spec)`` and every other single-run entry point execute a one-replica
-memoised simulator on private stores.  The plain
-:class:`~repro.sim.engine.Simulator` shares none of that path's
+``run(spec)`` and every other single-run entry point execute the memoised
+:class:`~repro.sim.engine.Simulator` on private stores.
+:class:`~tests.reference_engine.ReferenceSimulator` shares none of its
 simulator-level memos (no decision, cost or power memo, and a cache that
 flushes on structural change), so equal fingerprints here check those memos
 against independent code rather than against themselves.  Both paths'
@@ -21,14 +21,15 @@ from repro.experiments.runner import (
     run,
 )
 from repro.rtm.manager import RuntimeManager
-from repro.sim import batched
+from repro.sim import engine
 from repro.sim.engine import Simulator
 from repro.workloads import SCENARIO_REGISTRY
 from repro.workloads.scenarios import build_scenario
+from tests.reference_engine import ReferenceSimulator
 
 
 def _reference_fingerprint(spec: ExperimentSpec) -> str:
-    simulator = Simulator(
+    simulator = ReferenceSimulator(
         build_scenario_from_spec(spec),
         build_manager_from_spec(spec),
         config=build_simulator_config(spec),
@@ -48,12 +49,12 @@ class TestLoneRunsMatchTheReferenceSimulator:
         # home cluster, so the decision memo's home keying is exercised.
         created = []
 
-        class RecordingStores(batched.SharedSimulationStores):
+        class RecordingStores(engine.SharedSimulationStores):
             def __init__(self) -> None:
                 super().__init__()
                 created.append(self)
 
-        monkeypatch.setattr(batched, "SharedSimulationStores", RecordingStores)
+        monkeypatch.setattr(engine, "SharedSimulationStores", RecordingStores)
         spec = ExperimentSpec(
             scenario="diurnal", manager="rtm", seed=0, rtm={"enable_task_mapping": False}
         )

@@ -4,8 +4,9 @@ With a cache attached, the allocator memoises each application's chosen
 operating point by value: the per-cluster enumeration query keys, the
 policy's and the requirements' cache keys and the power cap.  An uncached
 manager (``use_op_cache=False``) runs none of the cache's memos, so it is
-this memo's independent reference; the plain ``Simulator`` uses the memo
-too whenever its manager has a cache.
+this memo's independent reference; the unmemoised reference simulator of
+``tests/reference_engine.py`` uses the memo too whenever its manager has a
+cache.
 """
 
 from __future__ import annotations
@@ -25,8 +26,11 @@ from repro.rtm.cache import OperatingPointCache
 from repro.rtm.multi_app import MultiAppAllocator
 from repro.rtm.policies import MaxAccuracyUnderBudget, MinEnergyUnderConstraints
 from repro.rtm.state import AppRuntimeState, Mapping, SystemState, UnmapApplication
-from repro.sim.batched import SharedOperatingPointCache, SharedSimulationStores
-from repro.sim.engine import simulate_scenario
+from repro.sim.engine import (
+    SharedOperatingPointCache,
+    SharedSimulationStores,
+    simulate_scenario,
+)
 from repro.workloads.requirements import Requirements
 from repro.workloads.tasks import make_dnn_application
 

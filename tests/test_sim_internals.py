@@ -7,8 +7,7 @@ import pytest
 from repro.experiments.managers import make_manager
 from repro.rtm.manager import RuntimeManager
 from repro.rtm.state import MapApplication, SetConfiguration, SetFrequency
-from repro.sim.batched import SharedSimulationStores, make_batched_simulator
-from repro.sim.engine import Simulator, SimulatorConfig, _DNNRuntime
+from repro.sim.engine import SharedSimulationStores, Simulator, SimulatorConfig, _DNNRuntime
 from repro.sim.faults import FaultPlan, JobCrashProfile
 from repro.workloads.requirements import Requirements
 from repro.workloads.scenarios import Scenario
@@ -17,6 +16,7 @@ from repro.workloads.tasks import (
     make_background_application,
     make_dnn_application,
 )
+from tests.reference_engine import ReferenceSimulator
 
 
 def dnn_scenario(trained_dnn, extra_apps=(), duration_ms=3000.0, fps=5.0, **req):
@@ -197,15 +197,11 @@ class TestGenericApplications:
         assert simulator.soc.allocated_memory_mb == pytest.approx(dnn_footprint)
 
 
-def _reference_simulator(scenario, manager):
-    return Simulator(scenario, manager)
-
-
 def _memoised_replica(scenario, manager):
-    return make_batched_simulator(scenario, manager, SharedSimulationStores())
+    return Simulator(scenario, manager, stores=SharedSimulationStores())
 
 
-@pytest.mark.parametrize("engine", [_reference_simulator, _memoised_replica])
+@pytest.mark.parametrize("engine", [ReferenceSimulator, _memoised_replica])
 class TestReArrival:
     """An app that departs with a job in flight and arrives again before that
     job ends (the fleet's eviction and migration path) starts afresh: the old
