@@ -161,8 +161,8 @@ def _one_run(spec: ExperimentSpec) -> tuple:
     """(e2e seconds, decide ms/epoch, decisions, jobs) of one spec execution.
 
     The timed manager answers ``decide()`` at every epoch, and, not being a
-    :class:`~repro.rtm.manager.RuntimeManager` itself, keeps its own
-    operating-point cache rather than the simulator's never-flushing view.
+    :class:`~repro.rtm.manager.RuntimeManager` itself, keeps its own private
+    operating-point cache rather than one over the simulator's stores.
     """
     scenario = build_scenario_from_spec(spec)
     manager = _TimedManager(build_manager_from_spec(spec))

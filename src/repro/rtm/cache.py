@@ -30,17 +30,19 @@ Keys are *complete*: every input that can change an enumeration result —
 model identities (see the ``cache_key`` methods on the perfmodel classes and
 :class:`~repro.dnn.training.TrainedDynamicDNN`), SoC topology including
 per-cluster online-core counts, knob restrictions and the temperature bucket
-— is part of the key.  Explicit invalidation on structural events (cores
-offlined, an application unmapped, a thermal-bucket crossing) is therefore a
-staleness/memory bound, not a correctness requirement; a stale entry can
-never be returned for a fresh key.
+— is part of the key.  A stale entry can therefore never be returned for a
+fresh key, and the cache never flushes: cores going offline, an application
+being unmapped or the SoC crossing a thermal bucket change the keys the
+decision path asks for, and the entries of the old shape are served again
+once it returns.  The entry stores are plain dicts, either the cache's own or
+those of a store holder shared by many caches (the replicas of a batch, the
+devices of a fleet).
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.dnn.training import TrainedDynamicDNN
@@ -131,8 +133,7 @@ class CacheStats:
     served whole from the selection memo counts as one more hit (the cache
     answered the query without enumerating).  ``pareto_hits`` /
     ``pareto_misses`` count Pareto-front lookups and ``selection_hits`` /
-    ``selection_misses`` selection-memo lookups.  ``invalidations`` is keyed
-    by the structural reason that triggered each flush.  The energy-model
+    ``selection_misses`` selection-memo lookups.  The energy-model
     evaluations everything above avoids are counted per space
     (:attr:`OperatingPointCache.points_priced` sums them).
     """
@@ -143,9 +144,7 @@ class CacheStats:
     pareto_misses: int = 0
     selection_hits: int = 0
     selection_misses: int = 0
-    evictions: int = 0
     spaces_built: int = 0
-    invalidations: Dict[str, int] = field(default_factory=dict)
 
     @property
     def lookups(self) -> int:
@@ -159,8 +158,12 @@ class CacheStats:
 
     @property
     def total_invalidations(self) -> int:
-        """Structural flushes across all reasons."""
-        return sum(self.invalidations.values())
+        """Always 0: the cache never flushes.
+
+        Kept for the repository benchmark, whose traced
+        ``rtm.cache_invalidations`` count reads it.
+        """
+        return 0
 
     def as_dict(self) -> Dict[str, object]:
         """Plain-dict view for traces, summaries and the CLI."""
@@ -172,9 +175,7 @@ class CacheStats:
             "pareto_misses": self.pareto_misses,
             "selection_hits": self.selection_hits,
             "selection_misses": self.selection_misses,
-            "evictions": self.evictions,
             "spaces_built": self.spaces_built,
-            "invalidations": dict(self.invalidations),
         }
 
 
@@ -183,25 +184,27 @@ class OperatingPointCache:
 
     Parameters
     ----------
-    max_entries:
-        Bound on the memoised enumeration tables, Pareto fronts and
-        selections (each counted separately, LRU eviction).  Spaces are not
-        evicted: there is one per (application model, platform, knob-limit)
-        combination, a small set in any realistic scenario.
+    stores:
+        Holder of the three entry dicts, read by attribute: ``tables``
+        (enumeration tables), ``pareto_tables`` (Pareto fronts) and
+        ``selections`` (per-application choices), such as a
+        :class:`~repro.sim.engine.SharedSimulationStores` that several caches
+        share.  The cache keeps dicts of its own when omitted.  Spaces and
+        statistics are always per cache.  Nothing is evicted: one
+        simulation asks few enough distinct questions to keep every answer.
     """
 
-    def __init__(self, max_entries: int = 1024) -> None:
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
+    def __init__(self, stores: Optional[object] = None) -> None:
         self.stats = CacheStats()
         self._spaces: Dict[tuple, OperatingPointSpace] = {}
-        # Assembled tables per enumeration query and Pareto-front tables
-        # (index views) per key.
-        self._tables: "OrderedDict[tuple, OperatingPointTable]" = OrderedDict()
-        self._pareto_tables: "OrderedDict[tuple, OperatingPointTable]" = OrderedDict()
-        # Chosen point (or None) per complete selection key; see selection_for.
-        self._selections: "OrderedDict[tuple, Optional[OperatingPoint]]" = OrderedDict()
+        # Assembled tables per enumeration query, Pareto-front tables (index
+        # views) per key and the chosen point (or None) per complete
+        # selection key; see selection_for.
+        self._tables, self._pareto_tables, self._selections = (
+            ({}, {}, {})
+            if stores is None
+            else (stores.tables, stores.pareto_tables, stores.selections)
+        )
 
     # ---------------------------------------------------------------- spaces
 
@@ -235,6 +238,10 @@ class OperatingPointCache:
         The space holds live references to its platform and models, so a key
         hit with *different instances* (a manager reused across simulations)
         rebuilds the space rather than pricing against the stale objects.
+        The tables, fronts and selections derived under that key stay: the
+        replaced space kept alive every object whose ``id()`` is part of the
+        key, so the new instances can differ from the old ones only in parts
+        that are keyed by value.
         """
         key = self.space_key(trained, soc, energy_model, clusters, max_cores_per_cluster)
         space = self._spaces.get(key)
@@ -244,13 +251,6 @@ class OperatingPointCache:
             or space.soc is not soc
             or space.energy_model is not energy_model
         ):
-            if space is not None:
-                # Key equality with different live instances means the key
-                # could not tell them apart (e.g. an id()-based fallback whose
-                # id was recycled).  The table/front memos were derived from
-                # the old instances under these same keys, so they must go
-                # with the space.
-                self.invalidate("space_rebuilt")
             space = OperatingPointSpace(
                 trained=trained,
                 soc=soc,
@@ -335,7 +335,6 @@ class OperatingPointCache:
             )
         cached = self._tables.get(key)
         if cached is not None:
-            self._tables.move_to_end(key)
             self.stats.hits += 1
             return cached
         self.stats.misses += 1
@@ -346,7 +345,7 @@ class OperatingPointCache:
             frequencies=frequencies,
             temperature_c=temperature_c,
         )
-        self._store(self._tables, key, table)
+        self._tables[key] = table
         return table
 
     def pareto_table_for(
@@ -366,12 +365,11 @@ class OperatingPointCache:
         full_key = (key, tuple(objectives), tuple(maximise))
         cached = self._pareto_tables.get(full_key)
         if cached is not None:
-            self._pareto_tables.move_to_end(full_key)
             self.stats.pareto_hits += 1
             return cached
         self.stats.pareto_misses += 1
         front = table.pareto(objectives=objectives, maximise=maximise)
-        self._store(self._pareto_tables, full_key, front)
+        self._pareto_tables[full_key] = front
         return front
 
     def selection_for(
@@ -388,49 +386,13 @@ class OperatingPointCache:
         """
         chosen = self._selections.get(key, _MISSING)
         if chosen is not _MISSING:
-            self._selections.move_to_end(key)
             self.stats.hits += 1
             self.stats.selection_hits += 1
             return chosen
         self.stats.selection_misses += 1
         chosen = select()
-        self._store(self._selections, key, chosen)
+        self._selections[key] = chosen
         return chosen
-
-    def _store(self, store: OrderedDict, key: tuple, value: object) -> None:
-        store[key] = value
-        while len(store) > self.max_entries:
-            store.popitem(last=False)
-            self.stats.evictions += 1
-
-    # ----------------------------------------------------------- maintenance
-
-    def invalidate(self, reason: str) -> None:
-        """Flush the enumeration, Pareto and selection memos after a structural event.
-
-        Keys are complete, so this is a staleness/memory bound rather than a
-        correctness requirement; the per-point pricing inside the memoised
-        spaces is pure and survives (points are functions of their key
-        alone), so re-warming after a flush costs table assembly, not
-        energy-model evaluations.
-        """
-        self._tables.clear()
-        self._pareto_tables.clear()
-        self._selections.clear()
-        self.stats.invalidations[reason] = self.stats.invalidations.get(reason, 0) + 1
-
-    def clear(self) -> None:
-        """Drop everything, including the memoised spaces and statistics."""
-        self._spaces.clear()
-        self._tables.clear()
-        self._pareto_tables.clear()
-        self._selections.clear()
-        self.stats = CacheStats()
-
-    @property
-    def entry_count(self) -> int:
-        """Currently memoised enumeration tables, fronts and selections."""
-        return len(self._tables) + len(self._pareto_tables) + len(self._selections)
 
     @property
     def points_priced(self) -> int:

@@ -33,11 +33,10 @@ from repro.rtm.cache import (
     OperatingPointCache,
     temperature_bucket_c,
 )
-from repro.rtm.monitors import Monitor, MonitorRegistry
-from repro.rtm.multi_app import AllocationResult, MultiAppAllocator
+from repro.rtm.multi_app import THROTTLE_MARGIN_C, AllocationResult, MultiAppAllocator
 from repro.rtm.operating_points import OperatingPoint, OperatingPointSpace
 from repro.rtm.policies import MaxAccuracyUnderBudget, SelectionPolicy
-from repro.rtm.state import Action, SystemState, UnmapApplication
+from repro.rtm.state import Action, SystemState
 from repro.workloads.requirements import Requirements
 from repro.workloads.tasks import DNNApplication, GenericApplication
 
@@ -52,11 +51,6 @@ class RTMConfig:
     ----------
     enable_dnn_scaling / enable_dvfs / enable_task_mapping:
         Which knobs the manager is allowed to use (ablation switches).
-    decision_interval_ms:
-        How often the periodic decision epoch fires in the simulator.
-    thermal_margin_c:
-        Safety margin kept below the throttle threshold when deriving power
-        caps from the thermal model.
     max_cores_per_app:
         Upper bound on the cores one DNN application may use.
     enable_op_cache:
@@ -71,15 +65,11 @@ class RTMConfig:
     enable_dnn_scaling: bool = True
     enable_dvfs: bool = True
     enable_task_mapping: bool = True
-    decision_interval_ms: float = 500.0
-    thermal_margin_c: float = 2.0
     max_cores_per_app: int = 4
     enable_op_cache: bool = True
     temperature_bucket_width_c: float = DEFAULT_TEMPERATURE_BUCKET_C
 
     def __post_init__(self) -> None:
-        if self.decision_interval_ms <= 0:
-            raise ValueError("decision_interval_ms must be positive")
         if self.max_cores_per_app <= 0:
             raise ValueError("max_cores_per_app must be positive")
         if self.temperature_bucket_width_c <= 0:
@@ -111,7 +101,7 @@ class RuntimeManager:
         Cost estimator; defaults to the Table-I-calibrated latency model plus
         the platform power model.
     config:
-        Knob-enable switches and decision-epoch parameters.
+        Knob-enable switches and decision-path parameters.
     policy_overrides:
         Optional per-application policies (app id -> policy) for workloads
         whose applications weight the metric axes differently.
@@ -146,17 +136,6 @@ class RuntimeManager:
             temperature_bucket_width_c=self.config.temperature_bucket_width_c,
         )
         self.decisions: List[RTMDecision] = []
-        # Device monitors (Fig 5): per-cluster online-core gauges, registered
-        # lazily on the first decision epoch (clusters are only known from
-        # the system state).  Fault-injected core failures surface here — the
-        # RTM *observes* degraded capacity through its monitors and remaps,
-        # rather than trusting the core counts it last requested.
-        self.monitors = MonitorRegistry()
-        self._cluster_refs: Dict[str, object] = {}
-        # Structural snapshots used to invalidate the cache between epochs.
-        self._last_online: Optional[tuple] = None
-        self._last_bucket: Optional[float] = None
-        self._last_mapped: Dict[str, bool] = {}
 
     # ----------------------------------------------------------------- cache
 
@@ -169,76 +148,18 @@ class RuntimeManager:
         """Hit/miss statistics of the operating-point cache, if one is attached."""
         return self.cache.stats if self.cache is not None else None
 
-    def _ensure_core_monitors(self, state: SystemState) -> None:
-        """Register (once) an online-core device monitor per cluster.
-
-        The cluster reference is refreshed every call so a manager re-used
-        against a rebuilt platform reads the live objects, not stale ones.
-        """
-        for cluster in state.soc.clusters:
-            self._cluster_refs[cluster.name] = cluster
-            if not any(m.owner == cluster.name for m in self.monitors.for_owner(cluster.name)):
-                self.monitors.register(
-                    Monitor(
-                        name="online_cores",
-                        owner=cluster.name,
-                        reader=lambda name=cluster.name: float(
-                            len(self._cluster_refs[name].online_cores)
-                        ),
-                        unit="cores",
-                        description="cores currently online (drops under core-failure faults)",
-                    )
-                )
-
-    def _invalidate_on_structural_change(self, state: SystemState) -> None:
-        """Flush the cache when the platform or application set changed shape.
-
-        Core-loss detection goes through the device monitors: the snapshot
-        below reads each cluster's ``online_cores`` monitor, so a fault that
-        forces cores offline is observed exactly like an administrative
-        hotplug — the cache is flushed (``cores_offline``) and the next
-        allocation remaps onto the surviving cores.
-
-        Keys are complete, so these flushes bound staleness and memory rather
-        than guard correctness (see :mod:`repro.rtm.cache`).
-        """
-        self._ensure_core_monitors(state)
-        if self.cache is None:
-            return
-        online = tuple(
-            (cluster.name, int(self.monitors.get(cluster.name, "online_cores").read()))
-            for cluster in state.soc.clusters
-        )
-        bucket = temperature_bucket_c(
-            state.soc.thermal.temperature_c, self.config.temperature_bucket_width_c
-        )
-        mapped = {s.app_id: s.mapping is not None for s in state.apps.values()}
-        if self._last_online is not None and online != self._last_online:
-            self.cache.invalidate("cores_offline")
-        if self._last_bucket is not None and bucket != self._last_bucket:
-            self.cache.invalidate("thermal_bucket")
-        for app_id, was_mapped in self._last_mapped.items():
-            if was_mapped and not mapped.get(app_id, False):
-                self.cache.invalidate("app_unmapped")
-                break
-        self._last_online = online
-        self._last_bucket = bucket
-        self._last_mapped = mapped
-
     # -------------------------------------------------------------- decisions
 
     def decide(self, state: SystemState) -> RTMDecision:
         """Run one decision epoch over a system-state snapshot.
 
         The returned decision's actions must be applied by the caller (the
-        simulator, or a real middleware layer on silicon).
+        simulator, or a real middleware layer on silicon).  Every input is
+        read afresh from ``state``: the allocator counts each cluster's
+        online cores at every epoch, so a core lost to a fault is seen at the
+        next decision.
         """
-        self._invalidate_on_structural_change(state)
         allocation = self.allocator.allocate(state)
-        if self.cache is not None and any(
-            isinstance(action, UnmapApplication) for action in allocation.actions
-        ):
-            self.cache.invalidate("app_unmapped")
         decision = RTMDecision(
             time_ms=state.time_ms,
             actions=list(allocation.actions),
@@ -366,7 +287,11 @@ class RuntimeManager:
             caps = (
                 state.power_cap_mw,
                 state.throttling,
-                soc.thermal.sustainable_power_mw(margin_c=2.0) if state.throttling else None,
+                (
+                    soc.thermal.sustainable_power_mw(margin_c=THROTTLE_MARGIN_C)
+                    if state.throttling
+                    else None
+                ),
                 soc.idle_power_mw(),
             )
         homes = self.allocator._home_cluster
@@ -411,11 +336,9 @@ class RuntimeManager:
 
         Valid only for a state whose :meth:`decision_signature` equals the
         recorded epoch's.  Mirrors every side effect of :meth:`decide`: the
-        cache staleness bookkeeping, the allocator's home-cluster affinities
-        and the decision log.  Actions are frozen dataclasses, shared safely
-        across replicas.
+        allocator's home-cluster affinities and the decision log.  Actions
+        are frozen dataclasses, shared safely across replicas.
         """
-        self._invalidate_on_structural_change(state)
         for app_id, cluster_name in home_updates:
             self.allocator._home_cluster.setdefault(app_id, cluster_name)
         decision = RTMDecision(time_ms=state.time_ms, actions=list(actions))

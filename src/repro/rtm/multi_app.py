@@ -55,7 +55,13 @@ from repro.rtm.state import (
 )
 from repro.workloads.tasks import DNNApplication, GenericApplication
 
-__all__ = ["AllocationDecision", "AllocationResult", "MultiAppAllocator"]
+__all__ = ["THROTTLE_MARGIN_C", "AllocationDecision", "AllocationResult", "MultiAppAllocator"]
+
+#: Safety margin (degrees C) kept below the throttle threshold when a
+#: throttling SoC's power cap is derived from its thermal model.  The
+#: manager's decision signature keys the same cap, so both read this one
+#: constant.
+THROTTLE_MARGIN_C = 2.0
 
 
 @dataclass(frozen=True)
@@ -207,7 +213,7 @@ class MultiAppAllocator:
         if state.power_cap_mw is not None:
             caps.append(state.power_cap_mw)
         if state.throttling:
-            caps.append(state.soc.thermal.sustainable_power_mw(margin_c=2.0))
+            caps.append(state.soc.thermal.sustainable_power_mw(margin_c=THROTTLE_MARGIN_C))
         if not caps:
             return None
         total_cap = min(caps)

@@ -19,12 +19,10 @@ are the contract.  Four properties make that sound:
   decisions/costs replay the reference path's float arithmetic operation for
   operation — float addition is not associative, so replays accumulate in
   the original order rather than "equivalently".
-* The operating-point cache's invalidations bound staleness and memory for a
-  long-lived manager; they are not a correctness requirement (keys are
-  complete).  The three shared operating-point stores (tables, fronts and
-  per-application selections) therefore ignore flush requests, which is
-  what turns N managers' redundant re-enumerations and re-selections into
-  hits.
+* The operating-point cache never flushes (keys are complete), and every
+  replica manager's cache keeps its tables, fronts and per-application
+  selections in the three shared operating-point stores, which is what
+  turns N managers' redundant re-enumerations and re-selections into hits.
 * Replica count and order cannot influence any replica's trace: each
   replica's event queue is private, and the shared stores hold pure
   functions of complete keys — *which* replica computed an entry first

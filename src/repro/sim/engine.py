@@ -25,7 +25,6 @@ replicas of a batch (:mod:`repro.sim.batched`) or the devices of a fleet
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from math import exp
 from typing import Dict, List, Optional, Protocol
@@ -73,7 +72,6 @@ from repro.workloads.tasks import Application, DNNApplication, GenericApplicatio
 
 __all__ = [
     "ManagerProtocol",
-    "SharedOperatingPointCache",
     "SharedSimulationStores",
     "SimulatorConfig",
     "Simulator",
@@ -140,20 +138,21 @@ class SharedSimulationStores:
     """Value-keyed memo stores of one or more simulators, plus their counters.
 
     A simulator built without ``stores=`` gets a private instance; a batch or
-    a fleet passes one instance to every replica.  All three operating-point
-    stores are keyed by the cache's own complete query keys (model cache key,
-    platform topology key, online cores, temperature bucket, ...) — the
-    selection store adds the policy and requirements keys and the power cap —
-    and the decision store by (manager behaviour key, decision signature).
-    The cost counters aggregate the simulators' local job-cost memos (those
-    key by per-simulator object ids, so their entries are local by
-    construction).
+    a fleet passes one instance to every replica.  The three operating-point
+    stores are the entry dicts of every replica manager's
+    :class:`~repro.rtm.cache.OperatingPointCache`, keyed by the cache's own
+    complete query keys (model cache key, platform topology key, online
+    cores, temperature bucket, ...) — the selection store adds the policy and
+    requirements keys and the power cap — and never flushed.  The decision
+    store is keyed by (manager behaviour key, decision signature).  The cost
+    counters aggregate the simulators' local job-cost memos (those key by
+    per-simulator object ids, so their entries are local by construction).
     """
 
     def __init__(self) -> None:
-        self.tables: OrderedDict = OrderedDict()
-        self.pareto_tables: OrderedDict = OrderedDict()
-        self.selections: OrderedDict = OrderedDict()
+        self.tables: Dict[tuple, object] = {}
+        self.pareto_tables: Dict[tuple, object] = {}
+        self.selections: Dict[tuple, object] = {}
         self.decisions: Dict[tuple, tuple] = {}
         #: Shared pricing model for simulators that did not supply their own:
         #: stateless, so one instance serves every replica.
@@ -176,27 +175,6 @@ class SharedSimulationStores:
             "pareto_tables": len(self.pareto_tables),
             "selections": len(self.selections),
         }
-
-
-class SharedOperatingPointCache(OperatingPointCache):
-    """A per-manager cache view whose entry stores are shared and never flushed.
-
-    Each simulator's manager gets its own instance (``space_for`` keeps
-    per-instance ``OperatingPointSpace`` identity bookkeeping), but the three
-    entry dictionaries alias the stores'.  ``invalidate`` only counts: entry
-    keys are complete, so flushing is a staleness/memory bound for
-    long-lived managers, not a correctness requirement — and a simulation is
-    short-lived by definition.
-    """
-
-    def __init__(self, stores: SharedSimulationStores, max_entries: int = 1_000_000) -> None:
-        super().__init__(max_entries=max_entries)
-        self._tables = stores.tables
-        self._pareto_tables = stores.pareto_tables
-        self._selections = stores.selections
-
-    def invalidate(self, reason: str) -> None:
-        self.stats.invalidations[reason] = self.stats.invalidations.get(reason, 0) + 1
 
 
 @dataclass(slots=True)
@@ -244,7 +222,7 @@ class Simulator:
         Memo stores to share with other simulators (the replicas of a batch,
         the devices of a fleet); private ones when omitted.  A cache-bearing
         :class:`~repro.rtm.manager.RuntimeManager` has its cache replaced by
-        a never-flushing :class:`SharedOperatingPointCache` over them.
+        an :class:`~repro.rtm.cache.OperatingPointCache` over them.
     """
 
     def __init__(
@@ -260,7 +238,7 @@ class Simulator:
             stores = SharedSimulationStores()
         self._stores = stores
         if isinstance(manager, RuntimeManager) and manager.cache is not None:
-            manager.set_operating_point_cache(SharedOperatingPointCache(stores))
+            manager.set_operating_point_cache(OperatingPointCache(stores))
         self.scenario = scenario
         self.manager = manager
         # Memoise pricing only for the shared default model: its latency
@@ -295,10 +273,10 @@ class Simulator:
         self._decision_memo_key = memo_key_fn() if callable(memo_key_fn) else None
         # Simulator-local micro-memos.  Each keys the complete input set of
         # the call it replaces, by id() of objects this simulator holds alive
-        # for its whole lifetime (scenario applications, trained networks
-        # pinned in the cost entries, its own clusters), so ids are stable.
-        self._network_memo: Dict[tuple, object] = {}
-        self._accuracy_memo: Dict[tuple, float] = {}
+        # for its whole lifetime (its own clusters, and the applications and
+        # networks each entry pins), so ids are stable.
+        self._network_memo: Dict[tuple, tuple] = {}
+        self._accuracy_memo: Dict[tuple, tuple] = {}
         self._cost_memo: Dict[tuple, tuple] = {}
         self._cluster_power_memo: Dict[tuple, tuple] = {}
         # Online-core counts per cluster, dropped whenever cores power up or
@@ -407,11 +385,15 @@ class Simulator:
     def _job_network(self, application: DNNApplication, configuration: float):
         """The network model an inference job at ``configuration`` runs."""
         key = (id(application), configuration)
-        network = self._network_memo.get(key)
-        if network is None:
-            network = application.dynamic_dnn.model_for(configuration)
-            self._network_memo[key] = network
-        return network
+        entry = self._network_memo.get(key)
+        if entry is None:
+            # Pin the application: an injected one is freed after it departs,
+            # and a later arrival reusing its id must not hit this entry.
+            entry = self._network_memo[key] = (
+                application.dynamic_dnn.model_for(configuration),
+                application,
+            )
+        return entry[0]
 
     def _job_cost(self, network, cluster, mapping: Mapping) -> InferenceCost:
         """Latency/power/energy of one inference job at the current state."""
@@ -479,11 +461,14 @@ class Simulator:
     def _job_accuracy(self, application: DNNApplication, configuration: float) -> float:
         """Delivered accuracy of a job that ran at ``configuration``."""
         key = (id(application), configuration)
-        accuracy = self._accuracy_memo.get(key)
-        if accuracy is None:
-            accuracy = application.accuracy_of(configuration)
-            self._accuracy_memo[key] = accuracy
-        return accuracy
+        entry = self._accuracy_memo.get(key)
+        if entry is None:
+            # Pinned like the network memo's entries.
+            entry = self._accuracy_memo[key] = (
+                application.accuracy_of(configuration),
+                application,
+            )
+        return entry[0]
 
     def _manager_decide(self, state: SystemState):
         """Run one manager decision epoch, or replay an equal earlier one.
@@ -658,8 +643,9 @@ class Simulator:
         elif isinstance(fault, SensorRestore):
             self.soc.thermal.restore_sensor()
             trace.record_fault(FaultRecord(now, fault.kind))
-        # The manager reacts immediately: detect the loss, invalidate caches,
-        # remap displaced apps, fall back to degraded operating points.
+        # The manager reacts immediately: its next decision reads the surviving
+        # cores, remaps displaced apps and falls back to degraded operating
+        # points.
         self._run_decision(trigger="fault")
 
     # ------------------------------------------------------------ decisions
@@ -1172,8 +1158,8 @@ def simulate_scenario(
 
     The entry point behind ``run(spec)``, the ``serial`` and ``process``
     execution backends and the CLI's single-run verbs.  A cache-bearing
-    :class:`~repro.rtm.manager.RuntimeManager` has its cache replaced by the
-    never-flushing view over those stores.
+    :class:`~repro.rtm.manager.RuntimeManager` has its cache replaced by one
+    over those stores.
     """
     return Simulator(
         scenario, manager, energy_model=energy_model, config=config, fault_plan=fault_plan

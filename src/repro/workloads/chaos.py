@@ -67,8 +67,8 @@ def chaos_rush_hour_core_failure(
 
     At t=10 s — with the arrival wave in full swing — two cores of the
     primary CPU cluster fail outside the RTM's control; they come back at
-    t=20 s.  Exercises monitor-driven core-loss detection, cache
-    invalidation, and remapping onto the surviving cores.
+    t=20 s.  Exercises the RTM's remapping onto the surviving cores at the
+    fault-triggered decision, and back once they return.
     """
     from repro.sim.faults import CoreFailure, CoreRecovery, FaultPlan
 

@@ -5,10 +5,9 @@
 it builds each job's network, prices each job and scores each job's
 accuracy afresh, asks the manager at every epoch, counts online cores on
 every query, and lists per-core utilisations for every power sample.  Its
-manager also keeps its own operating-point cache, which flushes on
-structural change, instead of the simulator's never-flushing view over the
-memo stores.  Equal fingerprints between the two therefore check the memos
-against independent code rather than against themselves
+manager also keeps its own private operating-point cache instead of one over
+the simulator's memo stores.  Equal fingerprints between the two therefore
+check the memos against independent code rather than against themselves
 (``tests/test_reference_oracle.py``, ``tests/test_fleet.py``).
 """
 

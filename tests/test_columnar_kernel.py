@@ -335,14 +335,6 @@ class TestCachedTablePath:
             table.points, objectives=DECISION_OBJECTIVES, maximise=DECISION_MAXIMISE
         )
 
-    def test_invalidate_flushes_table_memos(self, trained_dnn, xu3, energy_model):
-        cache = OperatingPointCache()
-        space = cache.space_for(trained_dnn, xu3, energy_model)
-        cache.enumerate_table(space, temperature_c=45.0)
-        assert cache.entry_count == 1
-        cache.invalidate("cores_offline")
-        assert cache.entry_count == 0
-
 
 def _gate(timings, baseline, max_regression):
     """Gate one decision-kernel case against a baseline document."""

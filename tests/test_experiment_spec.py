@@ -111,7 +111,7 @@ FULL_SPEC = ExperimentSpec(
     seed=7,
     policy="min_latency",
     policy_overrides={"dnn2": "min_energy"},
-    rtm={"enable_dvfs": False, "decision_interval_ms": 250.0},
+    rtm={"enable_dvfs": False, "temperature_bucket_width_c": 2.5},
     simulator={"decision_interval_ms": 250.0, "max_backlog": 3},
     use_op_cache=False,
 )
@@ -292,6 +292,11 @@ class TestSpecValidation:
             ExperimentSpec(scenario="steady", rtm={"enable_warp": True}).validate()
         with pytest.raises(SpecError, match="unknown simulator override keys"):
             ExperimentSpec(scenario="steady", simulator={"tick": 1.0}).validate()
+        # Neither is an RTMConfig field: the epoch period is a simulator
+        # tunable and the throttle margin a constant of the allocator.
+        for key in ("decision_interval_ms", "thermal_margin_c"):
+            with pytest.raises(SpecError, match=f"keys \\['{key}'\\]; RTMConfig fields"):
+                ExperimentSpec(scenario="steady", rtm={key: 1.0}).validate()
 
     def test_baselines_reject_rtm_overrides(self):
         with pytest.raises(SpecError, match="not configurable"):
@@ -376,12 +381,12 @@ class TestSpecExecution:
                 scenario="fig2",
                 policy="min_latency",
                 policy_overrides={"dnn2": "min_energy"},
-                rtm={"enable_dnn_scaling": False, "decision_interval_ms": 125.0},
+                rtm={"enable_dnn_scaling": False, "max_cores_per_app": 2},
             )
         )
         assert isinstance(manager.policy, MinLatencyUnderPowerCap)
         assert manager.config.enable_dnn_scaling is False
-        assert manager.config.decision_interval_ms == 125.0
+        assert manager.allocator.max_cores_per_app == 2
         assert isinstance(
             manager.allocator.policy_overrides["dnn2"], MinEnergyUnderConstraints
         )

@@ -225,9 +225,9 @@ class TestGracefulDegradation:
                 scenario="chaos_rush_hour_core_failure", manager="governor_only"
             )
         ).trace
-        # The RTM observes the core loss through its monitors, invalidates
-        # the cache and remaps; the governor baseline cannot, so it keeps
-        # releasing jobs onto the crippled mapping.
+        # The RTM reads the surviving cores at the fault-triggered decision
+        # and remaps; the governor baseline cannot, so it keeps releasing
+        # jobs onto the crippled mapping.
         assert rtm.violation_rate() < governor.violation_rate()
 
     def test_dead_cluster_jobs_dropped_with_cores_offline_reason(self):

@@ -16,7 +16,7 @@ from repro.rtm.cache import (
 )
 from repro.rtm.manager import RTMConfig, RuntimeManager
 from repro.rtm.operating_points import OperatingPointSpace
-from repro.rtm.state import AppRuntimeState, SystemState
+from repro.rtm.state import AppRuntimeState, MapApplication, Mapping, SystemState
 from repro.workloads.requirements import Requirements
 from repro.workloads.tasks import make_dnn_application
 
@@ -149,39 +149,16 @@ class TestOperatingPointCache:
         assert other is not space
         assert cache.stats.spaces_built == 2
 
-    def test_space_rebuild_flushes_derived_memos(self, cache, trained_dnn, xu3, energy_model):
+    def test_rebuilt_space_keeps_serving_its_tables(self, cache, trained_dnn, xu3, energy_model):
         space = cache.space_for(trained_dnn, xu3, energy_model)
-        cache.enumerate_table(space, temperature_c=45.0)
-        assert cache.entry_count == 1
-        # Same key, different platform instance: the old memoised tables were
-        # derived from the replaced objects and must be flushed with them.
+        table = cache.enumerate_table(space, temperature_c=45.0)
+        # Same key, different platform instance: the space is rebuilt over the
+        # live objects, but the key is complete, so its tables still hold.
         rebuilt = cache.space_for(trained_dnn, odroid_xu3(), energy_model)
         assert rebuilt is not space
-        assert cache.entry_count == 0
-        assert cache.stats.invalidations == {"space_rebuilt": 1}
-
-    def test_invalidate_flushes_tables_but_not_pricing(
-        self, cache, trained_dnn, xu3, energy_model
-    ):
-        space = cache.space_for(trained_dnn, xu3, energy_model)
-        cache.enumerate_table(space, temperature_c=45.0)
-        priced = cache.points_priced
-        cache.invalidate("cores_offline")
-        assert cache.stats.invalidations == {"cores_offline": 1}
-        assert cache.entry_count == 0
-        cache.enumerate_table(space, temperature_c=45.0)
-        assert cache.stats.misses == 2  # re-assembled ...
-        assert cache.points_priced == priced  # ... without re-pricing
-
-    def test_eviction_bounds_entries(self, cache, trained_dnn, xu3, energy_model):
-        small = OperatingPointCache(max_entries=2)
-        space = small.space_for(trained_dnn, xu3, energy_model)
-        for temperature in (25.0, 30.0, 35.0, 40.0):
-            small.enumerate_table(
-                space, clusters=["a7"], core_counts=[1], temperature_c=temperature
-            )
-        assert small.entry_count == 2
-        assert small.stats.evictions == 2
+        assert cache.enumerate_table(rebuilt, temperature_c=45.0) is table
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+        assert table.points == rebuilt.enumerate_table(temperature_c=45.0).points
 
     def test_online_core_count_is_part_of_the_key(
         self, cache, trained_dnn, xu3, energy_model
@@ -198,29 +175,8 @@ class TestOperatingPointCache:
         # One fewer online core draws less idle power at identical settings.
         assert offline[0].power_mw < online[0].power_mw
 
-    def test_clear_resets_everything(self, cache, trained_dnn, xu3, energy_model):
-        space = cache.space_for(trained_dnn, xu3, energy_model)
-        cache.enumerate_table(space, temperature_c=45.0)
-        cache.clear()
-        assert cache.entry_count == 0
-        assert cache.stats.lookups == 0
-        assert cache.points_priced == 0
-
-    def test_rejects_non_positive_capacity(self):
-        with pytest.raises(ValueError):
-            OperatingPointCache(max_entries=0)
-
 
 class TestManagerCacheIntegration:
-    def _state(self, xu3, trained_dnn):
-        app = make_dnn_application(
-            app_id="dnn1",
-            trained=trained_dnn,
-            requirements=Requirements(target_fps=5.0, min_accuracy_percent=55.0, priority=3),
-        )
-        runtime = AppRuntimeState(application=app)
-        return SystemState(time_ms=0.0, soc=xu3, apps={"dnn1": runtime})
-
     def test_manager_owns_a_cache_by_default(self):
         manager = RuntimeManager()
         assert manager.cache is not None
@@ -257,28 +213,46 @@ class TestManagerCacheIntegration:
         stats = manager.cache_stats()
         assert stats is not None and stats.hits >= 1
 
-    def test_decide_invalidates_on_core_offlining(self, trained_dnn, xu3):
-        manager = RuntimeManager()
-        state = self._state(xu3, trained_dnn)
-        manager.decide(state)
-        xu3.cluster("a15").cores[3].set_online(False)
-        manager.decide(state)
-        assert manager.cache_stats().invalidations.get("cores_offline") == 1
+    def test_decide_tracks_structural_change_without_flushing(self, trained_dnn, xu3):
+        """Cores going offline, a thermal-bucket crossing, an unmapped app and
+        recovery all change the keys the decision path asks for, so a cache
+        that never flushes decides like an uncached manager at every step."""
+        apps = {}
+        for app_id, fps, priority in (("dnn1", 5.0, 3), ("dnn2", 10.0, 2)):
+            requirements = Requirements(
+                target_fps=fps, min_accuracy_percent=55.0, priority=priority
+            )
+            application = make_dnn_application(app_id, trained_dnn, requirements)
+            apps[app_id] = AppRuntimeState(application=application)
+        state = SystemState(time_ms=0.0, soc=xu3, apps=apps)
+        cached = RuntimeManager()
+        uncached = RuntimeManager(config=RTMConfig(enable_op_cache=False))
 
-    def test_decide_invalidates_on_thermal_bucket_crossing(self, trained_dnn, xu3):
-        manager = RuntimeManager()
-        state = self._state(xu3, trained_dnn)
-        manager.decide(state)
+        def decide():
+            actions = cached.decide(state).actions
+            assert actions == uncached.decide(state).actions
+            for action in actions:
+                if isinstance(action, MapApplication):
+                    state.apps[action.app_id].mapping = Mapping(action.cluster_name, action.cores)
+            return {
+                action.app_id: action.cluster_name
+                for action in actions
+                if isinstance(action, MapApplication)
+            }
+
+        assert decide()["dnn2"] == "a7"
+        a7 = xu3.cluster("a7")
+        for core in a7.cores[2:]:
+            core.set_online(False)
+        assert decide()["dnn2"] != "a7"
         xu3.thermal.temperature_c += 20.0
-        manager.decide(state)
-        assert manager.cache_stats().invalidations.get("thermal_bucket") == 1
-
-    def test_decide_invalidates_when_an_app_unmaps(self, trained_dnn, xu3):
-        manager = RuntimeManager()
-        state = self._state(xu3, trained_dnn)
-        manager.decide(state)
-        state.apps["dnn1"].mapping = None  # previously mapped by the decision? force it
-        # Ensure the transition mapped -> unmapped is observed.
-        manager._last_mapped = {"dnn1": True}
-        manager.decide(state)
-        assert manager.cache_stats().invalidations.get("app_unmapped", 0) >= 1
+        decide()
+        state.apps["dnn1"].mapping = None
+        assert "dnn1" in decide()
+        for core in a7.cores:
+            core.set_online(True)
+        xu3.thermal.temperature_c -= 20.0
+        selection_hits = cached.cache_stats().selection_hits
+        assert decide()["dnn2"] == "a7"
+        # The recovered platform is served from the first epoch's entries.
+        assert cached.cache_stats().selection_hits > selection_hits

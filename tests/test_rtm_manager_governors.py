@@ -272,7 +272,7 @@ class TestRuntimeManagerDecide:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            RTMConfig(decision_interval_ms=0.0)
+            RTMConfig(temperature_bucket_width_c=0.0)
         with pytest.raises(ValueError):
             RTMConfig(max_cores_per_app=0)
 

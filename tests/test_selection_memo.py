@@ -26,11 +26,7 @@ from repro.rtm.cache import OperatingPointCache
 from repro.rtm.multi_app import MultiAppAllocator
 from repro.rtm.policies import MaxAccuracyUnderBudget, MinEnergyUnderConstraints
 from repro.rtm.state import AppRuntimeState, Mapping, SystemState, UnmapApplication
-from repro.sim.engine import (
-    SharedOperatingPointCache,
-    SharedSimulationStores,
-    simulate_scenario,
-)
+from repro.sim.engine import SharedSimulationStores, simulate_scenario
 from repro.workloads.requirements import Requirements
 from repro.workloads.tasks import make_dnn_application
 
@@ -214,34 +210,17 @@ class TestSelectionMemo:
         reference = _allocator(energy_model, MinEnergyUnderConstraints(), None).allocate(state)
         assert by_energy.actions == reference.actions
 
-    def test_plain_invalidate_flushes_and_shared_invalidate_keeps(
-        self, xu3, trained_dnn, energy_model
-    ):
+    def test_caches_over_shared_stores_share_selections(self, xu3, trained_dnn, energy_model):
         state = _state(xu3, trained_dnn)
-        plain = OperatingPointCache()
-        allocator = _allocator(energy_model, _SpyPolicy(), plain)
-        allocator.allocate(state)
-        # entry_count counts the selection on top of the enumeration memos.
-        unkeyed = OperatingPointCache()
-        _allocator(energy_model, _UnkeyedPolicy(), unkeyed).allocate(state)
-        assert plain.entry_count == unkeyed.entry_count + 1
-        plain.invalidate("app_unmapped")
-        assert plain.entry_count == 0
-        allocator.allocate(state)
-        assert (plain.stats.selection_hits, plain.stats.selection_misses) == (0, 2)
-        plain.clear()
-        assert plain.entry_count == 0 and plain.stats.selection_misses == 0
-
         stores = SharedSimulationStores()
-        shared = SharedOperatingPointCache(stores)
+        shared = OperatingPointCache(stores)
         allocator = _allocator(energy_model, _SpyPolicy(), shared)
         allocator.allocate(state)
-        shared.invalidate("app_unmapped")
         assert stores.stats()["selections"] == 1
         allocator.allocate(state)
         assert (shared.stats.selection_hits, shared.stats.selection_misses) == (1, 1)
-        # Another replica's view over the same stores is served too.
-        replica = SharedOperatingPointCache(stores)
+        # Another replica's cache over the same stores is served too.
+        replica = OperatingPointCache(stores)
         _allocator(energy_model, _SpyPolicy(), replica).allocate(state)
         assert replica.stats.selection_hits == 1
 
