@@ -13,8 +13,7 @@ that the operating-point machinery in :mod:`repro.rtm` can price every
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Protocol, Tuple
+from typing import NamedTuple, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -38,8 +37,7 @@ class LatencyEstimator(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class InferenceCost:
+class InferenceCost(NamedTuple):
     """Predicted cost of one inference.
 
     Attributes

@@ -197,6 +197,8 @@ class OperatingPointCache:
     def __init__(self, stores: Optional[object] = None) -> None:
         self.stats = CacheStats()
         self._spaces: Dict[tuple, OperatingPointSpace] = {}
+        # Evaluations of the spaces that space_for replaced.
+        self._points_priced_replaced = 0
         # Assembled tables per enumeration query, Pareto-front tables (index
         # views) per key and the chosen point (or None) per complete
         # selection key; see selection_for.
@@ -251,6 +253,8 @@ class OperatingPointCache:
             or space.soc is not soc
             or space.energy_model is not energy_model
         ):
+            if space is not None:
+                self._points_priced_replaced += space.points_priced
             space = OperatingPointSpace(
                 trained=trained,
                 soc=soc,
@@ -396,5 +400,8 @@ class OperatingPointCache:
 
     @property
     def points_priced(self) -> int:
-        """Energy-model evaluations performed by the memoised spaces."""
-        return sum(space.points_priced for space in self._spaces.values())
+        """Energy-model evaluations performed by every space this cache built,
+        including the ones :meth:`space_for` has since replaced."""
+        return self._points_priced_replaced + sum(
+            space.points_priced for space in self._spaces.values()
+        )

@@ -380,11 +380,16 @@ def pareto_mask(matrix: np.ndarray) -> np.ndarray:
     if count < 2:
         return np.zeros(count, dtype=bool)
     if count <= 2048:
-        # One broadcast pass.  no_worse[i, j] means "j is no worse than i on
-        # every column"; given that, "j strictly better somewhere" is exactly
-        # "i is NOT no-worse than j" (equal rows are no-worse both ways), so
-        # a single comparison plus its transpose covers both conditions.
-        no_worse = (matrix[None, :, :] <= matrix[:, None, :]).all(axis=2)
+        # no_worse[i, j] means "j is no worse than i on every column"; given
+        # that, "j strictly better somewhere" is exactly "i is NOT no-worse
+        # than j" (equal rows are no-worse both ways), so one matrix plus its
+        # transpose covers both conditions.  It is ANDed one column at a time
+        # from all-True (so a zero-column matrix dominates nothing): k
+        # (n x n) comparisons cost a fraction of reducing one (n x n x k)
+        # array along its short last axis.
+        no_worse = np.ones((count, count), dtype=bool)
+        for column in matrix.T:
+            no_worse &= column[None, :] <= column[:, None]
         return (no_worse & ~no_worse.T).any(axis=1)
     # Row-at-a-time fallback bounds the broadcast to O(n) memory.
     dominated = np.zeros(count, dtype=bool)

@@ -4,6 +4,12 @@ The simulator records every inference job, every power/temperature sample and
 every manager decision.  The summaries computed here (violation rates, energy
 totals, per-application latency statistics) are what the Fig 2 benchmark and
 the ablation study report.
+
+The records are :class:`typing.NamedTuple` classes: immutable, hashable and
+picklable like frozen dataclasses, but built in one tuple allocation instead
+of one ``object.__setattr__`` per field, and a simulation builds one per job,
+sample and decision.  Being tuples, they compare equal to any tuple of the
+same values, and the :mod:`dataclasses` helpers do not apply to them.
 """
 
 from __future__ import annotations
@@ -11,15 +17,14 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 __all__ = ["JobRecord", "PowerSample", "DecisionRecord", "FaultRecord", "SimulationTrace"]
 
 
-@dataclass(frozen=True, slots=True)
-class JobRecord:
+class JobRecord(NamedTuple):
     """One completed (or dropped) inference job.
 
     Attributes
@@ -73,8 +78,7 @@ class JobRecord:
         return self.finish_ms - self.release_ms
 
 
-@dataclass(frozen=True, slots=True)
-class PowerSample:
+class PowerSample(NamedTuple):
     """One power / temperature sample."""
 
     time_ms: float
@@ -83,8 +87,7 @@ class PowerSample:
     throttling: bool
 
 
-@dataclass(frozen=True)
-class DecisionRecord:
+class DecisionRecord(NamedTuple):
     """One runtime-manager decision epoch.
 
     ``cache_hits`` / ``cache_misses`` are the *cumulative* operating-point
@@ -100,8 +103,7 @@ class DecisionRecord:
     cache_misses: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class FaultRecord:
+class FaultRecord(NamedTuple):
     """One injected fault, recovery, or job crash/retry/loss.
 
     Attributes

@@ -13,15 +13,14 @@ uses (execution time, energy, power, accuracy) plus frame rate, and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 __all__ = ["Requirements", "Violation", "MetricSample"]
 
 
-@dataclass(frozen=True, slots=True)
-class MetricSample:
+class MetricSample(NamedTuple):
     """One observation of an application's delivered performance.
 
     Attributes

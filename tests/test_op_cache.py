@@ -213,6 +213,20 @@ class TestManagerCacheIntegration:
         stats = manager.cache_stats()
         assert stats is not None and stats.hits >= 1
 
+    def test_points_priced_counts_the_evaluations_of_replaced_spaces(self, trained_dnn):
+        manager = RuntimeManager()
+        counts = []
+        for _ in range(2):
+            manager.select_operating_point(
+                trained_dnn, odroid_xu3(), Requirements(target_fps=10)
+            )
+            counts.append(manager.cache.points_priced)
+        # The second platform instance rebuilds the space, whose query the
+        # table memo then serves: nothing new is priced, nothing is lost.
+        assert manager.cache_stats().spaces_built == 2
+        assert counts[0] > 0
+        assert counts[1] == counts[0]
+
     def test_decide_tracks_structural_change_without_flushing(self, trained_dnn, xu3):
         """Cores going offline, a thermal-bucket crossing, an unmapped app and
         recovery all change the keys the decision path asks for, so a cache

@@ -1,5 +1,7 @@
 """Tests for the power and thermal models."""
 
+import math
+
 import pytest
 
 from repro.platforms.power import (
@@ -8,6 +10,7 @@ from repro.platforms.power import (
     dynamic_power_mw,
     static_power_mw,
 )
+from repro.platforms.presets import PLATFORM_REGISTRY, build_preset
 from repro.platforms.thermal import ThermalModel, ThermalParams
 
 
@@ -152,3 +155,32 @@ class TestThermalModel:
             ThermalParams(throttle_threshold_c=70.0, throttle_release_c=80.0)
         with pytest.raises(ValueError):
             ThermalParams(critical_c=50.0, throttle_threshold_c=85.0)
+
+
+class TestThermalLaw:
+    """Under constant power the RC model relaxes onto its steady state: the
+    distance to it never grows, whatever the interval, and falls below 1e-9
+    degrees within 40 time constants.  Intervals above a tenth of the time
+    constant run the Euler sub-steps."""
+
+    @pytest.mark.parametrize("preset", PLATFORM_REGISTRY.names())
+    @pytest.mark.parametrize("interval_ms", [100.0, 1000.0, 10000.0, 60000.0])
+    @pytest.mark.parametrize("start_above_ambient_c", [0.0, 80.0])
+    def test_distance_to_steady_state_never_grows(
+        self, preset, interval_ms, start_above_ambient_c
+    ):
+        params = build_preset(preset).thermal.params
+        tau_ms = params.thermal_resistance_c_per_w * params.thermal_capacitance_j_per_c * 1e3
+        steps = math.ceil(40 * tau_ms / interval_ms)
+        for power_mw in (0.0, 750.0, 3000.0, 9000.0):
+            model = ThermalModel(
+                params, initial_temperature_c=params.ambient_c + start_above_ambient_c
+            )
+            steady_c = model.steady_state_temperature_c(power_mw)
+            distance = abs(model.true_temperature_c - steady_c)
+            for _ in range(steps):
+                model.step(power_mw, interval_ms)
+                now = abs(model.true_temperature_c - steady_c)
+                assert now <= distance, (power_mw, model.true_temperature_c)
+                distance = now
+            assert distance <= 1e-9, power_mw
