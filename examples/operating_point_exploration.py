@@ -17,7 +17,7 @@ from collections import defaultdict
 from repro.dnn import IncrementalTrainer, make_dynamic_cifar_dnn
 from repro.perfmodel import CalibratedLatencyModel, EnergyModel
 from repro.platforms import odroid_xu3
-from repro.rtm import OperatingPointSpace, pareto_front
+from repro.rtm import OperatingPointSpace
 
 
 def ascii_scatter(points, width: int = 72, height: int = 20) -> str:
@@ -44,7 +44,8 @@ def main() -> None:
     platform = odroid_xu3()
     space = OperatingPointSpace(trained, platform, EnergyModel(CalibratedLatencyModel()))
 
-    points = space.fig4a_points()
+    table = space.enumerate_table(clusters=["a15", "a7"], core_counts=[1])
+    points = table.points
     print(f"Enumerated {len(points)} operating points "
           f"(2 clusters x 4 configurations x 17/12 frequencies)\n")
 
@@ -61,7 +62,7 @@ def main() -> None:
             f"{frugal.energy_mj:>11.1f} mJ @{frugal.frequency_mhz:>5.0f} MHz"
         )
 
-    front = pareto_front(points)
+    front = table.pareto().points
     print(f"\nPareto-optimal points (latency, energy, accuracy): {len(front)} of {len(points)}")
     for point in sorted(front, key=lambda p: p.latency_ms)[:10]:
         print(f"  {point.describe()}")

@@ -11,8 +11,9 @@ Embedded Machine Learning" (DATE 2020).  The package provides:
 * workload scenarios, including the paper's Fig 2 runtime timeline —
   :mod:`repro.workloads`;
 * a discrete-event simulator — :mod:`repro.sim`;
-* the runtime resource manager (knobs/monitors, operating-point search,
-  policies, multi-application arbitration) — :mod:`repro.rtm`;
+* the runtime resource manager (a ``SystemState`` in, ``Action`` objects
+  out; operating-point search, policies, multi-application arbitration) —
+  :mod:`repro.rtm`;
 * the static-pruning and governor-only baselines — :mod:`repro.baselines`;
 * the paper's published measurements — :mod:`repro.data`;
 * declarative, serialisable experiment specs and their runner —

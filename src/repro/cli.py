@@ -270,15 +270,14 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_fig4a(args: argparse.Namespace) -> int:
     """Print the Fig 4(a) operating-point sweep (optionally only the Pareto front)."""
-    from repro.rtm import pareto_front
-
     trained = _trained_dnn()
     space = OperatingPointSpace(trained, odroid_xu3(), _energy_model())
-    points = space.fig4a_points()
+    table = space.enumerate_table(clusters=["a15", "a7"], core_counts=[1])
     if args.pareto:
-        points = pareto_front(points)
+        points = table.pareto().points
         print(f"Pareto-optimal operating points ({len(points)}):")
     else:
+        points = table.points
         print(f"Fig 4(a) operating points ({len(points)}):")
     points = sorted(points, key=lambda p: (p.cluster_name, p.configuration, p.frequency_mhz))
     print(format_operating_points(points, limit=args.limit))

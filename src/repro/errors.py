@@ -11,9 +11,8 @@ Hierarchy::
 
     ReproError (Exception)
     ├── PlatformError   (also RuntimeError)  — hardware-model violations
-    ├── SimulationError (also RuntimeError)  — simulator/fault-plan failures
-    │   └── FaultPlanError (also ValueError) — malformed fault plans
-    └── ExperimentError (also RuntimeError)  — harness/backend failures
+    └── SimulationError (also RuntimeError)  — simulator/fault-plan failures
+        └── FaultPlanError (also ValueError) — malformed fault plans
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
     "PlatformError",
     "SimulationError",
     "FaultPlanError",
-    "ExperimentError",
 ]
 
 
@@ -41,7 +39,3 @@ class SimulationError(ReproError, RuntimeError):
 
 class FaultPlanError(SimulationError, ValueError):
     """A fault plan is malformed or references unknown targets."""
-
-
-class ExperimentError(ReproError, RuntimeError):
-    """The experiment harness failed (lost worker, timeout, bad batch)."""

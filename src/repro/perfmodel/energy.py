@@ -24,7 +24,12 @@ __all__ = ["InferenceCost", "LatencyEstimator", "EnergyModel"]
 
 
 class LatencyEstimator(Protocol):
-    """Anything that can predict a latency for (network, cluster, frequency)."""
+    """Anything that can predict a latency for (network, cluster, frequency).
+
+    ``latency_ms`` prices one point; ``latency_grid_ms`` prices a (cores x
+    frequency) grid, each entry bit-identical to the matching ``latency_ms``
+    call.  The operating-point enumeration needs both.
+    """
 
     def latency_ms(
         self,
@@ -34,6 +39,16 @@ class LatencyEstimator(Protocol):
         cores_used: int = 1,
         **kwargs: object,
     ) -> float:  # pragma: no cover - protocol signature
+        ...
+
+    def latency_grid_ms(
+        self,
+        network: NetworkModel,
+        cluster: Cluster,
+        frequencies_mhz: np.ndarray,
+        core_counts: "list[int]",
+        soc_name: Optional[str] = None,
+    ) -> np.ndarray:  # pragma: no cover - protocol signature
         ...
 
 
@@ -147,11 +162,6 @@ class EnergyModel:
 
     # ------------------------------------------------------------ grid pricing
 
-    @property
-    def supports_grid_pricing(self) -> bool:
-        """True when the latency estimator can price whole grids at once."""
-        return callable(getattr(self.latency_model, "latency_grid_ms", None))
-
     def cost_grid(
         self,
         network: NetworkModel,
@@ -166,15 +176,13 @@ class EnergyModel:
         Returns ``(latency_ms, power_mw, energy_mj)`` arrays of shape
         ``(len(core_counts), len(frequencies_mhz))`` whose entries are
         bit-identical to per-point :meth:`cost` calls — this is the pricing
-        backend of the columnar operating-point kernel.  Requires a latency
-        estimator with a ``latency_grid_ms`` method (see
-        :attr:`supports_grid_pricing`); callers fall back to per-point
-        pricing for custom estimators without one.
+        backend of the columnar operating-point kernel.  Raises ``TypeError``
+        for a latency estimator without a ``latency_grid_ms`` method.
         """
-        if not self.supports_grid_pricing:
+        if not callable(getattr(self.latency_model, "latency_grid_ms", None)):
             raise TypeError(
                 f"latency model {type(self.latency_model).__qualname__} has no "
-                "latency_grid_ms; use per-point cost() instead"
+                "latency_grid_ms, which operating-point enumeration needs"
             )
         if any(count <= 0 for count in core_counts):
             raise ValueError("cores_used must be positive")

@@ -2,9 +2,11 @@
 
 This subpackage is the paper's primary contribution: a runtime manager that
 steers dynamic DNNs (application knob), task mapping and DVFS (device knobs)
-through a PRiME-style knob/monitor interface so that every application keeps
-meeting its latency, energy, power and accuracy requirements as the available
-resources change.
+so that every application keeps meeting its latency, energy, power and
+accuracy requirements as the available resources change.  Its Fig 5 boundary
+is :mod:`repro.rtm.state`: the manager reads a :class:`SystemState` (the
+monitors) and returns :class:`Action` objects (the knob settings) for the
+simulator to apply.
 """
 
 from repro.rtm.cache import (
@@ -26,16 +28,12 @@ from repro.rtm.governors import (
     PowersaveGovernor,
     make_governor,
 )
-from repro.rtm.interfaces import ApplicationInterface, DeviceInterface
-from repro.rtm.knobs import DiscreteKnob, Knob, KnobRegistry
 from repro.rtm.manager import RTMConfig, RTMDecision, RuntimeManager
-from repro.rtm.monitors import Monitor, MonitorHistory, MonitorRegistry
 from repro.rtm.multi_app import AllocationDecision, AllocationResult, MultiAppAllocator
 from repro.rtm.operating_points import (
     OperatingPoint,
     OperatingPointSpace,
     OperatingPointTable,
-    pareto_front,
     pareto_mask,
 )
 from repro.rtm.policies import (
@@ -75,24 +73,15 @@ __all__ = [
     "PerformanceGovernor",
     "PowersaveGovernor",
     "make_governor",
-    "ApplicationInterface",
-    "DeviceInterface",
-    "DiscreteKnob",
-    "Knob",
-    "KnobRegistry",
     "RTMConfig",
     "RTMDecision",
     "RuntimeManager",
-    "Monitor",
-    "MonitorHistory",
-    "MonitorRegistry",
     "AllocationDecision",
     "AllocationResult",
     "MultiAppAllocator",
     "OperatingPoint",
     "OperatingPointSpace",
     "OperatingPointTable",
-    "pareto_front",
     "pareto_mask",
     "POLICY_REGISTRY",
     "MaxAccuracyUnderBudget",

@@ -10,11 +10,13 @@ hundreds of times.  This module memoises that work.
 
 Four layers cooperate:
 
-* :class:`~repro.rtm.operating_points.OperatingPointSpace` memoises
-  individual priced points (one energy-model evaluation each) for the
-  lifetime of the space.
+* :class:`~repro.rtm.operating_points.OperatingPointSpace` memoises priced
+  (configurations x cores x frequencies) blocks of each cluster, one
+  vectorised energy-model evaluation per configuration, for the lifetime of
+  the space; its ``points_priced`` counts the distinct points those blocks
+  hold.
 * :class:`OperatingPointCache` memoises the *spaces* themselves (so the
-  point memo survives across decision epochs), the assembled point tables of
+  block memo survives across decision epochs), the assembled point tables of
   each enumeration query, and the Pareto fronts derived from them.
 * The same cache memoises each application's *selection*: the operating
   point a policy chose from the decision front, keyed by the front's query
@@ -235,7 +237,7 @@ class OperatingPointCache:
         clusters: Optional[Sequence[str]] = None,
         max_cores_per_cluster: int = 4,
     ) -> OperatingPointSpace:
-        """A memoised space whose per-point pricing survives across epochs.
+        """A memoised space whose priced blocks survive across epochs.
 
         The space holds live references to its platform and models, so a key
         hit with *different instances* (a manager reused across simulations)

@@ -117,7 +117,7 @@ class MultiAppAllocator:
         Upper bound on the cores a single DNN may occupy.
     cache:
         Optional :class:`OperatingPointCache`; when present, enumerated point
-        lists, Pareto fronts and the per-point pricing are reused across
+        tables, Pareto fronts and the priced blocks are reused across
         decision epochs, and so is each application's selection: a repeated
         (candidate queries, policy, requirements, power cap) sub-problem
         returns its memoised point without enumerating (policies whose

@@ -3,8 +3,8 @@
 Section IV of the paper combines three knobs — the dynamic DNN configuration,
 task mapping and DVFS — into a space of operating points in the (energy,
 power, time, accuracy) space (Fig 4a).  This module enumerates that space for
-a given application and platform, and provides the Pareto and budget-filter
-operations the runtime-management policies are built from.
+a given application and platform, and provides the Pareto filter the
+runtime-management policies are built on.
 
 Enumeration is columnar: each requested (configurations x cores x
 frequencies) block of a cluster is priced in a handful of vectorised
@@ -19,16 +19,18 @@ temperature, requested axes), and
 :class:`~repro.rtm.cache.OperatingPointCache` keeps spaces alive across
 decision epochs so the grid is priced once per scenario, not once per epoch.
 
-The vectorised pricing replays the exact float-operation order of the
-per-point path it replaced, so tables and points are bit-identical to the
-scalar enumeration — the golden-trace fingerprints in
-``tests/test_golden_traces.py`` lock this in.
+The vectorised pricing replays the exact float-operation order of per-point
+:meth:`EnergyModel.cost` calls, so every table entry is bit-identical to
+pricing its point alone.  The per-point references — pricing, the O(n^2)
+Pareto front, violation scoring and policy selection — are a test oracle,
+``tests/reference_kernels.py``, which ``tests/test_columnar_kernel.py``
+checks the kernel against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +43,6 @@ __all__ = [
     "OperatingPoint",
     "OperatingPointTable",
     "OperatingPointSpace",
-    "pareto_front",
     "pareto_mask",
 ]
 
@@ -168,36 +169,6 @@ class OperatingPointTable:
     # ------------------------------------------------------------ construction
 
     @classmethod
-    def from_points(cls, points: Sequence[OperatingPoint]) -> "OperatingPointTable":
-        """Build a table from materialised operating points."""
-        points = tuple(points)
-        names: List[str] = []
-        index_of: Dict[str, int] = {}
-        cluster_index = np.empty(len(points), dtype=np.int64)
-        for row, point in enumerate(points):
-            index = index_of.get(point.cluster_name)
-            if index is None:
-                index = index_of[point.cluster_name] = len(names)
-                names.append(point.cluster_name)
-            cluster_index[row] = index
-        latency = np.array([p.latency_ms for p in points], dtype=float)
-        table = cls(
-            cluster_names=tuple(names),
-            cluster_index=cluster_index,
-            cores=np.array([p.cores for p in points], dtype=np.int64),
-            latency_ms=latency,
-            power_mw=np.array([p.power_mw for p in points], dtype=float),
-            energy_mj=np.array([p.energy_mj for p in points], dtype=float),
-            accuracy_percent=np.array([p.accuracy_percent for p in points], dtype=float),
-            confidence_percent=np.array([p.confidence_percent for p in points], dtype=float),
-            fps=1000.0 / latency if len(points) else np.empty(0, dtype=float),
-            frequency_mhz=np.array([p.frequency_mhz for p in points], dtype=float),
-            configuration=np.array([p.configuration for p in points], dtype=float),
-        )
-        table._points = points
-        return table
-
-    @classmethod
     def concat(cls, tables: Sequence["OperatingPointTable"]) -> "OperatingPointTable":
         """Row-wise concatenation, preserving order (cluster ids are remapped)."""
         tables = [table for table in tables if len(table)]
@@ -322,8 +293,7 @@ class OperatingPointTable:
     ) -> np.ndarray:
         """The (rows x metrics) matrix the Pareto filter runs on.
 
-        Minimised metrics enter as-is, maximised metrics negated — exactly
-        the matrix :func:`pareto_front` builds from point objects.
+        Minimised metrics enter as-is, maximised metrics negated.
         """
         matrix = np.empty((len(self), len(objectives) + len(maximise)), dtype=float)
         for column, name in enumerate(objectives):
@@ -399,42 +369,6 @@ def pareto_mask(matrix: np.ndarray) -> np.ndarray:
         strictly = (matrix < row).any(axis=1)
         dominated[index] = (no_worse & strictly).any()
     return dominated
-
-
-def pareto_front(
-    points: Iterable[OperatingPoint],
-    objectives: Sequence[str] = ("latency_ms", "energy_mj"),
-    maximise: Sequence[str] = ("accuracy_percent",),
-) -> List[OperatingPoint]:
-    """Pareto-optimal subset of operating points.
-
-    A point is dominated if another point is no worse on every objective
-    (lower for the minimised metrics, higher for the maximised ones) and
-    strictly better on at least one.  Surviving points keep their input
-    order; duplicate points do not dominate each other, so ties survive.
-
-    Parameters
-    ----------
-    points:
-        The candidate operating points.
-    objectives:
-        Metric attribute names to minimise.
-    maximise:
-        Metric attribute names to maximise.
-    """
-    candidates = list(points)
-    if len(candidates) < 2:
-        return candidates
-    matrix = np.array(
-        [
-            [getattr(point, name) for name in objectives]
-            + [-getattr(point, name) for name in maximise]
-            for point in candidates
-        ],
-        dtype=float,
-    )
-    dominated = pareto_mask(matrix)
-    return [point for point, is_dominated in zip(candidates, dominated) if not is_dominated]
 
 
 class OperatingPointSpace:
@@ -549,12 +483,10 @@ class OperatingPointSpace:
         frequencies: Sequence[float],
         temperature_c: float,
     ) -> OperatingPointTable:
-        """Price one block; vectorised when the energy model supports it."""
+        """Price one block in a few vectorised operations per configuration."""
         rows = len(fractions) * len(counts) * len(frequencies)
         if rows == 0:
             return OperatingPointTable.empty()
-        if not self.energy_model.supports_grid_pricing:
-            return self._price_block_scalar(cluster, fractions, counts, frequencies, temperature_c)
         per_block = len(counts) * len(frequencies)
         latency = np.empty(rows, dtype=float)
         power = np.empty(rows, dtype=float)
@@ -600,43 +532,6 @@ class OperatingPointSpace:
             configuration=configuration,
         )
 
-    def _price_block_scalar(
-        self,
-        cluster: Cluster,
-        fractions: Sequence[float],
-        counts: Sequence[int],
-        frequencies: Sequence[float],
-        temperature_c: float,
-    ) -> OperatingPointTable:
-        """Per-point fallback for latency estimators without grid pricing."""
-        points: List[OperatingPoint] = []
-        for fraction in fractions:
-            network, top1, conf = self._fraction_data(fraction)
-            for cores in counts:
-                for frequency in frequencies:
-                    cost = self.energy_model.cost(
-                        network,
-                        cluster,
-                        frequency_mhz=frequency,
-                        cores_used=cores,
-                        temperature_c=temperature_c,
-                        soc_name=self.soc.name,
-                    )
-                    points.append(
-                        OperatingPoint(
-                            cluster_name=cluster.name,
-                            frequency_mhz=frequency,
-                            cores=cores,
-                            configuration=fraction,
-                            latency_ms=cost.latency_ms,
-                            power_mw=cost.power_mw,
-                            energy_mj=cost.energy_mj,
-                            accuracy_percent=top1,
-                            confidence_percent=conf,
-                        )
-                    )
-        return OperatingPointTable.from_points(points)
-
     def _query_blocks(
         self,
         clusters: Optional[Sequence[str]] = None,
@@ -671,20 +566,24 @@ class OperatingPointSpace:
 
     # ------------------------------------------------------------ enumeration
 
-    def enumerate(
+    def enumerate_table(
         self,
         clusters: Optional[Sequence[str]] = None,
         configurations: Optional[Sequence[float]] = None,
         core_counts: Optional[Sequence[int]] = None,
         frequencies: Optional[dict] = None,
         temperature_c: float = 45.0,
-    ) -> List[OperatingPoint]:
-        """Enumerate operating points.
+    ) -> OperatingPointTable:
+        """Enumerate operating points as a struct-of-arrays table.
+
+        Rows run cluster by cluster, then configuration, core count and
+        frequency.
 
         Parameters
         ----------
         clusters:
             Restrict to these clusters (e.g. the ones with free cores).
+            Clusters the platform lacks are skipped.
         configurations:
             Restrict to these dynamic-DNN fractions.
         core_counts:
@@ -698,26 +597,6 @@ class OperatingPointSpace:
         temperature_c:
             Temperature used for leakage in the power prediction.
         """
-        points: List[OperatingPoint] = []
-        for block in self._query_blocks(
-            clusters, configurations, core_counts, frequencies, temperature_c
-        ):
-            points.extend(block.points)
-        return points
-
-    def enumerate_table(
-        self,
-        clusters: Optional[Sequence[str]] = None,
-        configurations: Optional[Sequence[float]] = None,
-        core_counts: Optional[Sequence[int]] = None,
-        frequencies: Optional[dict] = None,
-        temperature_c: float = 45.0,
-    ) -> OperatingPointTable:
-        """Columnar :meth:`enumerate`: the same rows as a struct-of-arrays table.
-
-        Row order matches :meth:`enumerate` exactly, and every float is
-        bit-identical to the corresponding :class:`OperatingPoint` field.
-        """
         return OperatingPointTable.concat(
             self._query_blocks(clusters, configurations, core_counts, frequencies, temperature_c)
         )
@@ -725,29 +604,7 @@ class OperatingPointSpace:
     def fig4a_points(self) -> List[OperatingPoint]:
         """The Fig 4(a) sweep: single-core A15 and A7 points over all frequencies.
 
-        Only meaningful on the Odroid XU3 preset; other platforms raise
-        ``KeyError`` for the missing clusters.
+        Only meaningful on the Odroid XU3 preset: clusters a platform lacks
+        are skipped, so on a platform with neither cluster it returns ``[]``.
         """
-        return self.enumerate(clusters=["a15", "a7"], core_counts=[1])
-
-    @staticmethod
-    def feasible(
-        points: Iterable[OperatingPoint],
-        max_latency_ms: Optional[float] = None,
-        max_energy_mj: Optional[float] = None,
-        max_power_mw: Optional[float] = None,
-        min_accuracy_percent: Optional[float] = None,
-    ) -> List[OperatingPoint]:
-        """Filter points to those meeting the given budgets."""
-        selected = []
-        for point in points:
-            if max_latency_ms is not None and point.latency_ms > max_latency_ms:
-                continue
-            if max_energy_mj is not None and point.energy_mj > max_energy_mj:
-                continue
-            if max_power_mw is not None and point.power_mw > max_power_mw:
-                continue
-            if min_accuracy_percent is not None and point.accuracy_percent < min_accuracy_percent:
-                continue
-            selected.append(point)
-        return selected
+        return self.enumerate_table(clusters=["a15", "a7"], core_counts=[1]).points

@@ -11,25 +11,25 @@ All policies degrade gracefully: when no operating point satisfies every
 requirement, they return the least-bad point (smallest total normalised
 violation) rather than failing, which is what a real runtime must do.
 
-Policies score candidates two ways: the classic per-point path
-(:meth:`SelectionPolicy.select` over :class:`OperatingPoint` sequences) and
-the columnar path (:meth:`SelectionPolicy.select_table` over an
-:class:`OperatingPointTable`), which ranks a whole candidate table in a few
-numpy operations.  Both paths are bit-identical: the vectorised scoring
-replays the scalar comparison tolerances, float arithmetic order and
-first-minimum tie-breaking exactly, which the golden-trace suite locks in.
+Policies rank a whole :class:`OperatingPointTable` in a few numpy
+operations (:meth:`SelectionPolicy.select_table`); a policy supplies only its
+objective column (:meth:`SelectionPolicy.objective_values`).  The scoring
+replays the per-point comparison tolerances, float arithmetic order and
+first-minimum tie-breaking exactly: ``tests/reference_kernels.py`` holds that
+per-point selection, and ``tests/test_columnar_kernel.py`` checks the two
+agree on hypothesis-generated tables.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.registry import Registry
 from repro.rtm.operating_points import OperatingPoint, OperatingPointTable
-from repro.workloads.requirements import MetricSample, Requirements
+from repro.workloads.requirements import Requirements
 
 __all__ = [
     "SelectionPolicy",
@@ -40,29 +40,6 @@ __all__ = [
     "POLICY_REGISTRY",
     "make_policy",
 ]
-
-
-def _violation_score(point: OperatingPoint, requirements: Requirements) -> float:
-    """Total normalised violation of a point against the requirements."""
-    sample = MetricSample(
-        latency_ms=point.latency_ms,
-        energy_mj=point.energy_mj,
-        power_mw=point.power_mw,
-        accuracy_percent=point.accuracy_percent,
-        fps=point.fps,
-    )
-    return sum(violation.magnitude for violation in requirements.check(sample))
-
-
-def _table_violation_scores(table: OperatingPointTable, requirements: Requirements) -> np.ndarray:
-    """Vectorised :func:`_violation_score` over every row of a table."""
-    return requirements.violation_scores(
-        latency_ms=table.latency_ms,
-        energy_mj=table.energy_mj,
-        power_mw=table.power_mw,
-        accuracy_percent=table.accuracy_percent,
-        fps=table.fps,
-    )
 
 
 def _first_lexicographic_min(keys: Sequence[np.ndarray], mask: np.ndarray) -> int:
@@ -84,6 +61,9 @@ class SelectionPolicy(abc.ABC):
 
     #: Registry name of the policy.
     name: str = "base"
+    #: Metric column the policy maximises first among feasible points, or
+    #: ``None`` to rank them by :meth:`objective_values` alone.
+    maximise_column: Optional[str] = None
 
     def cache_key(self) -> Optional[tuple]:
         """Value key identifying this policy's selection behaviour.
@@ -100,95 +80,8 @@ class SelectionPolicy(abc.ABC):
         return None
 
     @abc.abstractmethod
-    def objective(self, point: OperatingPoint) -> float:
-        """Score of a *feasible* point; lower is better."""
-
     def objective_values(self, table: OperatingPointTable) -> np.ndarray:
-        """Vectorised :meth:`objective` over every row of a table.
-
-        The default materialises each row; built-in policies override with a
-        pure column computation.
-        """
-        return np.array([self.objective(table.point(row)) for row in range(len(table))])
-
-    def feasible_points(
-        self,
-        points: Sequence[OperatingPoint],
-        requirements: Requirements,
-        power_cap_mw: Optional[float] = None,
-    ) -> List[OperatingPoint]:
-        """Points satisfying the requirements and the optional power cap."""
-        feasible = []
-        for point in points:
-            if power_cap_mw is not None and point.power_mw > power_cap_mw:
-                continue
-            if _violation_score(point, requirements) == 0.0:
-                feasible.append(point)
-        return feasible
-
-    def select(
-        self,
-        points: Sequence[OperatingPoint],
-        requirements: Requirements,
-        power_cap_mw: Optional[float] = None,
-    ) -> Optional[OperatingPoint]:
-        """Select the best operating point.
-
-        Returns ``None`` only when ``points`` is empty.  When no point is
-        feasible, the point with the smallest total violation is returned
-        (ties broken by the policy objective).
-        """
-        candidates = list(points)
-        if not candidates:
-            return None
-        feasible = self.feasible_points(candidates, requirements, power_cap_mw)
-        if feasible:
-            return min(feasible, key=self.objective)
-        # Graceful degradation: least-bad point.  Points over the power cap
-        # are still excluded if any point fits under it (thermal safety wins).
-        under_cap = (
-            [p for p in candidates if power_cap_mw is None or p.power_mw <= power_cap_mw]
-            or candidates
-        )
-        return min(
-            under_cap,
-            key=lambda point: (_violation_score(point, requirements), self.objective(point)),
-        )
-
-    # ------------------------------------------------------------- table path
-
-    def _select_row(
-        self,
-        table: OperatingPointTable,
-        requirements: Requirements,
-        power_cap_mw: Optional[float],
-    ) -> int:
-        """Row index the base :meth:`select` semantics would pick."""
-        scores = _table_violation_scores(table, requirements)
-        under_cap = (
-            np.ones(len(table), dtype=bool)
-            if power_cap_mw is None
-            else ~(table.power_mw > power_cap_mw)
-        )
-        feasible = under_cap & (scores == 0.0)
-        if feasible.any():
-            return _first_lexicographic_min([self.objective_values(table)], feasible)
-        if not under_cap.any():
-            under_cap = np.ones(len(table), dtype=bool)
-        return _first_lexicographic_min([scores, self.objective_values(table)], under_cap)
-
-    def _overrides_point_path(self, select_owner: type) -> bool:
-        """True when a subclass customised the per-point scoring hooks.
-
-        Checks both :meth:`select` (against the implementation the calling
-        ``select_table`` mirrors) and :meth:`feasible_points` — a subclass
-        adding, say, a thermal filter to ``feasible_points`` must not be
-        bypassed by the inline vectorised feasibility test.
-        """
-        return (
-            type(self).select is not select_owner.select
-            or type(self).feasible_points is not SelectionPolicy.feasible_points
-        )
+        """Score of every row of a table as a *feasible* point; lower is better."""
 
     def select_table(
         self,
@@ -196,17 +89,45 @@ class SelectionPolicy(abc.ABC):
         requirements: Requirements,
         power_cap_mw: Optional[float] = None,
     ) -> Optional[OperatingPoint]:
-        """Columnar :meth:`select`: identical choice, scored in numpy.
+        """Select the best operating point of a candidate table.
 
-        Subclasses that override :meth:`select` or :meth:`feasible_points`
-        with custom semantics but do not override this method fall back to
-        the per-point path, so the two entry points can never disagree.
+        Returns ``None`` only when the table is empty.  Points over the power
+        cap are excluded.  Among the points meeting every requirement, a
+        policy with a :attr:`maximise_column` keeps those within 1e-9 of that
+        column's best and takes the least energy, then the least latency;
+        any other policy takes the least :meth:`objective_values`.  When no
+        point is feasible, the point with the smallest total violation is
+        returned (ties broken by :meth:`objective_values`); points over the
+        cap stay excluded if any point fits under it (thermal safety wins).
+        Every remaining tie goes to the earliest row.
         """
         if len(table) == 0:
             return None
-        if self._overrides_point_path(SelectionPolicy):
-            return self.select(table.points, requirements, power_cap_mw)
-        return table.point(self._select_row(table, requirements, power_cap_mw))
+        scores = requirements.violation_scores(
+            latency_ms=table.latency_ms,
+            energy_mj=table.energy_mj,
+            power_mw=table.power_mw,
+            accuracy_percent=table.accuracy_percent,
+            fps=table.fps,
+        )
+        under_cap = (
+            np.ones(len(table), dtype=bool)
+            if power_cap_mw is None
+            else ~(table.power_mw > power_cap_mw)
+        )
+        feasible = under_cap & (scores == 0.0)
+        if feasible.any():
+            if self.maximise_column is None:
+                row = _first_lexicographic_min([self.objective_values(table)], feasible)
+            else:
+                column = table.column(self.maximise_column)
+                top = feasible & (column >= column[feasible].max() - 1e-9)
+                row = _first_lexicographic_min([table.energy_mj, table.latency_ms], top)
+            return table.point(row)
+        if not under_cap.any():
+            under_cap = np.ones(len(table), dtype=bool)
+        row = _first_lexicographic_min([scores, self.objective_values(table)], under_cap)
+        return table.point(row)
 
 
 class MaxAccuracyUnderBudget(SelectionPolicy):
@@ -218,62 +139,17 @@ class MaxAccuracyUnderBudget(SelectionPolicy):
     """
 
     name = "max_accuracy"
-
-    def objective(self, point: OperatingPoint) -> float:
-        # Accuracy dominates; energy breaks ties among equally accurate points.
-        return -point.accuracy_percent * 1e6 + point.energy_mj
+    maximise_column = "accuracy_percent"
 
     def objective_values(self, table: OperatingPointTable) -> np.ndarray:
+        # Accuracy dominates; energy breaks ties among equally accurate points.
         return -table.accuracy_percent * 1e6 + table.energy_mj
-
-    def select(
-        self,
-        points: Sequence[OperatingPoint],
-        requirements: Requirements,
-        power_cap_mw: Optional[float] = None,
-    ) -> Optional[OperatingPoint]:
-        candidates = list(points)
-        if not candidates:
-            return None
-        feasible = self.feasible_points(candidates, requirements, power_cap_mw)
-        if feasible:
-            best_accuracy = max(point.accuracy_percent for point in feasible)
-            top = [p for p in feasible if p.accuracy_percent >= best_accuracy - 1e-9]
-            return min(top, key=lambda point: (point.energy_mj, point.latency_ms))
-        return super().select(candidates, requirements, power_cap_mw)
-
-    def select_table(
-        self,
-        table: OperatingPointTable,
-        requirements: Requirements,
-        power_cap_mw: Optional[float] = None,
-    ) -> Optional[OperatingPoint]:
-        if len(table) == 0:
-            return None
-        if self._overrides_point_path(MaxAccuracyUnderBudget):
-            return self.select(table.points, requirements, power_cap_mw)
-        scores = _table_violation_scores(table, requirements)
-        under_cap = (
-            np.ones(len(table), dtype=bool)
-            if power_cap_mw is None
-            else ~(table.power_mw > power_cap_mw)
-        )
-        feasible = under_cap & (scores == 0.0)
-        if feasible.any():
-            best_accuracy = table.accuracy_percent[feasible].max()
-            top = feasible & (table.accuracy_percent >= best_accuracy - 1e-9)
-            row = _first_lexicographic_min([table.energy_mj, table.latency_ms], top)
-            return table.point(row)
-        return table.point(self._select_row(table, requirements, power_cap_mw))
 
 
 class MinEnergyUnderConstraints(SelectionPolicy):
     """Meet every requirement (including accuracy floor), then minimise energy."""
 
     name = "min_energy"
-
-    def objective(self, point: OperatingPoint) -> float:
-        return point.energy_mj
 
     def objective_values(self, table: OperatingPointTable) -> np.ndarray:
         return table.energy_mj
@@ -283,9 +159,6 @@ class MinLatencyUnderPowerCap(SelectionPolicy):
     """Meet every requirement, then minimise latency (responsiveness first)."""
 
     name = "min_latency"
-
-    def objective(self, point: OperatingPoint) -> float:
-        return point.latency_ms
 
     def objective_values(self, table: OperatingPointTable) -> np.ndarray:
         return table.latency_ms
@@ -300,52 +173,10 @@ class MaxConfidenceUnderBudget(SelectionPolicy):
     """
 
     name = "max_confidence"
-
-    def objective(self, point: OperatingPoint) -> float:
-        return -point.confidence_percent
+    maximise_column = "confidence_percent"
 
     def objective_values(self, table: OperatingPointTable) -> np.ndarray:
         return -table.confidence_percent
-
-    def select(
-        self,
-        points: Sequence[OperatingPoint],
-        requirements: Requirements,
-        power_cap_mw: Optional[float] = None,
-    ) -> Optional[OperatingPoint]:
-        candidates = list(points)
-        if not candidates:
-            return None
-        feasible = self.feasible_points(candidates, requirements, power_cap_mw)
-        if feasible:
-            best = max(point.confidence_percent for point in feasible)
-            top = [p for p in feasible if p.confidence_percent >= best - 1e-9]
-            return min(top, key=lambda point: (point.energy_mj, point.latency_ms))
-        return super().select(candidates, requirements, power_cap_mw)
-
-    def select_table(
-        self,
-        table: OperatingPointTable,
-        requirements: Requirements,
-        power_cap_mw: Optional[float] = None,
-    ) -> Optional[OperatingPoint]:
-        if len(table) == 0:
-            return None
-        if self._overrides_point_path(MaxConfidenceUnderBudget):
-            return self.select(table.points, requirements, power_cap_mw)
-        scores = _table_violation_scores(table, requirements)
-        under_cap = (
-            np.ones(len(table), dtype=bool)
-            if power_cap_mw is None
-            else ~(table.power_mw > power_cap_mw)
-        )
-        feasible = under_cap & (scores == 0.0)
-        if feasible.any():
-            best = table.confidence_percent[feasible].max()
-            top = feasible & (table.confidence_percent >= best - 1e-9)
-            row = _first_lexicographic_min([table.energy_mj, table.latency_ms], top)
-            return table.point(row)
-        return table.point(self._select_row(table, requirements, power_cap_mw))
 
 
 #: Mapping of policy name to class, used by experiment specs, benchmarks and

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import exp
-from typing import Dict, List, Optional, Protocol
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.perfmodel.calibrated import CalibratedLatencyModel
-from repro.perfmodel.energy import EnergyModel, InferenceCost
+from repro.perfmodel.energy import EnergyModel
 from repro.platforms.power import ClusterPowerModel
 from repro.platforms.soc import Soc
 from repro.rtm.cache import OperatingPointCache
@@ -395,8 +395,8 @@ class Simulator:
             )
         return entry[0]
 
-    def _job_cost(self, network, cluster, mapping: Mapping) -> InferenceCost:
-        """Latency/power/energy of one inference job at the current state."""
+    def _job_cost(self, network, cluster, mapping: Mapping) -> Tuple[float, float]:
+        """``(latency_ms, energy_mj)`` of one inference job at the current state."""
         memoise = self._memoise_costs
         cores_used = mapping.cores
         if memoise:
@@ -421,9 +421,7 @@ class Simulator:
                     total += dyn_busy
                 if idle_term is not None:
                     total += idle_term
-                return InferenceCost(
-                    latency_ms=latency_ms, power_mw=total, energy_mj=total * latency_ms / 1000.0
-                )
+                return latency_ms, total * latency_ms / 1000.0
             self._stores.cost_misses += 1
         cost = self.energy_model.cost(
             network,
@@ -456,7 +454,7 @@ class Simulator:
                 idle_cores * dyn_idle if idle_cores > 0 else None,
                 network,  # pin: keeps the id()-keyed entry unambiguous
             )
-        return cost
+        return cost.latency_ms, cost.energy_mj
 
     def _job_accuracy(self, application: DNNApplication, configuration: float) -> float:
         """Delivered accuracy of a job that ran at ``configuration``."""
@@ -831,8 +829,8 @@ class Simulator:
         assert mapping is not None
         cluster = self.soc.cluster(mapping.cluster_name)
         network = self._job_network(application, mapping.configuration)
-        cost = self._job_cost(network, cluster, mapping)
-        latency_ms = cost.latency_ms + runtime.pending_penalty_ms
+        cost_latency_ms, energy_mj = self._job_cost(network, cluster, mapping)
+        latency_ms = cost_latency_ms + runtime.pending_penalty_ms
         runtime.pending_penalty_ms = 0.0
         runtime.busy = True
         runtime.job_index += 1
@@ -842,7 +840,6 @@ class Simulator:
         runtime.current_cores = mapping.cores
         job_index = runtime.job_index
         start_ms = self.queue.now_ms
-        energy_mj = cost.energy_mj
 
         # Seeded transient crashes: each attempt crashes with a fixed hashed
         # probability; retries rerun the whole job after a bounded exponential

@@ -23,7 +23,7 @@ from repro.workloads.diurnal import (
 )
 from repro.workloads.fuzzer import ScenarioFuzzer
 from repro.workloads.generator import WorkloadGenerator, WorkloadGeneratorConfig
-from repro.workloads.requirements import MetricSample, Requirements, Violation
+from repro.workloads.requirements import MetricSample, Requirements
 from repro.workloads.scenarios import (
     SCENARIO_REGISTRY,
     Scenario,
@@ -65,7 +65,6 @@ __all__ = [
     "WorkloadGeneratorConfig",
     "MetricSample",
     "Requirements",
-    "Violation",
     "SCENARIO_REGISTRY",
     "Scenario",
     "ScenarioEvent",

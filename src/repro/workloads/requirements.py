@@ -6,18 +6,19 @@ accuracy" — and the runtime scenario of Fig 2 is driven by keeping every
 application's requirements met as resources change.  This module provides the
 requirement vocabulary shared by the workloads, the runtime manager and the
 simulator: a :class:`Requirements` bundle over the four metric axes the paper
-uses (execution time, energy, power, accuracy) plus frame rate, and the
-:class:`Violation` records produced when a measurement misses a requirement.
+uses (execution time, energy, power, accuracy) plus frame rate, checked per
+measurement (:meth:`Requirements.violated_metrics`) and per candidate table
+(:meth:`Requirements.violation_scores`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-__all__ = ["Requirements", "Violation", "MetricSample"]
+__all__ = ["Requirements", "MetricSample"]
 
 
 class MetricSample(NamedTuple):
@@ -42,25 +43,6 @@ class MetricSample(NamedTuple):
     power_mw: Optional[float] = None
     accuracy_percent: Optional[float] = None
     fps: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class Violation:
-    """A requirement that a measurement failed to meet."""
-
-    metric: str
-    limit: float
-    actual: float
-
-    @property
-    def magnitude(self) -> float:
-        """Relative size of the violation (how far past the limit, as a fraction)."""
-        if self.limit == 0:
-            return abs(self.actual)
-        return abs(self.actual - self.limit) / abs(self.limit)
-
-    def __str__(self) -> str:
-        return f"{self.metric}: required {self.limit:g}, got {self.actual:g}"
 
 
 @dataclass(frozen=True)
@@ -160,37 +142,13 @@ class Requirements:
 
     # -------------------------------------------------------------- checking
 
-    def check(self, sample: MetricSample) -> List[Violation]:
-        """Return the violations of this requirement set by a measurement.
-
-        Metrics missing from the sample are not checked.
-        """
-        violations: List[Violation] = []
-        latency_limit = self.effective_latency_limit_ms
-        if latency_limit is not None and sample.latency_ms is not None:
-            if sample.latency_ms > latency_limit * (1.0 + 1e-9):
-                violations.append(Violation("latency_ms", latency_limit, sample.latency_ms))
-        if self.max_energy_mj is not None and sample.energy_mj is not None:
-            if sample.energy_mj > self.max_energy_mj * (1.0 + 1e-9):
-                violations.append(Violation("energy_mj", self.max_energy_mj, sample.energy_mj))
-        if self.max_power_mw is not None and sample.power_mw is not None:
-            if sample.power_mw > self.max_power_mw * (1.0 + 1e-9):
-                violations.append(Violation("power_mw", self.max_power_mw, sample.power_mw))
-        if self.min_accuracy_percent is not None and sample.accuracy_percent is not None:
-            if sample.accuracy_percent < self.min_accuracy_percent * (1.0 - 1e-9):
-                violations.append(
-                    Violation("accuracy_percent", self.min_accuracy_percent, sample.accuracy_percent)
-                )
-        if self.target_fps is not None and sample.fps is not None:
-            if sample.fps < self.target_fps * (1.0 - 1e-9):
-                violations.append(Violation("fps", self.target_fps, sample.fps))
-        return violations
-
     def violated_metrics(self, sample: MetricSample) -> "tuple[str, ...]":
-        """Metric names of :meth:`check`'s violations, in the same order.
+        """Names of the requirements a measurement misses.
 
-        The simulator's per-job hot path: same comparisons as :meth:`check`
-        but no :class:`Violation` objects are built.
+        Metrics missing from the sample are not checked.  Names come in the
+        order latency, energy, power, accuracy, fps; a limit is missed by
+        more than a relative 1e-9, the same tolerance as
+        :meth:`violation_scores`.
         """
         violated = []
         latency_limit = self.effective_latency_limit_ms
@@ -211,10 +169,6 @@ class Requirements:
                 violated.append("fps")
         return tuple(violated)
 
-    def is_satisfied_by(self, sample: MetricSample) -> bool:
-        """True when the measurement meets every requirement it reports."""
-        return not self.check(sample)
-
     def violation_scores(
         self,
         *,
@@ -226,14 +180,13 @@ class Requirements:
     ) -> np.ndarray:
         """Vectorised total normalised violation per candidate.
 
-        Entry ``i`` is bit-identical to
-        ``sum(v.magnitude for v in self.check(sample_i))`` for the sample
-        assembled from row ``i`` of the given metric columns: contributions
-        are accumulated in the same metric order as :meth:`check` emits
-        violations, with the same comparison tolerances and the same
-        magnitude arithmetic, and a missing (``None``) column skips its
-        check exactly like a ``None`` sample field.  This is the scoring
-        kernel of the columnar decision path.
+        Entry ``i`` sums, over the requirements row ``i`` misses (the
+        comparisons of :meth:`violated_metrics`, in the same metric order),
+        how far past its limit the row is as a fraction of the limit (the
+        absolute value when the limit is 0).  A missing (``None``) column
+        skips its check like a ``None`` sample field.  This is the scoring
+        kernel of the columnar decision path; ``tests/reference_kernels.py``
+        holds the per-point score it must equal bit for bit.
         """
         columns = [
             column

@@ -37,8 +37,8 @@ class ReferenceSimulator(Simulator):
         return application.dynamic_dnn.model_for(configuration)
 
     def _job_cost(self, network, cluster, mapping: Mapping):
-        """Latency/power/energy of one inference job at the current state."""
-        return self.energy_model.cost(
+        """``(latency_ms, energy_mj)`` of one inference job at the current state."""
+        cost = self.energy_model.cost(
             network,
             cluster,
             frequency_mhz=None,
@@ -46,6 +46,7 @@ class ReferenceSimulator(Simulator):
             temperature_c=self.soc.thermal.temperature_c,
             soc_name=self.soc.name,
         )
+        return cost.latency_ms, cost.energy_mj
 
     def _job_accuracy(self, application: DNNApplication, configuration: float) -> float:
         """Delivered accuracy of a job that ran at ``configuration``."""

@@ -1,5 +1,6 @@
 """Tests for the repro-experiments command-line interface."""
 
+import hashlib
 import re
 
 import pytest
@@ -147,6 +148,26 @@ class TestParser:
         for command in ("managers", "platforms"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command])
+
+
+#: sha256 (first 16 hex digits) of each paper-artefact verb's stdout.
+ARTEFACT_DIGESTS = {
+    ("table1",): "665e74d21fedd9b5",
+    ("fig4a",): "6f7ce042e0ce2218",
+    ("fig4a", "--pareto"): "3fed5015bca30d76",
+    ("fig4b",): "db04f69cb0504460",
+    ("case-study",): "928a08caa676022e",
+}
+
+
+class TestArtefactOutputs:
+    """The paper-artefact verbs print exactly the pinned bytes."""
+
+    @pytest.mark.parametrize("argv", sorted(ARTEFACT_DIGESTS), ids=" ".join)
+    def test_stdout_digest_is_pinned(self, capsys, argv):
+        assert main(list(argv)) == 0
+        output = capsys.readouterr().out
+        assert hashlib.sha256(output.encode()).hexdigest()[:16] == ARTEFACT_DIGESTS[argv]
 
 
 class TestCommands:

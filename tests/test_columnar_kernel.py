@@ -2,15 +2,19 @@
 
 The vectorised table path (struct-of-arrays pricing, Pareto pre-filtering,
 requirement scoring and policy selection) must be bit-identical to the
-per-point scalar path it replaced.  These tests pin that equivalence at
-every layer — pricing, violation scoring, Pareto masks and policy choices —
-plus the bench harness that tracks the kernel's performance trajectory.
+per-point reference kernels of ``tests/reference_kernels.py``, which share no
+code with it.  These tests pin that equivalence at every layer — pricing,
+violation scoring, Pareto masks and policy choices, on the xu3 grid and on
+hypothesis-generated tables — plus the bench harness that tracks the
+kernel's performance trajectory.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.bench import (
     BENCH_KIND_DECISION,
@@ -24,7 +28,6 @@ from repro.analysis.bench import (
     write_bench_file,
 )
 from repro.experiments import ExperimentSpec, run
-from repro.perfmodel.roofline import RooflineLatencyModel
 from repro.rtm.cache import (
     DECISION_MAXIMISE,
     DECISION_OBJECTIVES,
@@ -32,13 +35,14 @@ from repro.rtm.cache import (
     soc_topology_key,
 )
 from repro.rtm.operating_points import (
+    OperatingPoint,
     OperatingPointSpace,
     OperatingPointTable,
-    pareto_front,
     pareto_mask,
 )
-from repro.rtm.policies import POLICY_REGISTRY, _violation_score
+from repro.rtm.policies import POLICY_REGISTRY, MinEnergyUnderConstraints, SelectionPolicy
 from repro.workloads.requirements import Requirements
+from tests import reference_kernels
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +61,7 @@ def table(space):
 
 @pytest.fixture(scope="module")
 def points(space):
-    return space.enumerate(temperature_c=45.0)
+    return reference_kernels.enumerate_points(space, temperature_c=45.0)
 
 
 REQUIREMENT_SETS = [
@@ -102,42 +106,37 @@ class TestTablePricingParity:
             frequencies={"a15": [600.0, 1800.0]},
             temperature_c=45.0,
         )
-        assert space.enumerate_table(**kwargs).points == space.enumerate(**kwargs)
+        assert space.enumerate_table(**kwargs).points == reference_kernels.enumerate_points(
+            space, **kwargs
+        )
 
     def test_roofline_fallback_matches_scalar(self, trained_dnn, nano, energy_model):
         # The nano GPU cluster is calibrated but a custom cluster name is not,
         # so enumerate over the nano exercises both calibrated and roofline
         # paths depending on the calibration table.
         space = OperatingPointSpace(trained_dnn, nano, energy_model)
-        assert space.enumerate_table(temperature_c=50.0).points == space.enumerate(
+        assert space.enumerate_table(
             temperature_c=50.0
-        )
+        ).points == reference_kernels.enumerate_points(space, temperature_c=50.0)
 
-    def test_scalar_fallback_for_gridless_estimators(self, trained_dnn, xu3):
+    def test_gridless_estimators_are_rejected(self, trained_dnn, xu3):
         from repro.perfmodel.energy import EnergyModel
 
         class GridlessLatency:
-            """Estimator without latency_grid_ms: forces the per-point path."""
-
-            def __init__(self):
-                self._inner = RooflineLatencyModel()
+            """Estimator without latency_grid_ms, which enumeration needs."""
 
             def latency_ms(self, network, cluster, frequency_mhz=None, cores_used=1, **kwargs):
-                return self._inner.latency_ms(network, cluster, frequency_mhz, cores_used)
+                return 10.0
 
-        gridless = EnergyModel(GridlessLatency())
-        reference = EnergyModel(RooflineLatencyModel())
-        fallback = OperatingPointSpace(trained_dnn, xu3, gridless)
-        vectorised = OperatingPointSpace(trained_dnn, xu3, reference)
-        assert fallback.enumerate(temperature_c=45.0) == vectorised.enumerate(
-            temperature_c=45.0
-        )
+        space = OperatingPointSpace(trained_dnn, xu3, EnergyModel(GridlessLatency()))
+        with pytest.raises(TypeError, match="latency_grid_ms"):
+            space.enumerate_table(temperature_c=45.0)
 
     def test_block_pricing_counts_each_point_once(self, trained_dnn, xu3, energy_model):
         fresh = OperatingPointSpace(trained_dnn, xu3, energy_model)
         full = fresh.enumerate_table(temperature_c=45.0)
         assert fresh.points_priced == len(full)
-        fresh.enumerate(temperature_c=45.0)  # same grid, object form
+        fresh.enumerate_table(clusters=["a15"], core_counts=[2], temperature_c=45.0)
         assert fresh.points_priced == len(full)
 
 
@@ -179,13 +178,13 @@ class TestTableViews:
 class TestParetoParity:
     def test_table_pareto_matches_point_pareto(self, table, points):
         front = table.pareto(objectives=DECISION_OBJECTIVES, maximise=DECISION_MAXIMISE)
-        expected = pareto_front(
+        expected = reference_kernels.front(
             points, objectives=DECISION_OBJECTIVES, maximise=DECISION_MAXIMISE
         )
         assert front.points == expected
 
     def test_table_pareto_matches_default_objectives(self, table, points):
-        assert table.pareto().points == pareto_front(points)
+        assert table.pareto().points == reference_kernels.front(points)
 
     def test_hierarchical_front_equals_direct_mask(self, table):
         # The grouped fast path (n >= 64, several configurations) must equal
@@ -219,44 +218,146 @@ class TestPolicySelectionParity:
         self, table, points, policy_name, requirements, power_cap_mw
     ):
         policy = POLICY_REGISTRY[policy_name]()
-        scalar = policy.select(points, requirements, power_cap_mw=power_cap_mw)
+        expected = reference_kernels.select(
+            policy_name, points, requirements, power_cap_mw=power_cap_mw
+        )
         columnar = policy.select_table(table, requirements, power_cap_mw=power_cap_mw)
-        assert columnar == scalar
+        assert columnar == expected
 
     def test_empty_candidates_select_none(self, table):
         policy = POLICY_REGISTRY["max_accuracy"]()
-        assert policy.select([], Requirements()) is None
         assert policy.select_table(OperatingPointTable.empty(), Requirements()) is None
 
-    def test_custom_select_override_falls_back_to_point_path(self, table, points):
-        from repro.rtm.policies import MinEnergyUnderConstraints
-
-        class AlwaysLast(MinEnergyUnderConstraints):
-            def select(self, candidates, requirements, power_cap_mw=None):
-                candidates = list(candidates)
-                return candidates[-1] if candidates else None
-
-        policy = AlwaysLast()
-        requirements = Requirements()
-        assert policy.select_table(table, requirements) == points[-1]
-
     @pytest.mark.parametrize("policy_name", sorted(POLICY_REGISTRY))
-    def test_custom_feasible_points_override_is_honoured(self, table, points, policy_name):
+    def test_custom_objective_values_override_is_honoured(self, table, points, policy_name):
         base = POLICY_REGISTRY[policy_name]
 
-        class OnlyA7(base):
-            """Custom feasibility filter: the vectorised path must not bypass it."""
+        class LeastEnergyOnA7(base):
+            """Custom objective: the table path must rank by it, not by the base's."""
 
-            def feasible_points(self, candidates, requirements, power_cap_mw=None):
-                feasible = super().feasible_points(candidates, requirements, power_cap_mw)
-                return [p for p in feasible if p.cluster_name == "a7"]
+            maximise_column = None
 
-        policy = OnlyA7()
+            def objective_values(self, table):
+                on_a7 = table.cluster_index == table.cluster_names.index("a7")
+                return np.where(on_a7, table.energy_mj, np.inf)
+
+        policy = LeastEnergyOnA7()
         requirements = Requirements(max_latency_ms=400.0, max_energy_mj=100.0)
-        scalar = policy.select(points, requirements)
-        columnar = policy.select_table(table, requirements)
-        assert columnar == scalar
-        assert columnar.cluster_name == "a7"
+        feasible_on_a7 = [
+            point
+            for point in points
+            if point.cluster_name == "a7"
+            and reference_kernels.violation_score(point, requirements) == 0.0
+        ]
+        expected = min(feasible_on_a7, key=lambda point: point.energy_mj)
+        assert policy.select_table(table, requirements) == expected
+        # A subclass declares no value key, so no memo serves its choices.
+        assert policy.cache_key() is None
+
+    @pytest.mark.parametrize("policy_name", ["max_accuracy", "max_confidence"])
+    def test_maximise_column_ranks_the_feasible_points(self, table, points, policy_name):
+        class Maximiser(MinEnergyUnderConstraints):
+            maximise_column = POLICY_REGISTRY[policy_name].maximise_column
+
+        feasible_sets = [
+            requirements
+            for requirements in REQUIREMENT_SETS
+            if any(reference_kernels.violation_score(p, requirements) == 0.0 for p in points)
+        ]
+        assert len(feasible_sets) >= 3
+        for requirements in feasible_sets:
+            expected = reference_kernels.select(policy_name, points, requirements)
+            assert Maximiser().select_table(table, requirements) == expected
+        # Without the column the same class takes the least energy instead.
+        assert MinEnergyUnderConstraints().select_table(
+            table, Requirements()
+        ) != Maximiser().select_table(table, Requirements())
+
+    def test_a_policy_must_supply_objective_values(self):
+        class NoObjective(SelectionPolicy):
+            name = "no_objective"
+
+        with pytest.raises(TypeError, match="objective_values"):
+            NoObjective()
+
+
+#: Small value pools, so hand-built tables hold duplicate rows and exact ties.
+#: Accuracy and confidence levels sit 5e-10 apart, straddling the policies'
+#: 1e-9 tolerance; requirement limits and power caps reuse the metric levels,
+#: so points land exactly on a limit.
+LATENCIES = (10.0, 20.0, 40.0)
+ENERGIES = (5.0, 10.0, 20.0)
+POWERS = (500.0, 1000.0, 2000.0)
+ACCURACIES = (60.0, 60.0 + 5e-10, 60.0 + 1e-9, 60.0 + 1.5e-9, 70.0)
+CONFIDENCES = (80.0, 80.0 + 5e-10, 80.0 + 1e-9, 80.0 + 1.5e-9, 90.0)
+#: None, caps that exclude some points, and caps that exclude every point.
+POWER_CAPS = (None, 500.0, 1000.0, 1500.0, 2000.0, 100.0)
+
+
+@st.composite
+def hand_built_points(draw):
+    # frequency_mhz is the row number: no policy reads it, and it makes every
+    # row distinct, so equal points mean the same row was chosen.
+    return [
+        OperatingPoint(
+            cluster_name=draw(st.sampled_from(("a15", "a7"))),
+            frequency_mhz=float(row),
+            cores=draw(st.integers(1, 4)),
+            configuration=draw(st.sampled_from((0.25, 0.5, 1.0))),
+            latency_ms=draw(st.sampled_from(LATENCIES)),
+            power_mw=draw(st.sampled_from(POWERS)),
+            energy_mj=draw(st.sampled_from(ENERGIES)),
+            accuracy_percent=draw(st.sampled_from(ACCURACIES)),
+            confidence_percent=draw(st.sampled_from(CONFIDENCES)),
+        )
+        for row in range(draw(st.integers(0, 12)))
+    ]
+
+
+def _limit(pool):
+    return st.one_of(st.none(), st.sampled_from(pool))
+
+
+requirement_sets = st.builds(
+    Requirements,
+    max_latency_ms=_limit((15.0, 20.0, 40.0)),
+    max_energy_mj=_limit((5.0, 10.0, 15.0)),
+    max_power_mw=_limit((500.0, 1000.0, 1500.0)),
+    min_accuracy_percent=_limit((60.0, 60.0 + 1e-9, 65.0, 70.0)),
+    target_fps=_limit((25.0, 50.0, 60.0)),
+)
+
+
+class TestSelectionOracle:
+    """The table path against the per-point reference on hand-built tables."""
+
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    @given(
+        points=hand_built_points(),
+        requirements=requirement_sets,
+        power_cap_mw=st.sampled_from(POWER_CAPS),
+    )
+    def test_every_policy_picks_the_reference_point(self, points, requirements, power_cap_mw):
+        table = reference_kernels.table_of(points)
+        for name in sorted(POLICY_REGISTRY):
+            chosen = POLICY_REGISTRY[name]().select_table(table, requirements, power_cap_mw)
+            expected = reference_kernels.select(name, points, requirements, power_cap_mw)
+            assert chosen == expected, name
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(points=hand_built_points(), requirements=requirement_sets)
+    def test_every_row_scores_the_reference_violation(self, points, requirements):
+        table = reference_kernels.table_of(points)
+        scores = requirements.violation_scores(
+            latency_ms=table.latency_ms,
+            energy_mj=table.energy_mj,
+            power_mw=table.power_mw,
+            accuracy_percent=table.accuracy_percent,
+            fps=table.fps,
+        )
+        assert scores.tolist() == [
+            reference_kernels.violation_score(point, requirements) for point in points
+        ]
 
 
 class TestViolationScoreParity:
@@ -270,7 +371,7 @@ class TestViolationScoreParity:
             fps=table.fps,
         )
         for row, point in enumerate(points):
-            assert scores[row] == _violation_score(point, requirements)
+            assert scores[row] == reference_kernels.violation_score(point, requirements)
 
     def test_missing_columns_skip_their_checks(self):
         requirements = Requirements(max_latency_ms=10.0, min_accuracy_percent=90.0)
@@ -331,7 +432,7 @@ class TestCachedTablePath:
         again = cache.pareto_table_for(key, table)
         assert again is front
         assert (cache.stats.pareto_hits, cache.stats.pareto_misses) == (1, 1)
-        assert front.points == pareto_front(
+        assert front.points == reference_kernels.front(
             table.points, objectives=DECISION_OBJECTIVES, maximise=DECISION_MAXIMISE
         )
 

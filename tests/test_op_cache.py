@@ -91,24 +91,24 @@ class TestModelCacheKeys:
 class TestOperatingPointSpaceMemo:
     def test_repeated_enumeration_prices_once(self, trained_dnn, xu3, energy_model):
         space = OperatingPointSpace(trained_dnn, xu3, energy_model)
-        first = space.enumerate(temperature_c=45.0)
+        first = space.enumerate_table(temperature_c=45.0)
         priced = space.points_priced
         assert priced == len(first)
-        second = space.enumerate(temperature_c=45.0)
+        second = space.enumerate_table(temperature_c=45.0)
         assert space.points_priced == priced
-        assert second == first
+        assert second.points == first.points
 
     def test_restrictions_are_views_over_the_grid(self, trained_dnn, xu3, energy_model):
         space = OperatingPointSpace(trained_dnn, xu3, energy_model)
-        space.enumerate(temperature_c=45.0)
+        space.enumerate_table(temperature_c=45.0)
         priced = space.points_priced
-        restricted = space.enumerate(
+        restricted = space.enumerate_table(
             clusters=["a15"],
             configurations=[1.0],
             core_counts=[1, 2],
             frequencies={"a15": [1800.0]},
             temperature_c=45.0,
-        )
+        ).points
         # Every restricted point was already priced by the full enumeration.
         assert space.points_priced == priced
         assert {point.cores for point in restricted} == {1, 2}
@@ -117,9 +117,9 @@ class TestOperatingPointSpaceMemo:
 
     def test_temperature_changes_reprice(self, trained_dnn, xu3, energy_model):
         space = OperatingPointSpace(trained_dnn, xu3, energy_model)
-        cool = space.enumerate(clusters=["a15"], core_counts=[1], temperature_c=45.0)
+        cool = space.enumerate_table(clusters=["a15"], core_counts=[1], temperature_c=45.0).points
         priced = space.points_priced
-        hot = space.enumerate(clusters=["a15"], core_counts=[1], temperature_c=80.0)
+        hot = space.enumerate_table(clusters=["a15"], core_counts=[1], temperature_c=80.0).points
         assert space.points_priced == 2 * priced
         assert all(h.power_mw > c.power_mw for h, c in zip(hot, cool))
 

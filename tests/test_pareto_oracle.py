@@ -3,8 +3,8 @@
 :func:`repro.rtm.operating_points.pareto_mask` ANDs one (n x n) comparison
 per column into its no-worse matrix.  It must equal, on any matrix:
 
-* :func:`naive_domination`, the definition written out in pure Python:
-  O(n^2 * k), importing nothing from ``repro``;
+* ``naive_domination`` from ``tests/reference_kernels.py``, the definition
+  written out in pure Python: O(n^2 * k);
 * :func:`broadcast_domination`, the (n x n x k) broadcast the kernel
   replaced, kept verbatim.
 
@@ -22,21 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rtm.operating_points import pareto_mask
+from tests.reference_kernels import naive_domination
 
 #: Values a cell can hold: a few finite levels, both zeros, inf and nan.
 POOL = (-1.5, -0.0, 0.0, 0.5, 1.0, 2.0, math.inf, -math.inf, math.nan)
-
-
-def naive_domination(rows: list) -> list:
-    """``mask[i]``: some row is no worse than row ``i`` in every column and
-    strictly better in at least one (all columns minimised)."""
-    return [
-        any(
-            all(o <= r for o, r in zip(other, row)) and any(o < r for o, r in zip(other, row))
-            for other in rows
-        )
-        for row in rows
-    ]
 
 
 def broadcast_domination(matrix: np.ndarray) -> np.ndarray:

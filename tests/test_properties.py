@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,12 +12,18 @@ from repro.dnn.zoo import cifar_group_cnn
 from repro.platforms.dvfs import make_opp_table
 from repro.platforms.power import ClusterPowerModel, PowerModelParams
 from repro.platforms.thermal import ThermalModel, ThermalParams
-from repro.rtm.operating_points import OperatingPoint, pareto_front
+from repro.rtm.operating_points import OperatingPoint
 from repro.workloads.requirements import MetricSample, Requirements
+from tests.reference_kernels import table_of
 
 # The reference network is module-level so hypothesis examples do not rebuild it.
 _REFERENCE = cifar_group_cnn()
 _ACCURACY = AccuracyModel()
+
+
+def kernel_front(points, objectives=("latency_ms", "energy_mj"), maximise=("accuracy_percent",)):
+    """The kernel's Pareto front of hand-built points, as points."""
+    return table_of(points).pareto(objectives=objectives, maximise=maximise).points
 
 
 class TestAccuracyProperties:
@@ -114,7 +121,7 @@ class TestParetoProperties:
     @given(points=st.lists(_point_strategy(), min_size=1, max_size=25))
     @settings(max_examples=50, deadline=None)
     def test_front_is_nonempty_subset_and_mutually_nondominated(self, points):
-        front = pareto_front(points)
+        front = kernel_front(points)
         assert front
         assert all(point in points for point in front)
         for a in front:
@@ -136,7 +143,7 @@ class TestParetoProperties:
     @given(points=st.lists(_point_strategy(), min_size=1, max_size=25))
     @settings(max_examples=50, deadline=None)
     def test_every_excluded_point_is_dominated(self, points):
-        front = pareto_front(points)
+        front = kernel_front(points)
         for point in points:
             if point in front:
                 continue
@@ -149,13 +156,13 @@ class TestParetoProperties:
 
 
 class TestParetoAlgebraicProperties:
-    """Structural laws of pareto_front, independent of the objective set."""
+    """Structural laws of the Pareto front, independent of the objective set."""
 
     @given(points=st.lists(_point_strategy(), min_size=1, max_size=25))
     @settings(max_examples=50, deadline=None)
     def test_idempotent(self, points):
-        front = pareto_front(points)
-        assert pareto_front(front) == front
+        front = kernel_front(points)
+        assert kernel_front(front) == front
 
     @given(
         points=st.lists(_point_strategy(), min_size=1, max_size=25),
@@ -168,8 +175,8 @@ class TestParetoAlgebraicProperties:
 
         shuffled = list(points)
         random.Random(seed).shuffle(shuffled)
-        original = pareto_front(points)
-        reordered = pareto_front(shuffled)
+        original = kernel_front(points)
+        reordered = kernel_front(shuffled)
         assert sorted(original, key=astuple) == sorted(reordered, key=astuple)
 
     @given(points=st.lists(_point_strategy(), min_size=1, max_size=25))
@@ -177,7 +184,7 @@ class TestParetoAlgebraicProperties:
     def test_decision_axes_front_contains_no_dominated_point(self, points):
         objectives = ("latency_ms", "energy_mj", "power_mw")
         maximise = ("accuracy_percent", "confidence_percent")
-        front = pareto_front(points, objectives=objectives, maximise=maximise)
+        front = kernel_front(points, objectives=objectives, maximise=maximise)
         assert front
         assert all(point in points for point in front)
         for a in front:
@@ -196,7 +203,7 @@ class TestParetoAlgebraicProperties:
     @settings(max_examples=30, deadline=None)
     def test_duplicates_survive_together(self, points):
         doubled = points + points
-        front = pareto_front(doubled)
+        front = kernel_front(doubled)
         # A point never dominates its exact duplicate, so every survivor's
         # duplicate survives too.
         assert len(front) % 2 == 0 if front else True
@@ -210,13 +217,16 @@ class TestRequirementsProperties:
         accuracy=st.floats(0.0, 100.0),
     )
     @settings(max_examples=80, deadline=None)
-    def test_check_consistent_with_is_satisfied(self, latency_limit, latency, accuracy_floor, accuracy):
+    def test_violated_metrics_consistent_with_violation_scores(
+        self, latency_limit, latency, accuracy_floor, accuracy
+    ):
         requirements = Requirements(
             max_latency_ms=latency_limit, min_accuracy_percent=accuracy_floor
         )
         sample = MetricSample(latency_ms=latency, accuracy_percent=accuracy)
-        violations = requirements.check(sample)
-        assert requirements.is_satisfied_by(sample) == (len(violations) == 0)
-        for violation in violations:
-            assert violation.magnitude >= 0.0
-            assert math.isfinite(violation.magnitude)
+        (score,) = requirements.violation_scores(
+            latency_ms=np.array([latency]), accuracy_percent=np.array([accuracy])
+        )
+        assert bool(requirements.violated_metrics(sample)) == (score > 0.0)
+        assert score >= 0.0
+        assert math.isfinite(score)

@@ -27,7 +27,7 @@ from repro.rtm.multi_app import MultiAppAllocator
 from repro.rtm.policies import MaxAccuracyUnderBudget, MinEnergyUnderConstraints
 from repro.rtm.state import AppRuntimeState, Mapping, SystemState, UnmapApplication
 from repro.sim.engine import SharedSimulationStores, simulate_scenario
-from repro.workloads.requirements import Requirements
+from repro.workloads.requirements import MetricSample, Requirements
 from repro.workloads.tasks import make_dnn_application
 
 SCENARIOS = [
@@ -99,9 +99,12 @@ class _StrictPolicy(_SpyPolicy):
 
     def select_table(self, table, requirements, power_cap_mw=None):
         chosen = super().select_table(table, requirements, power_cap_mw)
-        if chosen is None or not self.feasible_points([chosen], requirements, power_cap_mw):
+        if chosen is None or (power_cap_mw is not None and chosen.power_mw > power_cap_mw):
             return None
-        return chosen
+        sample = MetricSample(
+            chosen.latency_ms, chosen.energy_mj, chosen.power_mw, chosen.accuracy_percent, chosen.fps
+        )
+        return None if requirements.violated_metrics(sample) else chosen
 
 
 class _UnkeyedPolicy(_SpyPolicy):

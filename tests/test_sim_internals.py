@@ -8,11 +8,18 @@ import pytest
 from repro.dnn.training import IncrementalTrainer
 from repro.dnn.zoo import make_dynamic_cifar_dnn
 from repro.experiments.managers import make_manager
+from repro.platforms.thermal import ThermalParams
 from repro.rtm.manager import RuntimeManager
-from repro.rtm.state import MapApplication, SetConfiguration, SetFrequency
+from repro.rtm.state import (
+    MapApplication,
+    SetConfiguration,
+    SetCoresOnline,
+    SetFrequency,
+    UnmapApplication,
+)
 from repro.sim.engine import SharedSimulationStores, Simulator, SimulatorConfig, _DNNRuntime
 from repro.sim.faults import FaultPlan, JobCrashProfile
-from repro.workloads.requirements import Requirements
+from repro.workloads.requirements import MetricSample, Requirements
 from repro.workloads.scenarios import Scenario
 from repro.workloads.tasks import (
     make_arvr_application,
@@ -148,6 +155,149 @@ class TestScriptedActions:
         assert len(half_jobs) >= 2
         # The switch overhead (1 ms by default) lands on the first 50 % job.
         assert half_jobs[0].latency_ms > half_jobs[1].latency_ms
+
+
+class _SteppedManager:
+    """Issues ``steps[n]`` at its ``n``-th decision and records ``read(state)``
+    at every decision."""
+
+    def __init__(self, steps, read):
+        self._steps = list(steps)
+        self._read = read
+        self.readings = []
+
+    def decide(self, state):
+        call = len(self.readings)
+        self.readings.append(self._read(state))
+
+        class _Decision:
+            actions = self._steps[call] if call < len(self._steps) else []
+
+        return _Decision()
+
+
+MAP_DNN_ON_A15 = MapApplication(app_id="dnn1", cluster_name="a15", cores=1)
+
+
+class TestFig5Boundary:
+    """Fig 5's knobs and monitors at the manager's one boundary.
+
+    Every decision reads a ``SystemState`` (the monitors) and returns
+    ``Action`` objects (the knobs), which the simulator applies to the
+    platform and the applications before the next decision reads them back.
+    """
+
+    @pytest.mark.parametrize("cluster_name", ["a15", "a7", "mali_gpu"])
+    def test_frequency_knob_of_every_cluster(self, trained_dnn, xu3, cluster_name):
+        default = xu3.cluster(cluster_name).frequency_mhz
+        frequency = xu3.cluster(cluster_name).available_frequencies()[1]
+        assert frequency != default
+        manager = _SteppedManager(
+            [[SetFrequency(cluster_name=cluster_name, frequency_mhz=frequency)]],
+            read=lambda state: state.soc.cluster(cluster_name).frequency_mhz,
+        )
+        Simulator(dnn_scenario(trained_dnn, duration_ms=1000.0), manager).run()
+        assert manager.readings == [default, frequency, frequency]
+
+    def test_online_cores_knob_powers_cores_down_and_up(self, trained_dnn):
+        manager = _SteppedManager(
+            [
+                [SetCoresOnline(cluster_name="a15", online_cores=2)],
+                [SetCoresOnline(cluster_name="a15", online_cores=4)],
+            ],
+            read=lambda state: len(state.soc.cluster("a15").online_cores),
+        )
+        Simulator(dnn_scenario(trained_dnn, duration_ms=1000.0), manager).run()
+        assert manager.readings == [4, 2, 4]
+
+    def test_configuration_knob_moves_the_accuracy_monitor(self):
+        # A model of its own: the action switches the application's DNN.
+        trained = IncrementalTrainer().train(make_dynamic_cifar_dnn())
+        manager = _SteppedManager(
+            [
+                [MAP_DNN_ON_A15, SetConfiguration(app_id="dnn1", configuration=1.0)],
+                [SetConfiguration(app_id="dnn1", configuration=0.25)],
+            ],
+            read=lambda state: state.app("dnn1").last_sample.accuracy_percent,
+        )
+        Simulator(dnn_scenario(trained, duration_ms=1500.0), manager).run()
+        assert trained.top1(0.25) == pytest.approx(56.0)
+        assert manager.readings == [None, trained.top1(1.0), trained.top1(0.25), trained.top1(0.25)]
+        assert trained.dynamic_dnn.active_fraction == 0.25
+
+    def test_unmapping_stops_the_application(self, trained_dnn):
+        manager = _SteppedManager(
+            [[MAP_DNN_ON_A15], [UnmapApplication(app_id="dnn1")]],
+            read=lambda state: state.app("dnn1").mapping,
+        )
+        simulator = Simulator(dnn_scenario(trained_dnn, duration_ms=2000.0), manager)
+        trace = simulator.run()
+        first, mapped, *unmapped = manager.readings
+        assert first is None
+        assert (mapped.cluster_name, mapped.cores) == ("a15", 1)
+        assert unmapped and all(mapping is None for mapping in unmapped)
+        jobs = trace.jobs_for("dnn1")
+        assert all(not job.dropped for job in jobs if job.release_ms < 500.0)
+        late = [job for job in jobs if job.release_ms > 500.0]
+        assert late and all(job.violations == ("unmapped",) for job in late)
+        assert simulator.soc.cluster("a15").cores_reserved_by("dnn1") == []
+
+    def test_decisions_read_the_device_monitors(self, trained_dnn):
+        manager = _SteppedManager(
+            [[MAP_DNN_ON_A15]],
+            read=lambda state: (
+                state.soc,
+                state.time_ms,
+                state.soc.thermal.temperature_c,
+                state.throttling,
+            ),
+        )
+        simulator = Simulator(dnn_scenario(trained_dnn, duration_ms=3000.0, fps=20.0), manager)
+        # A low threshold, so the run crosses it and the flag reads both ways.
+        simulator.soc.thermal.params = ThermalParams(
+            throttle_threshold_c=26.0, throttle_release_c=25.5
+        )
+        samples = simulator.run().power_samples
+        checked = 0
+        for soc, time_ms, temperature_c, throttling in manager.readings:
+            assert soc is simulator.soc
+            earlier = [sample for sample in samples if sample.time_ms < time_ms]
+            if earlier:
+                # The monitors hold the latest thermal sample: the last one
+                # before the decision, or one taken at the same instant.
+                latest = [earlier[-1]] + [s for s in samples if s.time_ms == time_ms]
+                assert (temperature_c, throttling) in [
+                    (sample.temperature_c, sample.throttling) for sample in latest
+                ]
+                checked += 1
+        assert checked >= 5
+        assert manager.readings[-1][2] > manager.readings[0][2]  # the load heats the SoC
+        assert {reading[3] for reading in manager.readings} == {False, True}
+
+    def test_decisions_read_the_application_monitors(self, trained_dnn):
+        manager = _SteppedManager(
+            [[MAP_DNN_ON_A15]],
+            read=lambda state: (
+                state.time_ms,
+                state.app("dnn1").jobs_completed,
+                state.app("dnn1").last_sample,
+            ),
+        )
+        trace = Simulator(dnn_scenario(trained_dnn, duration_ms=3000.0, fps=20.0), manager).run()
+        jobs = trace.completed_jobs("dnn1")
+        for time_ms, jobs_completed, sample in manager.readings:
+            done = [job for job in jobs if job.finish_ms <= time_ms]
+            assert jobs_completed == len(done)
+            if not done:
+                assert sample == MetricSample()
+                continue
+            last = done[-1]
+            assert (sample.latency_ms, sample.energy_mj, sample.accuracy_percent) == (
+                last.latency_ms,
+                last.energy_mj,
+                last.accuracy_percent,
+            )
+        assert manager.readings[-1][1] == len(jobs) > 0
 
 
 class TestGenericApplications:

@@ -1,10 +1,11 @@
 """Tests for requirements, tasks, scenarios and the workload generator."""
 
+import numpy as np
 import pytest
 
 from repro.platforms.core import CoreType
 from repro.workloads.generator import WorkloadGenerator, WorkloadGeneratorConfig
-from repro.workloads.requirements import MetricSample, Requirements, Violation
+from repro.workloads.requirements import MetricSample, Requirements
 from repro.workloads.scenarios import (
     SCENARIO_REGISTRY,
     ScenarioEventKind,
@@ -38,23 +39,21 @@ class TestRequirements:
             max_latency_ms=100.0, max_energy_mj=50.0, min_accuracy_percent=60.0
         )
         sample = MetricSample(latency_ms=150.0, energy_mj=40.0, accuracy_percent=55.0)
-        violations = requirements.check(sample)
-        metrics = {violation.metric for violation in violations}
-        assert metrics == {"latency_ms", "accuracy_percent"}
+        assert requirements.violated_metrics(sample) == ("latency_ms", "accuracy_percent")
 
     def test_satisfied_sample(self):
         requirements = Requirements(max_latency_ms=100.0, min_accuracy_percent=60.0)
         sample = MetricSample(latency_ms=80.0, accuracy_percent=70.0)
-        assert requirements.is_satisfied_by(sample)
+        assert requirements.violated_metrics(sample) == ()
 
     def test_missing_metrics_are_not_checked(self):
         requirements = Requirements(max_energy_mj=10.0)
-        assert requirements.is_satisfied_by(MetricSample(latency_ms=5000.0))
+        assert requirements.violated_metrics(MetricSample(latency_ms=5000.0)) == ()
 
     def test_violation_magnitude(self):
-        violation = Violation("latency_ms", limit=100.0, actual=150.0)
-        assert violation.magnitude == pytest.approx(0.5)
-        assert "latency_ms" in str(violation)
+        requirements = Requirements(max_latency_ms=100.0)
+        (score,) = requirements.violation_scores(latency_ms=np.array([150.0]))
+        assert score == pytest.approx(0.5)
 
     def test_with_changes_creates_modified_copy(self):
         original = Requirements(target_fps=30.0, min_accuracy_percent=68.0)
