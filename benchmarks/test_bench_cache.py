@@ -16,7 +16,8 @@ import time
 
 import pytest
 
-from repro.rtm.manager import RTMConfig, RuntimeManager
+from repro.experiments.managers import detach_op_cache
+from repro.rtm.manager import RuntimeManager
 from repro.rtm.state import AppRuntimeState, SystemState
 from repro.workloads.scenarios import build_scenario
 from repro.workloads.tasks import DNNApplication
@@ -46,7 +47,8 @@ def _run_epochs(manager: RuntimeManager, state: SystemState, epochs: int = EPOCH
 @pytest.mark.smoke
 def test_bench_cached_decisions_at_least_twice_as_fast(benchmark):
     state = _rush_hour_state()
-    uncached = RuntimeManager(config=RTMConfig(enable_op_cache=False))
+    uncached = RuntimeManager()
+    detach_op_cache(uncached)
     cached = RuntimeManager()
 
     uncached_s = _run_epochs(uncached, state)

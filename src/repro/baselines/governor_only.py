@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.perfmodel.calibrated import CalibratedLatencyModel
-from repro.perfmodel.energy import EnergyModel
 from repro.rtm.governors import Governor, OndemandGovernor
 from repro.rtm.state import Action, MapApplication, SetConfiguration, SystemState
 from repro.workloads.tasks import DNNApplication
@@ -34,8 +32,6 @@ class GovernorOnlyManager:
     ----------
     governor:
         The DVFS governor to run; defaults to ondemand.
-    energy_model:
-        Used only to rank clusters by speed when placing a new application.
     fixed_configuration:
         The dynamic-DNN fraction every application is pinned to (1.0: the
         full model, since a hardware-only stack has no notion of scaling the
@@ -45,13 +41,11 @@ class GovernorOnlyManager:
     def __init__(
         self,
         governor: Optional[Governor] = None,
-        energy_model: Optional[EnergyModel] = None,
         fixed_configuration: float = 1.0,
     ) -> None:
         if not 0.0 < fixed_configuration <= 1.0:
             raise ValueError("fixed_configuration must be in (0, 1]")
         self.governor = governor or OndemandGovernor()
-        self.energy_model = energy_model or EnergyModel(CalibratedLatencyModel())
         self.fixed_configuration = fixed_configuration
         self._placed: Dict[str, str] = {}
         self.decisions: List[_GovernorDecision] = []

@@ -2,40 +2,10 @@
 
 Provides a small ``repro-experiments`` tool (also runnable as
 ``python -m repro.cli``) that regenerates the paper's artefacts from the
-terminal without going through pytest:
-
-* ``table1``     — reproduce Table I;
-* ``fig4a``      — print the Fig 4(a) operating-point series;
-* ``fig4b``      — print the Fig 4(b) accuracy table;
-* ``case-study`` — run the Section IV budget queries;
-* ``scenario``   — replay a runtime scenario under a chosen manager and print
-  the phase timeline and comparison tables;
-* ``scenarios``  — list the registered named scenarios;
-* ``managers``   — list the registered runtime managers;
-* ``platforms``  — list the platform presets with their cluster topology;
-* ``faults``     — list the fault-event vocabulary and the chaos scenarios;
-* ``run``        — execute experiment spec files (TOML/JSON) through a
-  chosen execution backend (``--backend serial|process|batched``); with
-  ``--faults PLAN`` overlay a fault plan on every spec;
-* ``fleet``      — orchestrate many-device fleets: ``run`` fleet spec files
-  (or one flag-built fleet), ``sweep`` placement policies on one fleet
-  scenario, ``bench`` a 1000-device fleet against the static baseline
-  (``BENCH_fleet.json``), and list the ``policies`` / ``scenarios``;
-* ``sweep``      — run a (scenario, manager, seed) grid through a chosen
-  execution backend and print per-case and aggregate statistics;
-* ``bench``      — time decide()-per-epoch and end-to-end simulation across
-  scenarios x managers, write/refresh ``BENCH_decision_kernel.json`` and
-  optionally gate against a committed baseline; with ``--backend batched``
-  time the lock-step batched engine against the serial reference instead
-  and write/refresh ``BENCH_batched_engine.json``;
-* ``store``      — inspect the persistent results warehouse (``ls``,
-  ``show``, ``export``, ``gc``, ``diff``).
-
-``trace`` additionally offers ``stats`` to summarise a recorded JSONL trace
-(arrival counts, per-kind histogram, inter-arrival percentiles) in one
-streaming pass — optionally under a ``--max-peak-mb`` tracemalloc assertion —
-and ``generate`` to write a multi-hour diurnal traffic trace straight to
-disk through the streaming writer without building a scenario in memory.
+terminal without going through pytest, and drives the sweeps, fleets and
+results stores behind them.  Every verb and verb group is one row of
+:data:`VERBS` (path, handler, help, arguments), from which
+:func:`build_parser` builds the parser.
 
 ``run``, ``sweep`` and ``bench`` accept ``--store PATH`` to stream results
 into a persistent :class:`~repro.store.ResultsStore` as they finish, and
@@ -56,9 +26,13 @@ resulting file replays bit-identically via ``repro-experiments run FILE``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
+import json
 import sys
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from contextlib import nullcontext
+from pathlib import Path
+from typing import Callable, ContextManager, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import (
     BENCH_KIND_BATCHED,
@@ -141,7 +115,7 @@ from repro.workloads import (
     write_diurnal_trace,
 )
 
-__all__ = ["main", "build_parser", "resolve_managers", "resolve_scenarios"]
+__all__ = ["main", "build_parser", "VERBS"]
 
 
 def _energy_model() -> EnergyModel:
@@ -152,53 +126,60 @@ def _trained_dnn():
     return IncrementalTrainer().train(make_dynamic_cifar_dnn())
 
 
-# ------------------------------------------------------------- name resolving
+# ------------------------------------------------------------ usage checks
 
 
-def _resolve_names(label: str, names: Sequence[str], registry: Registry) -> bool:
-    """Validate registry names from the command line.
+def _names_known(*checks: "tuple[Registry, Sequence[str]]") -> bool:
+    """Validate the registry names a verb was given, one check per registry.
 
-    Prints unknown names (with did-you-mean suggestions) and duplicates to
-    stderr; returns True when every name resolves exactly once.
+    Prints the first failing check's unknown names (with did-you-mean
+    suggestions) or duplicates to stderr; returns True when every name
+    resolves exactly once.
     """
-    unknown = [name for name in names if name not in registry]
-    if unknown:
-        print(
-            f"unknown {label}s {unknown}; available: {sorted(registry)}",
-            file=sys.stderr,
-        )
-        for name in unknown:
-            suggestions = registry.suggest(name)
-            if suggestions:
-                print(
-                    f"  did you mean {', '.join(repr(s) for s in suggestions)} "
-                    f"instead of {name!r}?",
-                    file=sys.stderr,
-                )
-        return False
-    duplicates = find_duplicates(names)
-    if duplicates:
-        print(f"duplicate {label} names: {duplicates}", file=sys.stderr)
-        return False
+    for registry, names in checks:
+        unknown = [name for name in names if name not in registry]
+        if unknown:
+            print(
+                f"unknown {registry.kind}s {unknown}; available: {sorted(registry)}",
+                file=sys.stderr,
+            )
+            for name in unknown:
+                suggestions = registry.suggest(name)
+                if suggestions:
+                    print(
+                        f"  did you mean {', '.join(repr(s) for s in suggestions)} "
+                        f"instead of {name!r}?",
+                        file=sys.stderr,
+                    )
+            return False
+        duplicates = find_duplicates(names)
+        if duplicates:
+            print(f"duplicate {registry.kind} names: {duplicates}", file=sys.stderr)
+            return False
     return True
 
 
-def resolve_managers(names: Sequence[str]) -> bool:
-    """Validate manager names against the unified registry (see above)."""
-    return _resolve_names("manager", names, MANAGER_REGISTRY)
+def _usage_ok(
+    at_least: Optional[Dict[str, Optional[int]]] = None,
+    minimum: int = 1,
+    labels: Sequence[str] = (),
+    duplicate: str = "",
+) -> bool:
+    """Check the counts and case labels a verb was given; print the first problem.
 
-
-def resolve_scenarios(names: Sequence[str]) -> bool:
-    """Validate scenario names against the unified registry (see above)."""
-    return _resolve_names("scenario", names, SCENARIO_REGISTRY)
-
-
-def _resolve_platform(name: str) -> bool:
-    """Validate one platform preset name, with suggestions on a near-miss."""
-    if name in PLATFORM_REGISTRY:
-        return True
-    print(PLATFORM_REGISTRY.describe_unknown(name), file=sys.stderr)
-    return False
+    Each ``at_least`` flag (``None`` = not given) must be at least
+    ``minimum``, and no ``labels`` entry may repeat: ``duplicate`` is that
+    error, formatted with the repeated labels.
+    """
+    for flag, value in (at_least or {}).items():
+        if value is not None and value < minimum:
+            print(f"{flag} must be at least {minimum}", file=sys.stderr)
+            return False
+    duplicates = find_duplicates(labels)
+    if duplicates:
+        print(duplicate.format(duplicates), file=sys.stderr)
+        return False
+    return True
 
 
 def _backend_workers_conflict(args: argparse.Namespace) -> bool:
@@ -270,6 +251,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_fig4a(args: argparse.Namespace) -> int:
     """Print the Fig 4(a) operating-point sweep (optionally only the Pareto front)."""
+    if not _usage_ok({"--limit": args.limit}, minimum=0):
+        return 2
     trained = _trained_dnn()
     space = OperatingPointSpace(trained, odroid_xu3(), _energy_model())
     table = space.enumerate_table(clusters=["a15", "a7"], core_counts=[1])
@@ -300,13 +283,16 @@ def cmd_fig4b(args: argparse.Namespace) -> int:
 
 def cmd_case_study(args: argparse.Namespace) -> int:
     """Run the Section IV budget queries (or a custom budget)."""
-    if not _resolve_platform(args.platform):
+    if (args.latency_ms is None) != (args.energy_mj is None):
+        print("a custom budget needs both --latency-ms and --energy-mj", file=sys.stderr)
+        return 2
+    if not _names_known((PLATFORM_REGISTRY, [args.platform])):
         return 2
     trained = _trained_dnn()
     platform = build_preset(args.platform)
     manager = RuntimeManager(policy=make_policy(args.policy))
     budgets = list(CASE_STUDY_BUDGETS)
-    if args.latency_ms is not None and args.energy_mj is not None:
+    if args.latency_ms is not None:
         budgets = [(args.latency_ms, args.energy_mj)]
     for latency_ms, energy_mj in budgets:
         point = manager.select_operating_point(
@@ -320,37 +306,22 @@ def cmd_case_study(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scenario_specs(args: argparse.Namespace) -> List[ExperimentSpec]:
-    """The spec set the ``scenario`` command replays."""
-    specs = [
-        ExperimentSpec(
-            name="rtm",
-            scenario=args.name,
-            manager="rtm",
-            platform=args.platform,
-            seed=args.seed,
-            policy_overrides={"dnn2": MinEnergyUnderConstraints.name},
-        )
-    ]
-    if args.baselines:
-        for manager in ("governor_only", "static_deployment"):
-            specs.append(
-                ExperimentSpec(
-                    name=manager,
-                    scenario=args.name,
-                    manager=manager,
-                    platform=args.platform,
-                    seed=args.seed,
-                )
-            )
-    return specs
-
-
 def cmd_scenario(args: argparse.Namespace) -> int:
     """Replay a scenario under the RTM and (optionally) the baselines."""
-    if not resolve_scenarios([args.name]) or not _resolve_platform(args.platform):
+    if not _names_known((SCENARIO_REGISTRY, [args.name]), (PLATFORM_REGISTRY, [args.platform])):
         return 2
-    specs = _scenario_specs(args)
+    managers = ["rtm", "governor_only", "static_deployment"] if args.baselines else ["rtm"]
+    specs = [
+        ExperimentSpec(
+            name=manager,
+            scenario=args.name,
+            manager=manager,
+            platform=args.platform,
+            seed=args.seed,
+            policy_overrides={"dnn2": MinEnergyUnderConstraints.name} if manager == "rtm" else {},
+        )
+        for manager in managers
+    ]
     if args.dump_spec is not None:
         return _dump_specs_and_exit(specs, args.dump_spec)
 
@@ -379,14 +350,34 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_listing(title: str, rows: Sequence["tuple[str, str, str]"]) -> None:
+    """Print ``<count> <title>:`` and one aligned ``name mark text`` line per row.
+
+    ``mark`` is ``*``, a blank, or ``""`` in a listing without a marker
+    column; the lines of a multi-line ``text`` after its first align under it.
+    """
+    width = max(len(name) for name, _, _ in rows)
+    print(f"{len(rows)} {title}:")
+    for name, mark, text in rows:
+        first, *more = text.split("\n")
+        print(f"  {name:<{width}} {mark} {first}")
+        for line in more:
+            print(f"  {'':<{width}} {' ' * len(mark)} {line}")
+
+
+def _scenario_rows(summaries: Dict[str, str]) -> "list[tuple[str, str, str]]":
+    """Listing rows of registry scenarios, marked when they vary with the seed."""
+    return [
+        (name, "*" if scenario_is_seeded(name) else " ", summary)
+        for name, summary in summaries.items()
+    ]
+
+
 def cmd_scenarios_list(args: argparse.Namespace) -> int:
     """List the registered named scenarios with their one-line descriptions."""
-    summaries = scenario_summaries()
-    width = max(len(name) for name in summaries)
-    print(f"{len(summaries)} registered scenarios (* = varies with --seed):")
-    for name, summary in summaries.items():
-        marker = "*" if scenario_is_seeded(name) else " "
-        print(f"  {name:<{width}} {marker} {summary}")
+    _print_listing(
+        "registered scenarios (* = varies with --seed)", _scenario_rows(scenario_summaries())
+    )
     return 0
 
 
@@ -411,8 +402,8 @@ def _print_scenario_overview(scenario) -> None:
     print(format_table(["app", "kind", "arrive (s)", "depart (s)", "fps", "prio"], rows, precision=2))
 
 
-def _simulate_built(scenario, spec: ExperimentSpec):
-    """Simulate an already-built scenario under the spec's manager and config.
+def _run_built(scenario, spec: ExperimentSpec) -> None:
+    """Simulate an already-built scenario under the spec's manager and print the outcome.
 
     The single-spec compose/replay commands build the scenario once (for
     validation and the printed overview); re-running the spec through the
@@ -421,7 +412,10 @@ def _simulate_built(scenario, spec: ExperimentSpec):
     the only spec step this bypasses.
     """
     manager = build_manager_from_spec(spec)
-    return simulate_scenario(scenario, manager, config=build_simulator_config(spec))
+    trace = simulate_scenario(scenario, manager, config=build_simulator_config(spec))
+    print()
+    _print_case_table({spec.label: trace})
+    print(f"trace fingerprint: {trace.fingerprint()}")
 
 
 def cmd_scenarios_compose(args: argparse.Namespace) -> int:
@@ -435,9 +429,11 @@ def cmd_scenarios_compose(args: argparse.Namespace) -> int:
         )
         return 2
     operands = [args.a] if args.b is None else [args.a, args.b]
-    if not resolve_scenarios(list(dict.fromkeys(operands))) or not resolve_managers([args.manager]):
-        return 2
-    if not _resolve_platform(args.platform):
+    if not _names_known(
+        (SCENARIO_REGISTRY, list(dict.fromkeys(operands))),
+        (MANAGER_REGISTRY, [args.manager]),
+        (PLATFORM_REGISTRY, [args.platform]),
+    ):
         return 2
     # Only explicitly-given operand parameters enter the spec; the compose
     # builder rejects ones its op does not use (e.g. --at-ms with --op mix),
@@ -468,10 +464,7 @@ def cmd_scenarios_compose(args: argparse.Namespace) -> int:
         print(f"\nwrote arrival trace to {args.save_trace}")
         print(f"replay with: repro-experiments trace replay {args.save_trace}")
     if args.run:
-        trace = _simulate_built(scenario, spec)
-        print()
-        _print_case_table({spec.label: trace})
-        print(f"trace fingerprint: {trace.fingerprint()}")
+        _run_built(scenario, spec)
     return 0
 
 
@@ -482,8 +475,6 @@ def _parse_param_overrides(entries: Optional[Sequence[str]]) -> Dict[str, object
     kept as strings otherwise, so ``--param duration_ms=60000`` arrives as a
     number while ``--param source=rush_hour`` stays a string.
     """
-    import json
-
     params: Dict[str, object] = {}
     for entry in entries or ():
         key, separator, raw = entry.partition("=")
@@ -498,7 +489,7 @@ def _parse_param_overrides(entries: Optional[Sequence[str]]) -> Dict[str, object
 
 def cmd_trace_record(args: argparse.Namespace) -> int:
     """Record a registry scenario's workload timeline to a JSONL arrival trace."""
-    if not resolve_scenarios([args.scenario]) or not _resolve_platform(args.platform):
+    if not _names_known((SCENARIO_REGISTRY, [args.scenario]), (PLATFORM_REGISTRY, [args.platform])):
         return 2
     try:
         params = _parse_param_overrides(args.param)
@@ -520,7 +511,7 @@ def cmd_trace_record(args: argparse.Namespace) -> int:
 
 def cmd_trace_generate(args: argparse.Namespace) -> int:
     """Generate a diurnal traffic trace straight to disk via the streaming writer."""
-    if not _resolve_platform(args.platform):
+    if not _names_known((PLATFORM_REGISTRY, [args.platform])):
         return 2
     duration_ms = args.duration_ms if args.duration_ms is not None else args.hours * 3_600_000.0
     try:
@@ -529,9 +520,7 @@ def cmd_trace_generate(args: argparse.Namespace) -> int:
             config = config_for_arrivals(args.arrivals, duration_ms=duration_ms, **overrides)
         else:
             config = DiurnalConfig(duration_ms=duration_ms, **overrides)  # type: ignore[arg-type]
-        written = write_diurnal_trace(
-            args.out, config, seed=args.seed, platform_name=args.platform
-        )
+        written = write_diurnal_trace(args.out, config, seed=args.seed, platform_name=args.platform)
     except (ValueError, TypeError, TraceFormatError) as error:
         print(f"invalid diurnal config: {error}", file=sys.stderr)
         return 2
@@ -549,7 +538,7 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
     try:
         header = ArrivalTrace.read_header(args.file)
         platform = args.platform or header.platform_name
-        if not resolve_managers([args.manager]) or not _resolve_platform(platform):
+        if not _names_known((MANAGER_REGISTRY, [args.manager]), (PLATFORM_REGISTRY, [platform])):
             return 2
         scenario = ArrivalTrace.stream_scenario(args.file, platform_name=platform)
     except TraceFormatError as error:
@@ -568,19 +557,13 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
         # path to stay replayable from any directory on this machine.  An
         # explicit --platform override must also be marked deliberate, or
         # the emitted spec would be rejected for the platform mismatch.
-        import dataclasses
-        from pathlib import Path
-
         params: dict = {"path": str(Path(args.file).resolve())}
         if platform != header.platform_name:
             params["replatform"] = True
         spec = dataclasses.replace(spec, scenario_params=params)
         return _dump_specs_and_exit([spec], args.dump_spec)
     _print_scenario_overview(scenario)
-    trace = _simulate_built(scenario, spec)
-    print()
-    _print_case_table({spec.label: trace})
-    print(f"trace fingerprint: {trace.fingerprint()}")
+    _run_built(scenario, spec)
     return 0
 
 
@@ -594,24 +577,19 @@ def cmd_trace_stats(args: argparse.Namespace) -> int:
     via :mod:`tracemalloc` (exit 1 on exceed) — the CI trace job runs under
     it to keep the pipeline honestly streaming.
     """
-    tracker = None
-    if args.max_peak_mb is not None:
-        import tracemalloc
+    import tracemalloc
 
-        tracker = tracemalloc
-        tracker.start()
+    if args.max_peak_mb is not None:
+        tracemalloc.start()
     try:
         stats = compute_trace_stats(args.file)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
     except TraceFormatError as error:
-        if tracker is not None:
-            tracker.stop()
         print(f"invalid trace: {error}", file=sys.stderr)
         return 2
-    peak_mb = None
-    if tracker is not None:
-        _, peak = tracker.get_traced_memory()
-        tracker.stop()
-        peak_mb = peak / 1e6
+    finally:
+        if args.max_peak_mb is not None:
+            tracemalloc.stop()
     print(f"trace:    {args.file}")
     print(f"scenario: {stats.scenario_name} on {stats.platform_name}")
     print(f"duration: {stats.duration_ms:g} ms")
@@ -631,12 +609,8 @@ def cmd_trace_stats(args: argparse.Namespace) -> int:
                 precision=4,
             )
         )
-        print(
-            f"{stats.num_departures} of {stats.num_applications} application(s) also depart"
-        )
-        print(
-            f"first arrival {stats.first_arrival_ms:g} ms, last {stats.last_arrival_ms:g} ms"
-        )
+        print(f"{stats.num_departures} of {stats.num_applications} application(s) also depart")
+        print(f"first arrival {stats.first_arrival_ms:g} ms, last {stats.last_arrival_ms:g} ms")
         if stats.gap_p50_ms is not None:
             print(
                 "inter-arrival ms: "
@@ -644,7 +618,7 @@ def cmd_trace_stats(args: argparse.Namespace) -> int:
                 f"p90 {stats.gap_p90_ms:.1f}  p99 {stats.gap_p99_ms:.1f}  "
                 f"max {stats.gap_max_ms:.1f}"
             )
-    if peak_mb is not None:
+    if args.max_peak_mb is not None:
         if peak_mb > args.max_peak_mb:
             print(
                 f"peak memory {peak_mb:.1f} MB exceeds --max-peak-mb "
@@ -658,186 +632,63 @@ def cmd_trace_stats(args: argparse.Namespace) -> int:
 
 def cmd_managers_list(args: argparse.Namespace) -> int:
     """List the registered runtime managers with their one-line descriptions."""
-    entries = MANAGER_REGISTRY.list()
-    width = max(len(entry.name) for entry in entries)
-    print(f"{len(entries)} registered managers (* = accepts policy/rtm overrides):")
-    for entry in entries:
-        marker = "*" if entry.metadata.get("configurable") else " "
-        print(f"  {entry.name:<{width}} {marker} {entry.summary}")
+    _print_listing(
+        "registered managers (* = accepts policy/rtm overrides)",
+        [
+            (entry.name, "*" if entry.metadata.get("configurable") else " ", entry.summary)
+            for entry in MANAGER_REGISTRY.list()
+        ],
+    )
     return 0
 
 
 def cmd_platforms_list(args: argparse.Namespace) -> int:
     """List the platform presets with cluster topology and core counts."""
-    summaries = preset_summaries()
-    width = max(len(name) for name in summaries)
-    print(f"{len(summaries)} platform presets (* = calibrated against the paper):")
-    for name, info in summaries.items():
+    rows = []
+    for name, info in preset_summaries().items():
         clusters = " + ".join(
             f"{cluster_name}:{payload['num_cores']}x{payload['core_type']}"
             for cluster_name, payload in info["clusters"].items()
         )
-        marker = "*" if info["calibrated"] else " "
-        print(f"  {name:<{width}} {marker} {info['total_cores']:>2} cores  {clusters}")
-        print(f"  {'':<{width}}   {info['summary']}")
+        text = f"{info['total_cores']:>2} cores  {clusters}\n{info['summary']}"
+        rows.append((name, "*" if info["calibrated"] else " ", text))
+    _print_listing("platform presets (* = calibrated against the paper)", rows)
     return 0
 
 
 def cmd_faults_list(args: argparse.Namespace) -> int:
     """List fault event kinds (with their accepted keys) and chaos scenarios."""
-    import dataclasses
-
     from repro.sim.faults import FAULT_EVENT_KINDS, JobCrashProfile
 
-    print(f"{len(FAULT_EVENT_KINDS)} fault event kinds (plan tables: [[events]]):")
-    width = max(len(kind) for kind in FAULT_EVENT_KINDS)
+    def summary_and_keys(spec_class) -> "tuple[str, str]":
+        summary = (spec_class.__doc__ or "").strip().splitlines()[0]
+        return summary, ", ".join(spec_field.name for spec_field in dataclasses.fields(spec_class))
+
+    rows = []
     for kind in sorted(FAULT_EVENT_KINDS):
-        event_class = FAULT_EVENT_KINDS[kind]
-        summary = (event_class.__doc__ or "").strip().splitlines()[0]
-        keys = ", ".join(spec_field.name for spec_field in dataclasses.fields(event_class))
-        print(f"  {kind:<{width}}  {summary}")
-        print(f"  {'':<{width}}  keys: kind, {keys}")
-    crash_summary = (JobCrashProfile.__doc__ or "").strip().splitlines()[0]
-    crash_keys = ", ".join(
-        spec_field.name for spec_field in dataclasses.fields(JobCrashProfile)
-    )
+        summary, keys = summary_and_keys(FAULT_EVENT_KINDS[kind])
+        rows.append((kind, "", f"{summary}\nkeys: kind, {keys}"))
+    _print_listing("fault event kinds (plan tables: [[events]])", rows)
+    crash_summary, crash_keys = summary_and_keys(JobCrashProfile)
     print(f"\njob crashes ([job_crashes] table): {crash_summary}")
     print(f"  keys: {crash_keys}")
-    chaos = {
-        name: summary
-        for name, summary in scenario_summaries().items()
-        if name.startswith("chaos_")
-    }
-    print(f"\n{len(chaos)} chaos scenarios (fault plans baked in; see 'scenarios list'):")
-    width = max(len(name) for name in chaos)
-    for name, summary in chaos.items():
-        marker = "*" if scenario_is_seeded(name) else " "
-        print(f"  {name:<{width}} {marker} {summary}")
+    print()
+    _print_listing(
+        "chaos scenarios (fault plans baked in; see 'scenarios list')",
+        _scenario_rows(
+            {name: text for name, text in scenario_summaries().items() if name.startswith("chaos_")}
+        ),
+    )
     return 0
 
 
-def _add_store_arguments(subparser: argparse.ArgumentParser) -> None:
-    """``--store PATH --resume/--no-resume``, shared by run/sweep/bench."""
-    subparser.add_argument(
-        "--store",
-        default=None,
-        metavar="PATH",
-        help="append results to this SQLite results store (created if missing)",
-    )
-    subparser.add_argument(
-        "--resume",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="skip specs whose spec_id is already in --store (default: --no-resume)",
-    )
+def _store_session(args: argparse.Namespace) -> "ContextManager[Optional[ResultsStore]]":
+    """``--store`` opened for one ``with`` block and closed after it (``None`` without it).
 
-
-def _add_robustness_arguments(subparser: argparse.ArgumentParser) -> None:
-    """``--retries/--retry-backoff/--spec-timeout``, shared by run/sweep."""
-    subparser.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="re-run failed specs up to N extra times (default 0)",
-    )
-    subparser.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="sleep SECONDS * 2^attempt between retry rounds (default 0)",
-    )
-    subparser.add_argument(
-        "--spec-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="abandon the batch when no spec finishes for SECONDS "
-        "(process backend only; single-process backends ignore it)",
-    )
-
-
-def _add_backend_arguments(subparser: argparse.ArgumentParser) -> None:
-    """``--backend/--workers``, shared by run/sweep."""
-    subparser.add_argument(
-        "--backend",
-        default=None,
-        choices=sorted(EXECUTION_BACKEND_REGISTRY),
-        help="execution backend (default: process when --workers > 1, else serial)",
-    )
-    subparser.add_argument(
-        "--workers", type=int, default=1, help="worker processes (process backend only)"
-    )
-
-
-def _add_dump_spec_argument(subparser: argparse.ArgumentParser, what: str) -> None:
-    """``--dump-spec FILE``, shared by every verb that builds experiment specs."""
-    subparser.add_argument(
-        "--dump-spec",
-        default=None,
-        metavar="FILE",
-        help=f"write {what} to FILE ('-' for stdout) instead of running",
-    )
-
-
-def _add_fleet_mix_arguments(subparser: argparse.ArgumentParser) -> None:
-    """``--devices PRESET=COUNT ... --backend``, shared by fleet run/sweep."""
-    subparser.add_argument(
-        "--devices",
-        nargs="+",
-        default=None,
-        metavar="PRESET=COUNT",
-        help="device mix override (default: the scenario's own mix)",
-    )
-    subparser.add_argument(
-        "--backend",
-        default="batched",
-        choices=list(FLEET_BACKENDS),
-        help="per-device execution backend (identical fingerprints; default batched)",
-    )
-
-
-def _add_bench_file_arguments(
-    subparser: argparse.ArgumentParser, default_output: str, output_help: str, gated: str
-) -> None:
-    """``--output/--no-write/--compare/--max-regression``, shared by bench/fleet bench."""
-    subparser.add_argument("--output", default=default_output, help=output_help)
-    subparser.add_argument(
-        "--no-write",
-        dest="output",
-        action="store_const",
-        const=None,
-        help="measure and print only; do not write the JSON file",
-    )
-    subparser.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE_JSON",
-        help=f"gate {gated} against this committed baseline file",
-    )
-    subparser.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        help=f"allowed {gated} slowdown vs --compare (fraction, default 0.25)",
-    )
-
-
-@contextmanager
-def _store_session(args: argparse.Namespace) -> "Iterator[Optional[ResultsStore]]":
-    """Open ``--store`` (or yield ``None``) and always close it.
-
-    The one shared implementation of the open/try/finally/close dance every
-    result-streaming verb (``run``, ``sweep``, ``bench``, ``fleet``) used to
-    copy-paste.
+    Shared by every result-streaming verb (``run``, ``sweep``, ``bench``,
+    ``fleet``).
     """
-    store = ResultsStore(args.store) if getattr(args, "store", None) is not None else None
-    try:
-        yield store
-    finally:
-        if store is not None:
-            store.close()
+    return ResultsStore(args.store) if args.store is not None else nullcontext()
 
 
 def _execute_spec_batch(args: argparse.Namespace, specs, report: Callable):
@@ -864,6 +715,16 @@ def _execute_spec_batch(args: argparse.Namespace, specs, report: Callable):
     return batch
 
 
+def _failures(errors: Dict[str, str], noun: str) -> int:
+    """Exit code of a batch: 1 after listing its failed cases on stderr, else 0."""
+    if not errors:
+        return 0
+    print(f"\n{len(errors)} {noun}(s) failed:", file=sys.stderr)
+    for name, message in errors.items():
+        print(f"  {name}: {message}", file=sys.stderr)
+    return 1
+
+
 def _resume_store_conflict(args: argparse.Namespace) -> bool:
     """True (after printing the error) when --resume is given without --store."""
     if args.resume and args.store is None:
@@ -872,47 +733,29 @@ def _resume_store_conflict(args: argparse.Namespace) -> bool:
     return False
 
 
-@contextmanager
-def _existing_store(path: str) -> "Iterator[Optional[ResultsStore]]":
-    """Open a store that must already exist (the read-side verbs), then close it.
+def _on_existing_store(
+    verb: Callable[[argparse.Namespace, ResultsStore], int],
+) -> Callable[[argparse.Namespace], int]:
+    """Run a ``store`` verb on its STORE, which must already exist, and close it after.
 
-    Yields ``None`` after printing an error when the file is missing or
-    unreadable — opening would otherwise silently create an empty store.
+    Exits 2 after printing an error when the file is missing or unreadable —
+    opening would otherwise silently create an empty store.
     """
-    from pathlib import Path
 
-    if not Path(path).exists():
-        print(f"no results store at {path}", file=sys.stderr)
-        yield None
-        return
-    try:
-        store = ResultsStore(path)
-    except Exception as error:  # noqa: BLE001 - reported to the user (StoreError, sqlite)
-        print(f"cannot open results store {path}: {error}", file=sys.stderr)
-        yield None
-        return
-    try:
-        yield store
-    finally:
-        store.close()
+    @functools.wraps(verb)
+    def run_verb(args: argparse.Namespace) -> int:
+        if not Path(args.store).exists():
+            print(f"no results store at {args.store}", file=sys.stderr)
+            return 2
+        try:
+            store = ResultsStore(args.store)
+        except Exception as error:  # noqa: BLE001 - reported to the user (StoreError, sqlite)
+            print(f"cannot open results store {args.store}: {error}", file=sys.stderr)
+            return 2
+        with store:
+            return verb(args, store)
 
-
-def _print_stored_case_table(stored: "dict[str, StoredResult]") -> None:
-    """Table of already-stored cases a resumed batch skipped."""
-    headers = ["case (stored)", "spec id", "violation rate", "mean top-1 (%)", "energy (J)"]
-    rows = []
-    for label, record in stored.items():
-        energy = record.metrics.get("total_energy_mj")
-        rows.append(
-            [
-                label,
-                record.spec_id,
-                round(float(record.metrics.get("violation_rate", 0.0)), 4),
-                round(float(record.metrics.get("mean_accuracy_percent", 0.0)), 2),
-                round(float(energy) / 1000.0, 3) if energy is not None else "-",
-            ]
-        )
-    print(format_table(headers, rows, precision=4))
+    return run_verb
 
 
 def _report_store_outcome(store: ResultsStore, args, batch, specs) -> None:
@@ -935,6 +778,24 @@ def _report_store_outcome(store: ResultsStore, args, batch, specs) -> None:
     print(f"combined fingerprint digest over this batch: {digest}")
 
 
+def _print_stored_case_table(stored: "dict[str, StoredResult]") -> None:
+    """Table of already-stored cases a resumed batch skipped."""
+    headers = ["case (stored)", "spec id", "violation rate", "mean top-1 (%)", "energy (J)"]
+    rows = []
+    for label, record in stored.items():
+        energy = record.metrics.get("total_energy_mj")
+        rows.append(
+            [
+                label,
+                record.spec_id,
+                round(float(record.metrics.get("violation_rate", 0.0)), 4),
+                round(float(record.metrics.get("mean_accuracy_percent", 0.0)), 2),
+                round(float(energy) / 1000.0, 3) if energy is not None else "-",
+            ]
+        )
+    print(format_table(headers, rows, precision=4))
+
+
 def _print_case_table(traces, show_spec_ids=None) -> None:
     """Per-case headline statistics shared by ``run`` and ``sweep``."""
     headers = ["case", "violation rate", "mean top-1 (%)", "energy (J)"]
@@ -954,22 +815,6 @@ def _print_case_table(traces, show_spec_ids=None) -> None:
     print(format_table(headers, rows, precision=4))
 
 
-def _load_faults_overlay(path: str) -> "tuple[Optional[dict], Optional[str]]":
-    """Load ``--faults FILE`` into the dict form specs carry.
-
-    Returns ``(faults_dict, error_message)``; exactly one is ``None``.
-    """
-    from repro.sim.faults import FaultPlan, FaultPlanError
-
-    try:
-        plan = FaultPlan.from_file(path)
-    except FaultPlanError as error:
-        return None, f"cannot load fault plan {path!r}: {error}"
-    if plan.is_empty:
-        return None, f"fault plan {path!r} declares no events and no job crashes"
-    return plan.to_dict(), None
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     """Execute experiment spec files through the spec runner."""
     specs: List[ExperimentSpec] = []
@@ -982,28 +827,29 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"invalid spec: {error}", file=sys.stderr)
         return 2
     if args.faults is not None:
-        import dataclasses
+        from repro.sim.faults import FaultPlan, FaultPlanError
 
-        faults, error = _load_faults_overlay(args.faults)
-        if error is not None:
-            print(error, file=sys.stderr)
+        try:
+            plan = FaultPlan.from_file(args.faults)
+        except FaultPlanError as error:
+            print(f"cannot load fault plan {args.faults!r}: {error}", file=sys.stderr)
+            return 2
+        if plan.is_empty:
+            print(
+                f"fault plan {args.faults!r} declares no events and no job crashes",
+                file=sys.stderr,
+            )
             return 2
         # The overlay replaces any per-spec faults table: one plan file, one
         # behaviour, for every spec in the batch.  Spec ids change with it.
-        specs = [dataclasses.replace(spec, faults=faults) for spec in specs]
-    if args.workers < 1:
-        print("--workers must be at least 1", file=sys.stderr)
+        specs = [dataclasses.replace(spec, faults=plan.to_dict()) for spec in specs]
+    if not _usage_ok(
+        {"--workers": args.workers},
+        labels=[spec.label for spec in specs],
+        duplicate="duplicate experiment labels {}; give repeated entries distinct 'name' keys",
+    ):
         return 2
     if _backend_workers_conflict(args) or _resume_store_conflict(args):
-        return 2
-
-    duplicates = find_duplicates(spec.label for spec in specs)
-    if duplicates:
-        print(
-            f"duplicate experiment labels {duplicates}; give repeated entries "
-            "distinct 'name' keys",
-            file=sys.stderr,
-        )
         return 2
 
     plural = "experiment" if len(specs) == 1 else "experiments"
@@ -1017,14 +863,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         spec_ids = {spec.label: spec.spec_id() for spec in specs if spec.label in batch.traces}
         _print_case_table(batch.traces, show_spec_ids=spec_ids)
 
-    batch = _execute_spec_batch(args, specs, report)
-
-    if batch.errors:
-        print(f"\n{len(batch.errors)} experiment(s) failed:", file=sys.stderr)
-        for name, message in batch.errors.items():
-            print(f"  {name}: {message}", file=sys.stderr)
-        return 1
-    return 0
+    return _failures(_execute_spec_batch(args, specs, report).errors, "experiment")
 
 
 def _sweep_specs(args: argparse.Namespace) -> tuple:
@@ -1054,15 +893,11 @@ def _sweep_specs(args: argparse.Namespace) -> tuple:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a (scenario, manager, seed) grid, optionally across worker processes."""
-    if not resolve_scenarios(args.scenarios) or not resolve_managers(args.managers):
-        return 2
-    if not _resolve_platform(args.platform):
-        return 2
-    if args.seeds < 1:
-        print("--seeds must be at least 1", file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print("--workers must be at least 1", file=sys.stderr)
+    if not _names_known(
+        (SCENARIO_REGISTRY, args.scenarios),
+        (MANAGER_REGISTRY, args.managers),
+        (PLATFORM_REGISTRY, [args.platform]),
+    ) or not _usage_ok({"--seeds": args.seeds, "--workers": args.workers}):
         return 2
     if _backend_workers_conflict(args) or _resume_store_conflict(args):
         return 2
@@ -1091,27 +926,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     result = _execute_spec_batch(args, specs, report)
 
     # Aggregate across seeds per (scenario, manager) pair.
+    by_pair: Dict["tuple[str, str]", list] = {}
+    for spec in specs:
+        if spec.label in result.traces:
+            by_pair.setdefault((spec.scenario, spec.manager), []).append(result.traces[spec.label])
     aggregate_rows = []
-    for scenario in args.scenarios:
-        for manager in args.managers:
-            traces = [
-                result.traces[f"{scenario}/{manager}/seed{seed}"]
-                for seed in seeds_for[scenario]
-                if f"{scenario}/{manager}/seed{seed}" in result.traces
+    for (scenario, manager), traces in by_pair.items():
+        violation_rates = [trace.violation_rate() for trace in traces]
+        aggregate_rows.append(
+            [
+                scenario,
+                manager,
+                len(traces),
+                round(sum(violation_rates) / len(traces), 4),
+                round(max(violation_rates), 4),
+                round(sum(trace.total_energy_mj() for trace in traces) / len(traces) / 1000.0, 3),
             ]
-            if not traces:
-                continue
-            violation_rates = [trace.violation_rate() for trace in traces]
-            aggregate_rows.append(
-                [
-                    scenario,
-                    manager,
-                    len(traces),
-                    round(sum(violation_rates) / len(traces), 4),
-                    round(max(violation_rates), 4),
-                    round(sum(trace.total_energy_mj() for trace in traces) / len(traces) / 1000.0, 3),
-                ]
-            )
+        )
     if aggregate_rows:
         print()
         print("aggregates across seeds:")
@@ -1146,12 +977,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
         )
 
-    if result.errors:
-        print(f"\n{len(result.errors)} case(s) failed:", file=sys.stderr)
-        for name, message in result.errors.items():
-            print(f"  {name}: {message}", file=sys.stderr)
-        return 1
-    return 0
+    return _failures(result.errors, "case")
 
 
 #: Scenarios x managers of the default ``bench`` grid: the decision-heavy
@@ -1239,39 +1065,21 @@ def _gate_and_write(
     return exit_code, document
 
 
-def _cmd_bench_batched(args: argparse.Namespace) -> int:
+def _bench_batched(
+    args: argparse.Namespace,
+    scenarios: Sequence[str],
+    managers: Sequence[str],
+    seeds: int,
+    repeats: int,
+    specs: List[ExperimentSpec],
+) -> int:
     """Benchmark the batched engine against the serial reference backend."""
-    if _single_pass_resume_conflict(
-        args, "the per-case decision-kernel bench", "the batched comparison"
-    ):
-        return 2
-    scenarios = args.scenarios or (
-        BATCHED_BENCH_SMOKE_SCENARIOS if args.smoke else BENCH_DEFAULT_SCENARIOS
-    )
-    managers = args.managers or (
-        BATCHED_BENCH_SMOKE_MANAGERS if args.smoke else BENCH_DEFAULT_MANAGERS
-    )
-    if not resolve_scenarios(scenarios) or not resolve_managers(managers):
-        return 2
-    if not _resolve_platform(args.platform):
-        return 2
-    seeds_count = args.seeds if args.seeds is not None else (2 if args.smoke else 4)
-    if seeds_count < 1:
-        print("--seeds must be at least 1", file=sys.stderr)
-        return 2
-    repeats = 1 if args.smoke and args.repeats is None else (args.repeats or 2)
-    specs = grid_specs(scenarios, managers, seeds=list(range(seeds_count)), platform=args.platform)
-    if args.dump_spec is not None:
-        return _dump_specs_and_exit(specs, args.dump_spec)
-
     print(
         f"bench (batched engine): {len(scenarios)} scenarios x {len(managers)} "
-        f"managers x {seeds_count} seeds = {len(specs)} specs on {args.platform}, "
+        f"managers x {seeds} seeds = {len(specs)} specs on {args.platform}, "
         f"best of {repeats}"
     )
-    result = run_batched_bench(
-        specs, repeats=repeats, progress=lambda line: print(f"  {line}")
-    )
+    result = run_batched_bench(specs, repeats=repeats, progress=lambda line: print(f"  {line}"))
     print()
     print(
         f"batched {result.batched_s:.2f} s vs serial {result.serial_s:.2f} s "
@@ -1305,7 +1113,7 @@ def _cmd_bench_batched(args: argparse.Namespace) -> int:
             "platform": args.platform,
             "scenarios": list(scenarios),
             "managers": list(managers),
-            "seeds": seeds_count,
+            "seeds": seeds,
         },
         metrics=("batched_s",),
         grid=("specs",),
@@ -1316,21 +1124,33 @@ def _cmd_bench_batched(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Benchmark the decision kernel and track the timings in JSON."""
-    if args.backend == "batched":
-        return _cmd_bench_batched(args)
-    scenarios = args.scenarios or (
-        BENCH_SMOKE_SCENARIOS if args.smoke else BENCH_DEFAULT_SCENARIOS
+    """Benchmark the decision kernel (or the batched engine) and track the timings in JSON."""
+    batched = args.backend == "batched"
+    if batched and _single_pass_resume_conflict(
+        args, "the per-case decision-kernel bench", "the batched comparison"
+    ):
+        return 2
+    smoke_scenarios, smoke_managers = (
+        (BATCHED_BENCH_SMOKE_SCENARIOS, BATCHED_BENCH_SMOKE_MANAGERS)
+        if batched
+        else (BENCH_SMOKE_SCENARIOS, BENCH_SMOKE_MANAGERS)
     )
-    managers = args.managers or (BENCH_SMOKE_MANAGERS if args.smoke else BENCH_DEFAULT_MANAGERS)
-    if not resolve_scenarios(scenarios) or not resolve_managers(managers):
+    scenarios = args.scenarios or (smoke_scenarios if args.smoke else BENCH_DEFAULT_SCENARIOS)
+    managers = args.managers or (smoke_managers if args.smoke else BENCH_DEFAULT_MANAGERS)
+    # --seeds is the batched engine's alone; the decision kernel times seed 0.
+    if not _names_known(
+        (SCENARIO_REGISTRY, scenarios),
+        (MANAGER_REGISTRY, managers),
+        (PLATFORM_REGISTRY, [args.platform]),
+    ) or not _usage_ok({"--repeats": args.repeats, "--seeds": args.seeds if batched else None}):
         return 2
-    if not _resolve_platform(args.platform):
-        return 2
-    repeats = 1 if args.smoke and args.repeats is None else (args.repeats or 3)
-    specs = grid_specs(scenarios, managers, seeds=[0], platform=args.platform)
+    seeds = list(range(args.seeds or (2 if args.smoke else 4))) if batched else [0]
+    repeats = args.repeats or (1 if args.smoke else 2 if batched else 3)
+    specs = grid_specs(scenarios, managers, seeds=seeds, platform=args.platform)
     if args.dump_spec is not None:
         return _dump_specs_and_exit(specs, args.dump_spec)
+    if batched:
+        return _bench_batched(args, scenarios, managers, len(seeds), repeats, specs)
 
     def progress(timings) -> None:
         print(
@@ -1367,21 +1187,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ]
         for timings in results
     ]
+    headers = [
+        "case", "epochs", "decide ms (cached)", "decide ms (uncached)", "e2e s", "e2e s (uncached)"
+    ]
     print()
-    print(
-        format_table(
-            [
-                "case",
-                "epochs",
-                "decide ms (cached)",
-                "decide ms (uncached)",
-                "e2e s",
-                "e2e s (uncached)",
-            ],
-            rows,
-            precision=4,
-        )
-    )
+    print(format_table(headers, rows, precision=4))
 
     result_map = {timings.key: timings.as_dict() for timings in results}
     exit_code, document = _gate_and_write(
@@ -1429,29 +1239,6 @@ def _parse_device_mix(entries: Sequence[str]) -> Dict[str, int]:
     return devices
 
 
-def _print_fleet_table(payloads: Sequence[Dict[str, object]]) -> None:
-    """Per-fleet headline table shared by ``fleet run`` and ``fleet sweep``."""
-    rows = [
-        [
-            payload["label"],
-            payload["fleet_id"],
-            payload["devices"],
-            round(float(payload["violation_rate"]), 4),
-            payload["total_jobs"],
-            len(payload["migrations"]),
-            payload["fingerprint"],
-        ]
-        for payload in payloads
-    ]
-    print(
-        format_table(
-            ["fleet", "fleet id", "devices", "viol rate", "jobs", "migr", "fingerprint"],
-            rows,
-            precision=4,
-        )
-    )
-
-
 def _run_fleet_specs(args: argparse.Namespace, specs: Sequence[FleetSpec]) -> List[Dict[str, object]]:
     """Execute fleet specs under the shared store session and print the table.
 
@@ -1459,7 +1246,7 @@ def _run_fleet_specs(args: argparse.Namespace, specs: Sequence[FleetSpec]) -> Li
     store's bench-case table keyed by its fleet_id (first write wins); with
     ``--resume`` already-stored fleets are reported instead of re-run.
     """
-    trained = IncrementalTrainer().train(make_dynamic_cifar_dnn())
+    trained = _trained_dnn()
     payloads: List[Dict[str, object]] = []
     computed = skipped = 0
     with _store_session(args) as store:
@@ -1479,7 +1266,20 @@ def _run_fleet_specs(args: argparse.Namespace, specs: Sequence[FleetSpec]) -> Li
             else:
                 skipped += 1
             payloads.append(payload)
-        _print_fleet_table(payloads)
+        rows = [
+            [
+                payload["label"],
+                payload["fleet_id"],
+                payload["devices"],
+                round(float(payload["violation_rate"]), 4),
+                payload["total_jobs"],
+                len(payload["migrations"]),
+                payload["fingerprint"],
+            ]
+            for payload in payloads
+        ]
+        headers = ["fleet", "fleet id", "devices", "viol rate", "jobs", "migr", "fingerprint"]
+        print(format_table(headers, rows, precision=4))
         if store is not None:
             print(
                 f"resume: {skipped} fleet(s) skipped (already stored), {computed} computed"
@@ -1510,15 +1310,10 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
     except (FleetSpecError, ValueError) as error:
         print(f"invalid fleet spec: {error}", file=sys.stderr)
         return 2
-    duplicates = find_duplicates(spec.label for spec in specs)
-    if duplicates:
-        print(
-            f"duplicate fleet labels {duplicates}; give repeated entries "
-            "distinct 'name' keys",
-            file=sys.stderr,
-        )
-        return 2
-    if _resume_store_conflict(args):
+    if not _usage_ok(
+        labels=[spec.label for spec in specs],
+        duplicate="duplicate fleet labels {}; give repeated entries distinct 'name' keys",
+    ) or _resume_store_conflict(args):
         return 2
     plural = "fleet" if len(specs) == 1 else "fleets"
     source = ", ".join(args.specs) if args.specs else "flags"
@@ -1529,8 +1324,7 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
 
 def cmd_fleet_sweep(args: argparse.Namespace) -> int:
     """Compare placement policies (x seeds) on one fleet scenario."""
-    if args.seeds < 1:
-        print("--seeds must be at least 1", file=sys.stderr)
+    if not _usage_ok({"--seeds": args.seeds}):
         return 2
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
     try:
@@ -1545,11 +1339,10 @@ def cmd_fleet_sweep(args: argparse.Namespace) -> int:
     except (FleetSpecError, ValueError) as error:
         print(f"invalid fleet sweep: {error}", file=sys.stderr)
         return 2
-    duplicates = find_duplicates(spec.label for spec in specs)
-    if duplicates:
-        print(f"duplicate fleet cases {duplicates}; list each policy once", file=sys.stderr)
-        return 2
-    if _resume_store_conflict(args):
+    if not _usage_ok(
+        labels=[spec.label for spec in specs],
+        duplicate="duplicate fleet cases {}; list each policy once",
+    ) or _resume_store_conflict(args):
         return 2
     print(
         f"fleet sweep: {args.scenario} x {len(args.policies)} policies x "
@@ -1576,20 +1369,15 @@ def cmd_fleet_sweep(args: argparse.Namespace) -> int:
         ]
         print()
         print("policies by mean fleet-wide violation rate:")
-        print(
-            format_table(
-                ["policy", "runs", "mean viol", "vs static"], rows, precision=4
-            )
-        )
+        print(format_table(["policy", "runs", "mean viol", "vs static"], rows, precision=4))
     return 0
 
 
 def cmd_fleet_bench(args: argparse.Namespace) -> int:
     """Benchmark a large orchestrated fleet against the static baseline."""
-    if _single_pass_resume_conflict(args, "per-case verbs", "the fleet benchmark"):
-        return 2
-    if args.devices < 1:
-        print("--devices must be at least 1", file=sys.stderr)
+    if _single_pass_resume_conflict(
+        args, "per-case verbs", "the fleet benchmark"
+    ) or not _usage_ok({"--devices": args.devices}):
         return 2
     check_serial = not args.no_serial_check
     print(
@@ -1653,88 +1441,80 @@ def cmd_fleet_bench(args: argparse.Namespace) -> int:
 
 def cmd_fleet_policies_list(args: argparse.Namespace) -> int:
     """List the registered fleet placement policies."""
-    entries = FLEET_POLICY_REGISTRY.list()
-    width = max(len(entry.name) for entry in entries)
-    print(f"{len(entries)} fleet placement policies (* = rebalances/evicts):")
-    for entry in entries:
-        marker = "*" if entry.metadata.get("rebalances") else " "
-        print(f"  {entry.name:<{width}} {marker} {entry.summary}")
+    _print_listing(
+        "fleet placement policies (* = rebalances/evicts)",
+        [
+            (entry.name, "*" if entry.metadata.get("rebalances") else " ", entry.summary)
+            for entry in FLEET_POLICY_REGISTRY.list()
+        ],
+    )
     return 0
 
 
 def cmd_fleet_scenarios_list(args: argparse.Namespace) -> int:
     """List the registered fleet scenarios."""
-    pairs = fleet_scenario_summaries()
-    width = max(len(name) for name, _ in pairs)
-    print(f"{len(pairs)} fleet scenarios (device mixes scale via --devices):")
-    for name, summary in pairs:
-        print(f"  {name:<{width}}  {summary}")
+    _print_listing(
+        "fleet scenarios (device mixes scale via --devices)",
+        [(name, "", summary) for name, summary in fleet_scenario_summaries()],
+    )
     return 0
 
 
 # --------------------------------------------------------------- store verbs
 
 
-def cmd_store_ls(args: argparse.Namespace) -> int:
+@_on_existing_store
+def cmd_store_ls(args: argparse.Namespace, store: ResultsStore) -> int:
     """List every result in a store: spec ids, labels, headline metrics."""
-    with _existing_store(args.store) as store:
-        if store is None:
-            return 2
-        results = store.results()
-        errors = store.errors()
-        if not results and not errors:
-            bench_counts = store.bench_run_counts()
-            if bench_counts:
-                runs = ", ".join(f"{kind}={count}" for kind, count in bench_counts.items())
-                print(f"{args.store}: no results; bench runs: {runs}")
-            else:
-                print(f"{args.store}: empty store")
-            return 0
-        if results:
-            headers = ["spec id", "case", "fingerprint", "violation rate", "wall s"]
-            rows = [
-                [
-                    record.spec_id,
-                    record.label,
-                    record.fingerprint,
-                    round(float(record.metrics.get("violation_rate", 0.0)), 4),
-                    round(record.wall_time_s, 3) if record.wall_time_s is not None else "-",
-                ]
-                for record in results
-            ]
-            print(format_table(headers, rows, precision=4))
-        if errors:
-            # Unresolved failures: a later successful run of the same spec_id
-            # deletes its error row, so everything here still needs attention.
-            print(f"\n{len(errors)} failed spec(s) (resolved by a successful re-run):")
-            print(
-                format_table(
-                    ["spec id", "case", "error"],
-                    [[e.spec_id, e.label, e.summary] for e in errors],
-                    precision=4,
-                )
-            )
-        bench_counts = store.bench_run_counts()
-        summary = f"{len(results)} result(s)"
-        if errors:
-            summary += f", {len(errors)} error(s)"
-        if bench_counts:
-            summary += ", bench runs: " + ", ".join(
-                f"{kind}={count}" for kind, count in bench_counts.items()
-            )
-        print(f"{args.store}: {summary}")
-        print(f"combined fingerprint digest: {store.fingerprint_digest()}")
+    results = store.results()
+    errors = store.errors()
+    bench_runs = ", ".join(f"{kind}={count}" for kind, count in store.bench_run_counts().items())
+    if not results and not errors:
+        if bench_runs:
+            print(f"{args.store}: no results; bench runs: {bench_runs}")
+        else:
+            print(f"{args.store}: empty store")
         return 0
+    if results:
+        headers = ["spec id", "case", "fingerprint", "violation rate", "wall s"]
+        rows = [
+            [
+                record.spec_id,
+                record.label,
+                record.fingerprint,
+                round(float(record.metrics.get("violation_rate", 0.0)), 4),
+                round(record.wall_time_s, 3) if record.wall_time_s is not None else "-",
+            ]
+            for record in results
+        ]
+        print(format_table(headers, rows, precision=4))
+    if errors:
+        # Unresolved failures: a later successful run of the same spec_id
+        # deletes its error row, so everything here still needs attention.
+        print(f"\n{len(errors)} failed spec(s) (resolved by a successful re-run):")
+        print(
+            format_table(
+                ["spec id", "case", "error"],
+                [[e.spec_id, e.label, e.summary] for e in errors],
+                precision=4,
+            )
+        )
+    summary = f"{len(results)} result(s)"
+    if errors:
+        summary += f", {len(errors)} error(s)"
+    if bench_runs:
+        summary += f", bench runs: {bench_runs}"
+    print(f"{args.store}: {summary}")
+    print(f"combined fingerprint digest: {store.fingerprint_digest()}")
+    return 0
 
 
-def cmd_store_show(args: argparse.Namespace) -> int:
+@_on_existing_store
+def cmd_store_show(args: argparse.Namespace, store: ResultsStore) -> int:
     """Print one stored result in full: metrics, timing and the spec TOML."""
-    with _existing_store(args.store) as store:
-        if store is None:
-            return 2
-        record = store.get(args.spec_id)
-        error = store.get_error(args.spec_id) if record is None else None
+    record = store.get(args.spec_id)
     if record is None:
+        error = store.get_error(args.spec_id)
         if error is not None:
             # No result, but the spec failed: print the full stored message
             # (including any truncated traceback) instead of "not found".
@@ -1760,43 +1540,36 @@ def cmd_store_show(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_store_export(args: argparse.Namespace) -> int:
+@_on_existing_store
+def cmd_store_export(args: argparse.Namespace, store: ResultsStore) -> int:
     """Export a store to jsonl/csv rows or a replayable TOML spec batch."""
-    with _existing_store(args.store) as store:
-        if store is None:
-            return 2
-        count = store.export(args.out, format=args.format)
+    count = store.export(args.out, format=args.format)
     noun = "spec(s)" if args.format == "toml" else "row(s)"
     print(f"exported {count} {noun} to {args.out} ({args.format})")
     return 0
 
 
-def cmd_store_gc(args: argparse.Namespace) -> int:
+@_on_existing_store
+def cmd_store_gc(args: argparse.Namespace, store: ResultsStore) -> int:
     """Prune a store to its newest ``--keep-latest`` results and compact it."""
-    with _existing_store(args.store) as store:
-        if store is None:
-            return 2
-        try:
-            deleted = store.gc(args.keep_latest)
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        remaining = len(store)
-    print(f"gc: deleted {deleted} result(s), kept {remaining} (newest first)")
+    try:
+        deleted = store.gc(args.keep_latest)
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
+        return 2
+    print(f"gc: deleted {deleted} result(s), kept {len(store)} (newest first)")
     return 0
 
 
-def cmd_store_diff(args: argparse.Namespace) -> int:
+@_on_existing_store
+def cmd_store_diff(args: argparse.Namespace, store: ResultsStore) -> int:
     """Re-execute a stored spec and compare fingerprints (regression oracle).
 
     The store is append-only, so the stored fingerprint is the *first* run's
     behaviour; a mismatch on re-execution means the codebase's behaviour has
     drifted since the result was recorded.  Exit 1 on mismatch.
     """
-    with _existing_store(args.store) as store:
-        if store is None:
-            return 2
-        record = store.get(args.spec_id)
+    record = store.get(args.spec_id)
     if record is None:
         print(f"no result for spec id {args.spec_id!r} in {args.store}", file=sys.stderr)
         return 1
@@ -1821,428 +1594,478 @@ def cmd_store_diff(args: argparse.Namespace) -> int:
     return 1
 
 
-# -------------------------------------------------------------------- parser
+# ---------------------------------------------------------------- verb table
 
+#: One ``add_argument`` call as data: its flags and its keyword arguments.
+Arg = Tuple[Tuple[str, ...], Dict[str, object]]
+
+
+def _arg(*flags: str, **spec: object) -> Arg:
+    return flags, spec
+
+
+# The arguments and argument groups that several verbs take, each declared once.
+_PLATFORM = _arg("--platform", default="odroid_xu3", help="platform preset")
+_SEED = _arg("--seed", type=int, default=0, help="seed of seeded scenarios, traffic and fleets")
+_SEEDS = _arg("--seeds", type=int, default=1, help="number of seeds per combination")
+_SEED_BASE = _arg("--seed-base", type=int, default=0, help="first seed of the range")
+_MANAGER = _arg("--manager", default="rtm", help="manager to simulate under")
+_OUT = _arg("--out", required=True, metavar="FILE", help="file to write")
+_PARAM = _arg(
+    "--param",
+    action="append",
+    metavar="KEY=VALUE",
+    help="scenario parameter (record) or DiurnalConfig field (generate) override; repeatable",
+)
+_TRACE_FILE = _arg("file", metavar="FILE", help="JSONL trace file")
+_DUMP_SPEC = _arg(
+    "--dump-spec",
+    default=None,
+    metavar="FILE",
+    help="write the experiment spec(s) to FILE ('-' for stdout) instead of running",
+)
+_FLEET_SCENARIO = _arg(
+    "--scenario",
+    default="fleet_mixed_platforms",
+    help="fleet scenario (see 'fleet scenarios list')",
+)
+_FLEET_POLICY = _arg(
+    "--policy", default="least_loaded", help="placement policy (see 'fleet policies list')"
+)
+_STORE_PATH = _arg("store", metavar="STORE", help="path to the results store")
+_SPEC_ID = _arg("spec_id", metavar="SPEC_ID", help="spec id of the result")
+_STORE = (
+    _arg(
+        "--store",
+        default=None,
+        metavar="PATH",
+        help="append results to this SQLite results store (created if missing)",
+    ),
+    _arg(
+        "--resume",
+        action=argparse.BooleanOptionalAction,
+        default=False,
+        help="skip specs whose spec_id is already in --store (default: --no-resume)",
+    ),
+)
+_BACKEND = (
+    _arg(
+        "--backend",
+        default=None,
+        choices=sorted(EXECUTION_BACKEND_REGISTRY),
+        help="execution backend (default: process when --workers > 1, else serial)",
+    ),
+    _arg("--workers", type=int, default=1, help="worker processes (process backend only)"),
+)
+_ROBUSTNESS = (
+    _arg(
+        "--retries",
+        type=int,
+        default=0,
+        metavar="N",
+        help="re-run failed specs up to N extra times (default 0)",
+    ),
+    _arg(
+        "--retry-backoff",
+        type=float,
+        default=0.0,
+        metavar="SECONDS",
+        help="sleep SECONDS * 2^attempt between retry rounds (default 0)",
+    ),
+    _arg(
+        "--spec-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="abandon the batch when no spec finishes for SECONDS "
+        "(process backend only; single-process backends ignore it)",
+    ),
+)
+_FLEET_MIX = (
+    _arg(
+        "--devices",
+        nargs="+",
+        default=None,
+        metavar="PRESET=COUNT",
+        help="device mix override (default: the scenario's own mix)",
+    ),
+    _arg(
+        "--backend",
+        default="batched",
+        choices=list(FLEET_BACKENDS),
+        help="per-device execution backend (identical fingerprints; default batched)",
+    ),
+)
+_BENCH_GATE = (
+    _arg(
+        "--no-write",
+        dest="output",
+        action="store_const",
+        const=None,
+        help="measure and print only; do not write the JSON file",
+    ),
+    _arg(
+        "--compare",
+        default=None,
+        metavar="BASELINE_JSON",
+        help="gate the tracked timings against this committed baseline file",
+    ),
+    _arg(
+        "--max-regression",
+        type=float,
+        default=0.25,
+        help="allowed slowdown of the tracked timings vs --compare (fraction, default 0.25)",
+    ),
+)
+
+#: Every verb as ``(path, handler, help, *arguments)``, in ``--help`` order.  A
+#: row without a handler is a verb group: the verbs whose paths extend its path.
+VERBS: Tuple[tuple, ...] = (
+    ("table1", cmd_table1, "reproduce Table I"),
+    (
+        "fig4a",
+        cmd_fig4a,
+        "print the Fig 4(a) operating-point sweep",
+        _arg("--pareto", action="store_true", help="only print the Pareto front"),
+        _arg("--limit", type=int, default=None, help="print at most N points"),
+    ),
+    ("fig4b", cmd_fig4b, "print the Fig 4(b) accuracy table"),
+    (
+        "case-study",
+        cmd_case_study,
+        "run the Section IV budget queries",
+        _PLATFORM,
+        _arg("--policy", default="max_accuracy"),
+        _arg("--clusters", nargs="+", default=["a15", "a7"]),
+        _arg("--latency-ms", type=float, default=None),
+        _arg("--energy-mj", type=float, default=None),
+    ),
+    (
+        "scenario",
+        cmd_scenario,
+        "replay a runtime scenario",
+        _arg("--name", default="fig2", help="scenario name (fig2, single_dnn, ...)"),
+        _SEED,
+        _PLATFORM,
+        _arg(
+            "--baselines",
+            action="store_true",
+            help="also run the governor-only and static baselines",
+        ),
+        _arg("--events", action="store_true", help="print adaptation events"),
+        _DUMP_SPEC,
+    ),
+    ("scenarios", None, "inspect the scenario registry"),
+    ("scenarios list", cmd_scenarios_list, "list registered scenarios"),
+    (
+        "scenarios compose",
+        cmd_scenarios_compose,
+        "compose two registry scenarios (mix/splice/scale/perturb)",
+        _arg("--op", choices=COMPOSE_OPS, default="mix", help="composition operator"),
+        _arg("--a", default="steady", help="first operand scenario"),
+        _arg("--b", default=None, help="second operand (mix/splice only; default bursty)"),
+        _arg(
+            "--at-ms",
+            type=float,
+            default=None,
+            help="splice point in ms (splice only; default 10000)",
+        ),
+        _arg("--arrival-factor", type=float, default=None, help="timeline factor (scale only)"),
+        _arg(
+            "--duration-factor",
+            type=float,
+            default=None,
+            help="duration factor (scale only; default: the arrival factor)",
+        ),
+        _SEED,
+        _PLATFORM,
+        _arg(
+            "--save-trace",
+            default=None,
+            metavar="FILE",
+            help="record the composed workload to a JSONL arrival trace",
+        ),
+        _arg("--run", action="store_true", help="also simulate the composition under --manager"),
+        _MANAGER,
+        _DUMP_SPEC,
+    ),
+    ("trace", None, "record and replay JSONL arrival traces of workload timelines"),
+    (
+        "trace record",
+        cmd_trace_record,
+        "record a registry scenario's timeline to a trace file",
+        _arg("--scenario", default="rush_hour", help="scenario to record"),
+        _SEED,
+        _PLATFORM,
+        _OUT,
+        _PARAM,
+    ),
+    (
+        "trace generate",
+        cmd_trace_generate,
+        "generate a diurnal traffic trace straight to disk (streaming writer)",
+        _OUT,
+        _SEED,
+        _PLATFORM,
+        _arg("--hours", type=float, default=6.0, help="trace length in hours (default 6)"),
+        _arg(
+            "--duration-ms", type=float, default=None, help="trace length in ms (overrides --hours)"
+        ),
+        _arg(
+            "--arrivals",
+            type=int,
+            default=None,
+            metavar="N",
+            help="size the base rate so the trace holds at least N arrivals",
+        ),
+        _PARAM,
+    ),
+    (
+        "trace replay",
+        cmd_trace_replay,
+        "replay a trace file under a manager and print the outcome",
+        _TRACE_FILE,
+        _MANAGER,
+        _arg(
+            "--platform",
+            default=None,
+            help="platform preset (default: the platform recorded in the trace)",
+        ),
+        _DUMP_SPEC,
+    ),
+    (
+        "trace stats",
+        cmd_trace_stats,
+        "summarise a trace file: arrivals, kinds, inter-arrival gaps",
+        _TRACE_FILE,
+        _arg(
+            "--max-peak-mb",
+            type=float,
+            default=None,
+            metavar="MB",
+            help="assert (tracemalloc) that summarising stays under MB of peak memory; "
+            "exit 1 if not",
+        ),
+    ),
+    ("managers", None, "inspect the manager registry"),
+    ("managers list", cmd_managers_list, "list registered managers"),
+    ("platforms", None, "inspect the platform presets"),
+    ("platforms list", cmd_platforms_list, "list platform presets with cluster topology"),
+    ("faults", None, "inspect the fault-injection vocabulary"),
+    ("faults list", cmd_faults_list, "list fault event kinds and chaos scenarios"),
+    (
+        "run",
+        cmd_run,
+        "execute experiment spec files (TOML or JSON)",
+        _arg("specs", nargs="+", metavar="SPEC", help="spec files to execute"),
+        *_BACKEND,
+        _arg(
+            "--faults",
+            default=None,
+            metavar="PLAN",
+            help="overlay this fault plan (TOML/JSON) on every spec in the batch",
+        ),
+        *_ROBUSTNESS,
+        *_STORE,
+    ),
+    (
+        "sweep",
+        cmd_sweep,
+        "run a (scenario, manager, seed) grid, optionally in parallel",
+        _arg(
+            "--scenarios",
+            "--scenario",
+            nargs="+",
+            dest="scenarios",
+            default=["steady"],
+            help="registered scenario names (see 'scenarios list')",
+        ),
+        _arg(
+            "--managers",
+            nargs="+",
+            default=["rtm", "governor_only", "static_deployment"],
+            help="manager names (see 'managers list')",
+        ),
+        _SEEDS,
+        _SEED_BASE,
+        *_BACKEND,
+        _PLATFORM,
+        _arg(
+            "--cache-stats",
+            action="store_true",
+            help="print operating-point cache hit/miss statistics per case",
+        ),
+        _arg(
+            "--no-cache",
+            action="store_true",
+            help="run managers without the operating-point cache (identical results, slower)",
+        ),
+        _DUMP_SPEC,
+        *_ROBUSTNESS,
+        *_STORE,
+    ),
+    (
+        "bench",
+        cmd_bench,
+        "time decide()-per-epoch and end-to-end simulation; track in JSON",
+        _arg(
+            "--scenarios",
+            nargs="+",
+            default=None,
+            help="scenario names (default: the decision-heavy trio; with --smoke: rush_hour)",
+        ),
+        _arg("--managers", nargs="+", default=None, help="manager names (see 'managers list')"),
+        _arg(
+            "--repeats",
+            type=int,
+            default=None,
+            help="runs per configuration, best kept (default 3; 1 with --smoke)",
+        ),
+        _PLATFORM,
+        _arg(
+            "--backend",
+            default="serial",
+            choices=["serial", "batched"],
+            help="serial: time the decision kernel (default); batched: time the "
+            "lock-step engine against the serial reference",
+        ),
+        _arg(
+            "--seeds",
+            type=int,
+            default=None,
+            help="seeds per combination (--backend batched only; default 4, 2 with --smoke)",
+        ),
+        _arg(
+            "--smoke",
+            action="store_true",
+            help="CI subset: rush_hour x rtm, single repeat (batched: 2x2 grid, 2 seeds)",
+        ),
+        _arg(
+            "--output",
+            default=DEFAULT_BENCH_PATH,
+            help=f"JSON file to write (default {DEFAULT_BENCH_PATH}; "
+            f"{DEFAULT_BATCHED_BENCH_PATH} with --backend batched)",
+        ),
+        *_BENCH_GATE,
+        _DUMP_SPEC,
+        *_STORE,
+    ),
+    ("fleet", None, "orchestrate many-device fleets: placement, migration, benchmarks"),
+    (
+        "fleet run",
+        cmd_fleet_run,
+        "run fleet spec files (TOML/JSON), or one fleet built from flags",
+        _arg(
+            "specs",
+            nargs="*",
+            metavar="SPEC",
+            help="fleet spec files ([[fleet]] batch tables); omit to build one from flags",
+        ),
+        _FLEET_SCENARIO,
+        _FLEET_POLICY,
+        _SEED,
+        *_FLEET_MIX,
+        *_STORE,
+    ),
+    (
+        "fleet sweep",
+        cmd_fleet_sweep,
+        "compare placement policies on one fleet scenario",
+        _arg("--scenario", default="fleet_rush_hour_regional", help="fleet scenario name"),
+        _arg(
+            "--policies",
+            nargs="+",
+            default=["static", "least_loaded", "thermal_headroom"],
+            help="placement policies to compare (see 'fleet policies list')",
+        ),
+        _SEEDS,
+        _SEED_BASE,
+        *_FLEET_MIX,
+        *_STORE,
+    ),
+    (
+        "fleet bench",
+        cmd_fleet_bench,
+        "time a large orchestrated fleet vs static placement; track in JSON",
+        _arg("--devices", type=int, default=1000, help="fleet size (weighted preset mix)"),
+        _FLEET_SCENARIO,
+        _FLEET_POLICY,
+        _SEED,
+        _arg(
+            "--no-serial-check",
+            action="store_true",
+            help="skip the serial re-run and its fingerprint identity check",
+        ),
+        _arg(
+            "--output",
+            default=DEFAULT_FLEET_BENCH_PATH,
+            help=f"JSON file to write (default {DEFAULT_FLEET_BENCH_PATH})",
+        ),
+        *_BENCH_GATE,
+        *_STORE,
+    ),
+    ("fleet policies", None, "inspect the placement-policy registry"),
+    ("fleet policies list", cmd_fleet_policies_list, "list registered placement policies"),
+    ("fleet scenarios", None, "inspect the fleet-scenario registry"),
+    ("fleet scenarios list", cmd_fleet_scenarios_list, "list registered fleet scenarios"),
+    ("store", None, "inspect and maintain a results store (SQLite warehouse)"),
+    ("store ls", cmd_store_ls, "list stored results and bench runs", _STORE_PATH),
+    ("store show", cmd_store_show, "print one stored result in full", _STORE_PATH, _SPEC_ID),
+    (
+        "store export",
+        cmd_store_export,
+        "export results to jsonl/csv rows or a replayable TOML batch",
+        _STORE_PATH,
+        _arg(
+            "--format",
+            default="jsonl",
+            choices=["jsonl", "csv", "toml"],
+            help="jsonl/csv: one flat row per result; toml: a replayable spec batch",
+        ),
+        _OUT,
+    ),
+    (
+        "store gc",
+        cmd_store_gc,
+        "prune to the newest N results and compact the file",
+        _STORE_PATH,
+        _arg(
+            "--keep-latest",
+            type=int,
+            required=True,
+            metavar="N",
+            help="number of newest results to keep",
+        ),
+    ),
+    (
+        "store diff",
+        cmd_store_diff,
+        "re-run a stored spec and compare fingerprints (exit 1 on drift)",
+        _STORE_PATH,
+        _SPEC_ID,
+    ),
+)
 
 def build_parser() -> argparse.ArgumentParser:
-    """Build the argument parser for the experiments CLI."""
+    """Build the argument parser for the experiments CLI from :data:`VERBS`."""
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the experiments of 'Optimising Resource Management "
         "for Embedded Machine Learning' (DATE 2020).",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    table1 = subparsers.add_parser("table1", help="reproduce Table I")
-    table1.set_defaults(func=cmd_table1)
-
-    fig4a = subparsers.add_parser("fig4a", help="print the Fig 4(a) operating-point sweep")
-    fig4a.add_argument("--pareto", action="store_true", help="only print the Pareto front")
-    fig4a.add_argument("--limit", type=int, default=None, help="print at most N points")
-    fig4a.set_defaults(func=cmd_fig4a)
-
-    fig4b = subparsers.add_parser("fig4b", help="print the Fig 4(b) accuracy table")
-    fig4b.set_defaults(func=cmd_fig4b)
-
-    case_study = subparsers.add_parser("case-study", help="run the Section IV budget queries")
-    case_study.add_argument("--platform", default="odroid_xu3")
-    case_study.add_argument("--policy", default="max_accuracy")
-    case_study.add_argument("--clusters", nargs="+", default=["a15", "a7"])
-    case_study.add_argument("--latency-ms", type=float, default=None)
-    case_study.add_argument("--energy-mj", type=float, default=None)
-    case_study.set_defaults(func=cmd_case_study)
-
-    scenario = subparsers.add_parser("scenario", help="replay a runtime scenario")
-    scenario.add_argument("--name", default="fig2", help="scenario name (fig2, single_dnn, ...)")
-    scenario.add_argument("--seed", type=int, default=0, help="seed for generated scenarios")
-    scenario.add_argument("--platform", default="odroid_xu3", help="platform preset")
-    scenario.add_argument(
-        "--baselines", action="store_true", help="also run the governor-only and static baselines"
-    )
-    scenario.add_argument("--events", action="store_true", help="print adaptation events")
-    _add_dump_spec_argument(scenario, "the experiment spec(s)")
-    scenario.set_defaults(func=cmd_scenario)
-
-    scenarios = subparsers.add_parser("scenarios", help="inspect the scenario registry")
-    scenarios_sub = scenarios.add_subparsers(dest="scenarios_command", required=True)
-    scenarios_list = scenarios_sub.add_parser("list", help="list registered scenarios")
-    scenarios_list.set_defaults(func=cmd_scenarios_list)
-    compose = scenarios_sub.add_parser(
-        "compose", help="compose two registry scenarios (mix/splice/scale/perturb)"
-    )
-    compose.add_argument("--op", choices=COMPOSE_OPS, default="mix", help="composition operator")
-    compose.add_argument("--a", default="steady", help="first operand scenario")
-    compose.add_argument(
-        "--b", default=None, help="second operand (mix/splice only; default bursty)"
-    )
-    compose.add_argument(
-        "--at-ms", type=float, default=None, help="splice point in ms (splice only; default 10000)"
-    )
-    compose.add_argument(
-        "--arrival-factor", type=float, default=None, help="timeline factor (scale only)"
-    )
-    compose.add_argument(
-        "--duration-factor",
-        type=float,
-        default=None,
-        help="duration factor (scale only; default: the arrival factor)",
-    )
-    compose.add_argument("--seed", type=int, default=0, help="seed for seeded operands / jitter")
-    compose.add_argument("--platform", default="odroid_xu3", help="platform preset")
-    compose.add_argument(
-        "--save-trace",
-        default=None,
-        metavar="FILE",
-        help="record the composed workload to a JSONL arrival trace",
-    )
-    compose.add_argument(
-        "--run", action="store_true", help="also simulate the composition under --manager"
-    )
-    compose.add_argument("--manager", default="rtm", help="manager for --run / --dump-spec")
-    _add_dump_spec_argument(compose, "the equivalent experiment spec")
-    compose.set_defaults(func=cmd_scenarios_compose)
-
-    trace = subparsers.add_parser(
-        "trace", help="record and replay JSONL arrival traces of workload timelines"
-    )
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    trace_record = trace_sub.add_parser(
-        "record", help="record a registry scenario's timeline to a trace file"
-    )
-    trace_record.add_argument("--scenario", default="rush_hour", help="scenario to record")
-    trace_record.add_argument("--seed", type=int, default=0, help="seed for seeded scenarios")
-    trace_record.add_argument("--platform", default="odroid_xu3", help="platform preset")
-    trace_record.add_argument("--out", required=True, metavar="FILE", help="JSONL file to write")
-    trace_record.add_argument(
-        "--param",
-        action="append",
-        metavar="KEY=VALUE",
-        help="scenario parameter override (repeatable), e.g. --param duration_ms=60000",
-    )
-    trace_record.set_defaults(func=cmd_trace_record)
-    trace_generate = trace_sub.add_parser(
-        "generate",
-        help="generate a diurnal traffic trace straight to disk (streaming writer)",
-    )
-    trace_generate.add_argument("--out", required=True, metavar="FILE", help="trace file to write")
-    trace_generate.add_argument("--seed", type=int, default=0, help="traffic seed")
-    trace_generate.add_argument("--platform", default="odroid_xu3", help="platform preset")
-    trace_generate.add_argument(
-        "--hours", type=float, default=6.0, help="trace length in hours (default 6)"
-    )
-    trace_generate.add_argument(
-        "--duration-ms", type=float, default=None, help="trace length in ms (overrides --hours)"
-    )
-    trace_generate.add_argument(
-        "--arrivals",
-        type=int,
-        default=None,
-        metavar="N",
-        help="size the base rate so the trace holds at least N arrivals",
-    )
-    trace_generate.add_argument(
-        "--param",
-        action="append",
-        metavar="KEY=VALUE",
-        help="DiurnalConfig override (repeatable), e.g. --param flash_crowds=3",
-    )
-    trace_generate.set_defaults(func=cmd_trace_generate)
-    trace_replay = trace_sub.add_parser(
-        "replay", help="replay a trace file under a manager and print the outcome"
-    )
-    trace_replay.add_argument("file", metavar="FILE", help="JSONL trace file to replay")
-    trace_replay.add_argument("--manager", default="rtm", help="manager to replay under")
-    trace_replay.add_argument(
-        "--platform",
-        default=None,
-        help="platform preset (default: the platform recorded in the trace)",
-    )
-    _add_dump_spec_argument(trace_replay, "the equivalent experiment spec")
-    trace_replay.set_defaults(func=cmd_trace_replay)
-    trace_stats = trace_sub.add_parser(
-        "stats", help="summarise a trace file: arrivals, kinds, inter-arrival gaps"
-    )
-    trace_stats.add_argument("file", metavar="FILE", help="JSONL trace file to summarise")
-    trace_stats.add_argument(
-        "--max-peak-mb",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="assert (tracemalloc) that summarising stays under MB of peak memory; exit 1 if not",
-    )
-    trace_stats.set_defaults(func=cmd_trace_stats)
-
-    managers = subparsers.add_parser("managers", help="inspect the manager registry")
-    managers_sub = managers.add_subparsers(dest="managers_command", required=True)
-    managers_list = managers_sub.add_parser("list", help="list registered managers")
-    managers_list.set_defaults(func=cmd_managers_list)
-
-    platforms = subparsers.add_parser("platforms", help="inspect the platform presets")
-    platforms_sub = platforms.add_subparsers(dest="platforms_command", required=True)
-    platforms_list = platforms_sub.add_parser(
-        "list", help="list platform presets with cluster topology"
-    )
-    platforms_list.set_defaults(func=cmd_platforms_list)
-
-    faults = subparsers.add_parser(
-        "faults", help="inspect the fault-injection vocabulary"
-    )
-    faults_sub = faults.add_subparsers(dest="faults_command", required=True)
-    faults_list = faults_sub.add_parser(
-        "list", help="list fault event kinds and chaos scenarios"
-    )
-    faults_list.set_defaults(func=cmd_faults_list)
-
-    run = subparsers.add_parser(
-        "run", help="execute experiment spec files (TOML or JSON)"
-    )
-    run.add_argument("specs", nargs="+", metavar="SPEC", help="spec files to execute")
-    _add_backend_arguments(run)
-    run.add_argument(
-        "--faults",
-        default=None,
-        metavar="PLAN",
-        help="overlay this fault plan (TOML/JSON) on every spec in the batch",
-    )
-    _add_robustness_arguments(run)
-    _add_store_arguments(run)
-    run.set_defaults(func=cmd_run)
-
-    sweep = subparsers.add_parser(
-        "sweep", help="run a (scenario, manager, seed) grid, optionally in parallel"
-    )
-    sweep.add_argument(
-        "--scenarios",
-        "--scenario",
-        nargs="+",
-        dest="scenarios",
-        default=["steady"],
-        help="registered scenario names (see 'scenarios list')",
-    )
-    sweep.add_argument(
-        "--managers",
-        nargs="+",
-        default=["rtm", "governor_only", "static_deployment"],
-        help="manager names (see 'managers list')",
-    )
-    sweep.add_argument("--seeds", type=int, default=1, help="number of seeds per combination")
-    sweep.add_argument("--seed-base", type=int, default=0, help="first seed of the range")
-    _add_backend_arguments(sweep)
-    sweep.add_argument("--platform", default="odroid_xu3", help="platform preset")
-    sweep.add_argument(
-        "--cache-stats",
-        action="store_true",
-        help="print operating-point cache hit/miss statistics per case",
-    )
-    sweep.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="run managers without the operating-point cache (identical results, slower)",
-    )
-    _add_dump_spec_argument(sweep, "the sweep's experiment specs")
-    _add_robustness_arguments(sweep)
-    _add_store_arguments(sweep)
-    sweep.set_defaults(func=cmd_sweep)
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="time decide()-per-epoch and end-to-end simulation; track in JSON",
-    )
-    bench.add_argument(
-        "--scenarios",
-        nargs="+",
-        default=None,
-        help="scenario names (default: the decision-heavy trio; with --smoke: rush_hour)",
-    )
-    bench.add_argument(
-        "--managers",
-        nargs="+",
-        default=None,
-        help="manager names (see 'managers list')",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="runs per configuration, best kept (default 3; 1 with --smoke)",
-    )
-    bench.add_argument("--platform", default="odroid_xu3", help="platform preset")
-    bench.add_argument(
-        "--backend",
-        default="serial",
-        choices=["serial", "batched"],
-        help="serial: time the decision kernel (default); batched: time the "
-        "lock-step engine against the serial reference",
-    )
-    bench.add_argument(
-        "--seeds",
-        type=int,
-        default=None,
-        help="seeds per combination (--backend batched only; default 4, 2 with --smoke)",
-    )
-    bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI subset: rush_hour x rtm, single repeat (batched: 2x2 grid, 2 seeds)",
-    )
-    _add_bench_file_arguments(
-        bench,
-        DEFAULT_BENCH_PATH,
-        f"JSON file to write (default {DEFAULT_BENCH_PATH}; "
-        f"{DEFAULT_BATCHED_BENCH_PATH} with --backend batched)",
-        gated="decide()-per-epoch",
-    )
-    _add_dump_spec_argument(bench, "the bench grid's experiment specs")
-    _add_store_arguments(bench)
-    bench.set_defaults(func=cmd_bench)
-
-    fleet = subparsers.add_parser(
-        "fleet",
-        help="orchestrate many-device fleets: placement, migration, benchmarks",
-    )
-    fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-
-    fleet_run = fleet_sub.add_parser(
-        "run", help="run fleet spec files (TOML/JSON), or one fleet built from flags"
-    )
-    fleet_run.add_argument(
-        "specs",
-        nargs="*",
-        metavar="SPEC",
-        help="fleet spec files ([[fleet]] batch tables); omit to build one from flags",
-    )
-    fleet_run.add_argument(
-        "--scenario",
-        default="fleet_mixed_platforms",
-        help="fleet scenario (see 'fleet scenarios list'; ignored with SPEC files)",
-    )
-    fleet_run.add_argument(
-        "--policy",
-        default="least_loaded",
-        help="placement policy (see 'fleet policies list'; ignored with SPEC files)",
-    )
-    fleet_run.add_argument("--seed", type=int, default=0, help="fleet scenario seed")
-    _add_fleet_mix_arguments(fleet_run)
-    _add_store_arguments(fleet_run)
-    fleet_run.set_defaults(func=cmd_fleet_run)
-
-    fleet_sweep = fleet_sub.add_parser(
-        "sweep", help="compare placement policies on one fleet scenario"
-    )
-    fleet_sweep.add_argument(
-        "--scenario", default="fleet_rush_hour_regional", help="fleet scenario name"
-    )
-    fleet_sweep.add_argument(
-        "--policies",
-        nargs="+",
-        default=["static", "least_loaded", "thermal_headroom"],
-        help="placement policies to compare (see 'fleet policies list')",
-    )
-    fleet_sweep.add_argument("--seeds", type=int, default=1, help="seeds per policy")
-    fleet_sweep.add_argument("--seed-base", type=int, default=0, help="first seed")
-    _add_fleet_mix_arguments(fleet_sweep)
-    _add_store_arguments(fleet_sweep)
-    fleet_sweep.set_defaults(func=cmd_fleet_sweep)
-
-    fleet_bench = fleet_sub.add_parser(
-        "bench",
-        help="time a large orchestrated fleet vs static placement; track in JSON",
-    )
-    fleet_bench.add_argument(
-        "--devices", type=int, default=1000, help="fleet size (weighted preset mix)"
-    )
-    fleet_bench.add_argument(
-        "--scenario", default="fleet_mixed_platforms", help="fleet scenario name"
-    )
-    fleet_bench.add_argument(
-        "--policy", default="least_loaded", help="orchestrated policy to time vs static"
-    )
-    fleet_bench.add_argument("--seed", type=int, default=0, help="fleet scenario seed")
-    fleet_bench.add_argument(
-        "--no-serial-check",
-        action="store_true",
-        help="skip the serial re-run and its fingerprint identity check",
-    )
-    _add_bench_file_arguments(
-        fleet_bench,
-        DEFAULT_FLEET_BENCH_PATH,
-        f"JSON file to write (default {DEFAULT_FLEET_BENCH_PATH})",
-        gated="orchestrated wall time",
-    )
-    _add_store_arguments(fleet_bench)
-    fleet_bench.set_defaults(func=cmd_fleet_bench)
-
-    fleet_policies = fleet_sub.add_parser(
-        "policies", help="inspect the placement-policy registry"
-    )
-    fleet_policies_sub = fleet_policies.add_subparsers(
-        dest="fleet_policies_command", required=True
-    )
-    fleet_policies_list = fleet_policies_sub.add_parser(
-        "list", help="list registered placement policies"
-    )
-    fleet_policies_list.set_defaults(func=cmd_fleet_policies_list)
-
-    fleet_scenarios = fleet_sub.add_parser(
-        "scenarios", help="inspect the fleet-scenario registry"
-    )
-    fleet_scenarios_sub = fleet_scenarios.add_subparsers(
-        dest="fleet_scenarios_command", required=True
-    )
-    fleet_scenarios_list = fleet_scenarios_sub.add_parser(
-        "list", help="list registered fleet scenarios"
-    )
-    fleet_scenarios_list.set_defaults(func=cmd_fleet_scenarios_list)
-
-    store = subparsers.add_parser(
-        "store", help="inspect and maintain a results store (SQLite warehouse)"
-    )
-    store_sub = store.add_subparsers(dest="store_command", required=True)
-
-    store_ls = store_sub.add_parser("ls", help="list stored results and bench runs")
-    store_ls.add_argument("store", metavar="STORE", help="path to the results store")
-    store_ls.set_defaults(func=cmd_store_ls)
-
-    store_show = store_sub.add_parser("show", help="print one stored result in full")
-    store_show.add_argument("store", metavar="STORE", help="path to the results store")
-    store_show.add_argument("spec_id", metavar="SPEC_ID", help="spec id of the result")
-    store_show.set_defaults(func=cmd_store_show)
-
-    store_export = store_sub.add_parser(
-        "export", help="export results to jsonl/csv rows or a replayable TOML batch"
-    )
-    store_export.add_argument("store", metavar="STORE", help="path to the results store")
-    store_export.add_argument(
-        "--format",
-        default="jsonl",
-        choices=["jsonl", "csv", "toml"],
-        help="jsonl/csv: one flat row per result; toml: a replayable spec batch",
-    )
-    store_export.add_argument(
-        "--out", required=True, metavar="FILE", help="file to write (atomically)"
-    )
-    store_export.set_defaults(func=cmd_store_export)
-
-    store_gc = store_sub.add_parser(
-        "gc", help="prune to the newest N results and compact the file"
-    )
-    store_gc.add_argument("store", metavar="STORE", help="path to the results store")
-    store_gc.add_argument(
-        "--keep-latest",
-        type=int,
-        required=True,
-        metavar="N",
-        help="number of newest results to keep",
-    )
-    store_gc.set_defaults(func=cmd_store_gc)
-
-    store_diff = store_sub.add_parser(
-        "diff", help="re-run a stored spec and compare fingerprints (exit 1 on drift)"
-    )
-    store_diff.add_argument("store", metavar="STORE", help="path to the results store")
-    store_diff.add_argument("spec_id", metavar="SPEC_ID", help="spec id of the result")
-    store_diff.set_defaults(func=cmd_store_diff)
-
+    # The subparsers of each verb group, keyed by its path ("" is the top level).
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, handler, help_text, *arguments in VERBS:
+        group, _, name = path.rpartition(" ")
+        subparser = groups[group].add_parser(name, help=help_text)
+        if handler is None:
+            groups[path] = subparser.add_subparsers(
+                dest=f"{path.replace(' ', '_')}_command", required=True
+            )
+            continue
+        for flags, spec in arguments:
+            subparser.add_argument(*flags, **spec)
+        subparser.set_defaults(func=handler)
     return parser
 
 

@@ -23,7 +23,7 @@ error bars of Fig 4(b).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -115,10 +115,6 @@ class AccuracyModel:
         if not 0.0 <= fraction <= 1.0 + 1e-9:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
         return float(np.interp(min(fraction, 1.0), self._fractions, self._accuracies))
-
-    def top1_by_configuration(self, fractions: Sequence[float]) -> Dict[float, float]:
-        """Top-1 accuracy for each fraction in ``fractions``."""
-        return {float(f): self.top1(f) for f in fractions}
 
     def class_stddev(self, fraction: float) -> float:
         """Across-class accuracy standard deviation at this capacity fraction."""

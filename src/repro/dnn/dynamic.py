@@ -241,11 +241,6 @@ class DynamicDNN:
         """Currently selected configuration."""
         return self._active_fraction
 
-    @property
-    def active_model(self) -> NetworkModel:
-        """Structural model of the currently selected configuration."""
-        return self.model_for(self._active_fraction)
-
     def set_configuration(self, fraction: float) -> float:
         """Select a configuration; returns the switching overhead in ms.
 

@@ -104,24 +104,6 @@ class FleetScenario:
     def total_devices(self) -> int:
         return sum(count for _, count in self.devices)
 
-    def with_devices(self, devices: Dict[str, int]) -> "FleetScenario":
-        """The same scenario on a different device mix.
-
-        Churn and straggler indices are re-drawn proportionally by the
-        builder, not here — use :func:`build_fleet_scenario` with a
-        ``devices`` override instead when the mix changes size.
-        """
-        return FleetScenario(
-            name=self.name,
-            devices=tuple(sorted(devices.items())),
-            duration_ms=self.duration_ms,
-            arrivals=self.arrivals,
-            churn=self.churn,
-            stragglers=self.stragglers,
-            straggler_cap_fraction=self.straggler_cap_fraction,
-            description=self.description,
-        )
-
 
 #: Fleet-scenario builders, ``(seed, devices) -> FleetScenario``.
 FLEET_SCENARIO_REGISTRY: Registry[FleetScenario] = Registry("fleet scenario")

@@ -37,7 +37,7 @@ class LatencyEstimator(Protocol):
         cluster: Cluster,
         frequency_mhz: float | None = None,
         cores_used: int = 1,
-        **kwargs: object,
+        soc_name: Optional[str] = None,
     ) -> float:  # pragma: no cover - protocol signature
         ...
 
@@ -147,14 +147,11 @@ class EnergyModel:
     ) -> InferenceCost:
         """Latency, power and energy of one inference.
 
-        Parameters mirror the latency estimator; ``soc_name`` is forwarded to
-        calibrated estimators that key their calibration by SoC.
+        Parameters mirror the latency estimator; ``soc_name`` is passed on to
+        it, for calibrated estimators that key their calibration by SoC.
         """
-        kwargs = {}
-        if soc_name is not None:
-            kwargs["soc_name"] = soc_name
         latency_ms = self.latency_model.latency_ms(
-            network, cluster, frequency_mhz, cores_used, **kwargs
+            network, cluster, frequency_mhz, cores_used, soc_name=soc_name
         )
         power_mw = self.inference_power_mw(cluster, frequency_mhz, cores_used, temperature_c)
         energy_mj = power_mw * latency_ms / 1000.0

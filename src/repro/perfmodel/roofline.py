@@ -112,8 +112,13 @@ class RooflineLatencyModel:
         cluster: Cluster,
         frequency_mhz: float | None = None,
         cores_used: int = 1,
+        soc_name: str | None = None,
     ) -> float:
-        """Predicted latency in milliseconds (see :meth:`breakdown`)."""
+        """Predicted latency in milliseconds (see :meth:`breakdown`).
+
+        ``soc_name`` is accepted for the :class:`LatencyEstimator` protocol and
+        ignored: the roofline reads everything from the cluster.
+        """
         return self.breakdown(network, cluster, frequency_mhz, cores_used).total_ms
 
     def latency_grid_ms(

@@ -39,9 +39,6 @@ class ThermalParams:
         Temperature above which the SoC must throttle.
     throttle_release_c:
         Temperature below which throttling is released (hysteresis).
-    critical_c:
-        Temperature at which the platform would shut down; the simulator
-        flags reaching it as a hard failure.
     """
 
     thermal_resistance_c_per_w: float = 8.0
@@ -49,7 +46,6 @@ class ThermalParams:
     ambient_c: float = 25.0
     throttle_threshold_c: float = 85.0
     throttle_release_c: float = 78.0
-    critical_c: float = 105.0
 
     def __post_init__(self) -> None:
         if self.thermal_resistance_c_per_w <= 0:
@@ -58,8 +54,6 @@ class ThermalParams:
             raise ValueError("thermal capacitance must be positive")
         if self.throttle_release_c > self.throttle_threshold_c:
             raise ValueError("throttle_release_c must not exceed throttle_threshold_c")
-        if self.critical_c < self.throttle_threshold_c:
-            raise ValueError("critical_c must be at least the throttle threshold")
 
 
 class ThermalModel:
@@ -105,11 +99,6 @@ class ThermalModel:
     def true_temperature_c(self) -> float:
         """The physical junction temperature the RC model integrates."""
         return self._temperature_c
-
-    @property
-    def sensor_faulted(self) -> bool:
-        """True while a sensor bias or dropout is active."""
-        return self._sensor_frozen_c is not None or bool(self._sensor_bias_c)
 
     def set_sensor_bias(self, bias_c: float) -> None:
         """Offset every sensed reading by ``bias_c`` degrees (0 clears it)."""
@@ -181,11 +170,6 @@ class ThermalModel:
             self.throttling = True
         elif self.temperature_c <= self.params.throttle_release_c:
             self.throttling = False
-
-    @property
-    def is_critical(self) -> bool:
-        """True if the temperature has reached the critical shutdown level."""
-        return self.temperature_c >= self.params.critical_c
 
     def steady_state_temperature_c(self, power_mw: float) -> float:
         """Temperature the model would settle at under constant power."""

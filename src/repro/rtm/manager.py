@@ -53,10 +53,6 @@ class RTMConfig:
         Which knobs the manager is allowed to use (ablation switches).
     max_cores_per_app:
         Upper bound on the cores one DNN application may use.
-    enable_op_cache:
-        Whether the manager memoises operating-point enumerations and Pareto
-        fronts across decision epochs.  Cached and uncached runs produce
-        identical decisions; disabling only costs time.
     temperature_bucket_width_c:
         Width of the leakage-temperature buckets the decision path prices
         candidates at (applied whether or not the cache is enabled).
@@ -66,7 +62,6 @@ class RTMConfig:
     enable_dvfs: bool = True
     enable_task_mapping: bool = True
     max_cores_per_app: int = 4
-    enable_op_cache: bool = True
     temperature_bucket_width_c: float = DEFAULT_TEMPERATURE_BUCKET_C
 
     def __post_init__(self) -> None:
@@ -107,7 +102,8 @@ class RuntimeManager:
         whose applications weight the metric axes differently.
     cache:
         Optional shared :class:`OperatingPointCache`.  When omitted, the
-        manager creates its own unless ``config.enable_op_cache`` is False.
+        manager creates its own; :meth:`set_operating_point_cache` with
+        ``None`` detaches it (cached and uncached managers decide alike).
     """
 
     def __init__(
@@ -121,7 +117,7 @@ class RuntimeManager:
         self.policy = policy or MaxAccuracyUnderBudget()
         self.energy_model = energy_model or EnergyModel(CalibratedLatencyModel())
         self.config = config or RTMConfig()
-        if cache is None and self.config.enable_op_cache:
+        if cache is None:
             cache = OperatingPointCache()
         self.cache = cache
         self.allocator = MultiAppAllocator(

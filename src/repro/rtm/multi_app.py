@@ -90,11 +90,6 @@ class AllocationResult:
         return self.decisions[app_id]
 
     @property
-    def placed_apps(self) -> List[str]:
-        """Applications that received resources."""
-        return [app_id for app_id, decision in self.decisions.items() if decision.placed]
-
-    @property
     def unplaced_apps(self) -> List[str]:
         """Applications that could not be placed."""
         return [app_id for app_id, decision in self.decisions.items() if not decision.placed]

@@ -51,7 +51,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.perfmodel.energy import EnergyModel
 from repro.sim.engine import ManagerProtocol, SharedSimulationStores, Simulator, SimulatorConfig
 from repro.sim.faults import FaultPlan
 from repro.sim.trace import SimulationTrace
@@ -162,7 +161,6 @@ class BatchedCase:
     scenario: Scenario
     manager: ManagerProtocol
     config: Optional[SimulatorConfig] = None
-    energy_model: Optional[EnergyModel] = None
     fault_plan: Optional[FaultPlan] = None
     dedup_key: Optional[tuple] = field(default=None, compare=False)
 
@@ -230,7 +228,6 @@ class BatchedEngine:
                 simulator = Simulator(
                     primary.scenario,
                     primary.manager,
-                    energy_model=primary.energy_model,
                     config=primary.config,
                     fault_plan=primary.fault_plan,
                     stores=self.stores,

@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.perfmodel.calibrated import CalibratedLatencyModel
 from repro.perfmodel.energy import EnergyModel
-from repro.platforms.power import ClusterPowerModel
 from repro.platforms.soc import Soc
 from repro.rtm.cache import OperatingPointCache
 from repro.rtm.manager import RuntimeManager
@@ -154,8 +153,8 @@ class SharedSimulationStores:
         self.pareto_tables: Dict[tuple, object] = {}
         self.selections: Dict[tuple, object] = {}
         self.decisions: Dict[tuple, tuple] = {}
-        #: Shared pricing model for simulators that did not supply their own:
-        #: stateless, so one instance serves every replica.
+        #: The pricing model of every simulator over these stores: stateless,
+        #: so one instance serves every replica.
         self.energy_model = EnergyModel(CalibratedLatencyModel())
         self.decision_hits = 0
         self.decision_misses = 0
@@ -210,9 +209,6 @@ class Simulator:
         The workload and platform to simulate.
     manager:
         The resource manager driving the platform.
-    energy_model:
-        Cost estimator used to price inference jobs; defaults to the
-        Table-I-calibrated model.
     config:
         Simulation tunables.
     fault_plan:
@@ -229,7 +225,6 @@ class Simulator:
         self,
         scenario: Scenario,
         manager: ManagerProtocol,
-        energy_model: Optional[EnergyModel] = None,
         config: Optional[SimulatorConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
         stores: Optional[SharedSimulationStores] = None,
@@ -241,11 +236,10 @@ class Simulator:
             manager.set_operating_point_cache(OperatingPointCache(stores))
         self.scenario = scenario
         self.manager = manager
-        # Memoise pricing only for the shared default model: its latency
-        # estimator is deterministic and temperature-independent, which the
-        # cost-replay fast path relies on.
-        self._memoise_costs = energy_model is None
-        self.energy_model = energy_model or stores.energy_model
+        # Jobs are priced by the Table-I-calibrated model: its latency
+        # estimate is deterministic and temperature-independent, which the
+        # job-cost memo's replay relies on.
+        self.energy_model = stores.energy_model
         self.config = config or SimulatorConfig()
         self.soc: Soc = scenario.build_platform()
         plan = fault_plan if fault_plan is not None else getattr(scenario, "fault_plan", None)
@@ -397,32 +391,30 @@ class Simulator:
 
     def _job_cost(self, network, cluster, mapping: Mapping) -> Tuple[float, float]:
         """``(latency_ms, energy_mj)`` of one inference job at the current state."""
-        memoise = self._memoise_costs
         cores_used = mapping.cores
-        if memoise:
-            online = self._online_core_count(cluster)
-            key = (id(network), id(cluster), cluster.frequency_mhz, cores_used, online)
-            entry = self._cost_memo.get(key)
-            if entry is not None:
-                self._stores.cost_hits += 1
-                (
-                    latency_ms, static_base, leak_coef, reference_c,
-                    cores_eff, dyn_busy, idle_term, _,
-                ) = entry
-                # Replay of EnergyModel.cost: the latency estimate is
-                # temperature-independent; only the leakage term varies, so
-                # recompute the static power at the current temperature and
-                # re-accumulate the per-core dynamic terms in the reference
-                # order.
-                total = static_base * exp(
-                    leak_coef * (self.soc.thermal.temperature_c - reference_c)
-                )
-                for _ in range(cores_eff):
-                    total += dyn_busy
-                if idle_term is not None:
-                    total += idle_term
-                return latency_ms, total * latency_ms / 1000.0
-            self._stores.cost_misses += 1
+        online = self._online_core_count(cluster)
+        key = (id(network), id(cluster), cluster.frequency_mhz, cores_used, online)
+        entry = self._cost_memo.get(key)
+        if entry is not None:
+            self._stores.cost_hits += 1
+            (
+                latency_ms, static_base, leak_coef, reference_c,
+                cores_eff, dyn_busy, idle_term, _,
+            ) = entry
+            # Replay of EnergyModel.cost: the latency estimate is
+            # temperature-independent; only the leakage term varies, so
+            # recompute the static power at the current temperature and
+            # re-accumulate the per-core dynamic terms in the reference
+            # order.
+            total = static_base * exp(
+                leak_coef * (self.soc.thermal.temperature_c - reference_c)
+            )
+            for _ in range(cores_eff):
+                total += dyn_busy
+            if idle_term is not None:
+                total += idle_term
+            return latency_ms, total * latency_ms / 1000.0
+        self._stores.cost_misses += 1
         cost = self.energy_model.cost(
             network,
             cluster,
@@ -432,28 +424,27 @@ class Simulator:
             soc_name=self.soc.name,
         )
         power_model = cluster.power_model
-        if memoise and type(power_model) is ClusterPowerModel:
-            params = power_model.params
-            voltage = cluster.voltage_v
-            frequency = cluster.frequency_mhz
-            dyn_busy = power_model.core_dynamic_mw(
-                voltage, frequency, self.energy_model.busy_utilisation
-            )
-            dyn_idle = power_model.core_dynamic_mw(voltage, frequency, 0.0)
-            cores_eff = min(cores_used, cluster.num_cores)
-            idle_cores = online - cores_eff
-            self._cost_memo[key] = (
-                cost.latency_ms,
-                # static_power_mw is (static * vscale) * exp-term; only the
-                # exp term is temperature-dependent.
-                params.static_mw * (voltage / params.nominal_voltage_v),
-                params.leakage_temp_coefficient,
-                params.reference_temperature_c,
-                cores_eff,
-                dyn_busy,
-                idle_cores * dyn_idle if idle_cores > 0 else None,
-                network,  # pin: keeps the id()-keyed entry unambiguous
-            )
+        params = power_model.params
+        voltage = cluster.voltage_v
+        frequency = cluster.frequency_mhz
+        dyn_busy = power_model.core_dynamic_mw(
+            voltage, frequency, self.energy_model.busy_utilisation
+        )
+        dyn_idle = power_model.core_dynamic_mw(voltage, frequency, 0.0)
+        cores_eff = min(cores_used, cluster.num_cores)
+        idle_cores = online - cores_eff
+        self._cost_memo[key] = (
+            cost.latency_ms,
+            # static_power_mw is (static * vscale) * exp-term; only the
+            # exp term is temperature-dependent.
+            params.static_mw * (voltage / params.nominal_voltage_v),
+            params.leakage_temp_coefficient,
+            params.reference_temperature_c,
+            cores_eff,
+            dyn_busy,
+            idle_cores * dyn_idle if idle_cores > 0 else None,
+            network,  # pin: keeps the id()-keyed entry unambiguous
+        )
         return cost.latency_ms, cost.energy_mj
 
     def _job_accuracy(self, application: DNNApplication, configuration: float) -> float:
@@ -1057,10 +1048,10 @@ class Simulator:
             fraction = avg_busy_cores - full_cores
             has_fraction = fraction > 1e-3 and full_cores < count
             listed = full_cores + 1 if has_fraction else full_cores
-            if type(cluster.power_model) is not ClusterPowerModel or listed > count:
-                # Custom power model, or more listed cores than online ones —
-                # materialise the list and take the scalar path (which
-                # carries the canonical validation error).
+            if listed > count:
+                # More listed cores than online ones: materialise the list
+                # and take the scalar path (which carries the canonical
+                # validation error).
                 utilisations = [1.0] * full_cores
                 if has_fraction:
                     utilisations.append(fraction)
@@ -1147,7 +1138,6 @@ class Simulator:
 def simulate_scenario(
     scenario: Scenario,
     manager: ManagerProtocol,
-    energy_model: Optional[EnergyModel] = None,
     config: Optional[SimulatorConfig] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> SimulationTrace:
@@ -1158,6 +1148,4 @@ def simulate_scenario(
     :class:`~repro.rtm.manager.RuntimeManager` has its cache replaced by one
     over those stores.
     """
-    return Simulator(
-        scenario, manager, energy_model=energy_model, config=config, fault_plan=fault_plan
-    ).run()
+    return Simulator(scenario, manager, config=config, fault_plan=fault_plan).run()

@@ -260,27 +260,6 @@ class DiurnalTraffic:
                 emitted += 1
                 yield "application", record
 
-    def expected_arrivals(self) -> float:
-        """Mean of the arrival count (flash uplift treated as non-overlapping)."""
-        config = self.config
-        duration_s = config.duration_ms / 1000.0
-        # Phase 0 means the sinusoid's integral over [0, D] is
-        # P/(2π)·(1 − cos(2πD/P)) ≥ 0: partial periods only add arrivals.
-        cycle = (
-            config.period_ms
-            / (2.0 * np.pi * 1000.0)
-            * (1.0 - np.cos(2.0 * np.pi * config.duration_ms / config.period_ms))
-        )
-        base = config.base_rate_per_s * (duration_s + config.diurnal_amplitude * float(cycle))
-        flash_extra = (
-            config.base_rate_per_s
-            * duration_s
-            * config.flash_crowds
-            * config.flash_duration_fraction
-            * (config.flash_magnitude - 1.0)
-        )
-        return base + flash_extra
-
 
 def config_for_arrivals(
     target_arrivals: int,

@@ -197,15 +197,20 @@ class Requirements:
             raise ValueError("at least one metric column is required")
         scores = np.zeros(len(columns[0]), dtype=float)
 
+        def past(actual: np.ndarray, limit: float, missed: np.ndarray) -> np.ndarray:
+            if limit == 0:
+                return np.where(missed, np.abs(actual), 0.0)
+            # Only the rows that miss the limit are divided: a row that meets
+            # a subnormal limit would overflow the division (and warn).
+            return np.divide(
+                np.abs(actual - limit), abs(limit), out=np.zeros(np.shape(actual)), where=missed
+            )
+
         def over(actual: np.ndarray, limit: float) -> np.ndarray:
-            exceeded = actual > limit * (1.0 + 1e-9)
-            magnitude = np.abs(actual) if limit == 0 else np.abs(actual - limit) / abs(limit)
-            return np.where(exceeded, magnitude, 0.0)
+            return past(actual, limit, actual > limit * (1.0 + 1e-9))
 
         def under(actual: np.ndarray, limit: float) -> np.ndarray:
-            missed = actual < limit * (1.0 - 1e-9)
-            magnitude = np.abs(actual) if limit == 0 else np.abs(actual - limit) / abs(limit)
-            return np.where(missed, magnitude, 0.0)
+            return past(actual, limit, actual < limit * (1.0 - 1e-9))
 
         latency_limit = self.effective_latency_limit_ms
         if latency_limit is not None and latency_ms is not None:

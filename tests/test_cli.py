@@ -2,6 +2,8 @@
 
 import hashlib
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -113,7 +115,27 @@ class TestUnreadableInputFiles:
         assert "invalid fleet spec: cannot read fleet spec file" in capsys.readouterr().err
 
 
+def _readme_commands():
+    """The argv of every ``repro-experiments`` line of README's shell blocks."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```(?:sh|bash)\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["repro-experiments"]:
+                commands.append(argv[1:])
+    return commands
+
+
 class TestParser:
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+    def test_readme_command_parses(self, argv):
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as error:
+            pytest.fail(f"README command {' '.join(argv)!r} does not parse (exit {error.code})")
+        assert callable(args.func)
+
     def test_requires_a_command(self):
         parser = build_parser()
         with pytest.raises(SystemExit):
@@ -148,6 +170,27 @@ class TestParser:
         for command in ("managers", "platforms"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command])
+
+
+class TestFlagValues:
+    """A nonsense flag value exits 2 with a message naming the flag."""
+
+    @pytest.mark.parametrize("flag", ["--latency-ms", "--energy-mj"])
+    def test_case_study_needs_both_budget_flags(self, capsys, flag):
+        assert main(["case-study", flag, "300"]) == 2
+        err = capsys.readouterr().err
+        assert "--latency-ms" in err and "--energy-mj" in err
+
+    @pytest.mark.parametrize("backend", ["serial", "batched"])
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_bench_rejects_repeats_below_one(self, capsys, backend, repeats):
+        argv = ["bench", "--backend", backend, "--repeats", repeats, "--dump-spec", "-"]
+        assert main(argv) == 2
+        assert "--repeats must be at least 1" in capsys.readouterr().err
+
+    def test_fig4a_rejects_a_negative_limit(self, capsys):
+        assert main(["fig4a", "--limit", "-1"]) == 2
+        assert "--limit must be at least 0" in capsys.readouterr().err
 
 
 #: sha256 (first 16 hex digits) of each paper-artefact verb's stdout.

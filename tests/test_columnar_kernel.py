@@ -11,6 +11,8 @@ kernel's performance trajectory.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,20 @@ class TestTablePricingParity:
         assert space.enumerate_table(
             temperature_c=50.0
         ).points == reference_kernels.enumerate_points(space, temperature_c=50.0)
+
+    @pytest.mark.parametrize("preset", ["odroid_xu3", "jetson_nano"])
+    def test_roofline_energy_model_matches_scalar(self, trained_dnn, preset):
+        # The scalar pricing passes the SoC name on to the roofline estimator,
+        # which reads everything from the cluster.
+        from repro.perfmodel import EnergyModel, RooflineLatencyModel
+        from repro.platforms.presets import build_preset
+
+        space = OperatingPointSpace(
+            trained_dnn, build_preset(preset), EnergyModel(RooflineLatencyModel())
+        )
+        assert space.enumerate_table(
+            temperature_c=45.0
+        ).points == reference_kernels.enumerate_points(space, temperature_c=45.0)
 
     def test_gridless_estimators_are_rejected(self, trained_dnn, xu3):
         from repro.perfmodel.energy import EnergyModel
@@ -378,6 +394,15 @@ class TestViolationScoreParity:
         scores = requirements.violation_scores(latency_ms=np.array([5.0, 20.0]))
         assert scores[0] == 0.0
         assert scores[1] == pytest.approx(1.0)  # (20 - 10) / 10, accuracy skipped
+
+    def test_rows_that_meet_a_subnormal_limit_do_not_warn(self):
+        requirements = Requirements(min_accuracy_percent=5e-324, target_fps=5e-324)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = requirements.violation_scores(
+                accuracy_percent=np.array([50.0, 0.0]), fps=np.array([30.0, 30.0])
+            )
+        assert scores.tolist() == [0.0, 1.0]
 
     def test_requires_at_least_one_column(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,6 @@ For each field of :class:`~repro.rtm.manager.RTMConfig` and
 the fingerprint of a named short scenario.  A field added without a probe
 fails here, and so does a field that the code stopped reading, since a spec
 that sets it would otherwise be silently ignored.
-
-``RTMConfig.enable_op_cache`` is the one exemption: its contract is to change
-nothing, which ``tests/test_cache_parity.py`` checks.
 """
 
 from __future__ import annotations
@@ -26,9 +23,6 @@ from repro.workloads.tasks import (
     make_background_application,
     make_dnn_application,
 )
-
-EXEMPT = {"RTMConfig.enable_op_cache"}
-
 
 def _best_effort_behind_generic_apps(trained) -> Scenario:
     """A best-effort DNN (no target fps) arrives while generic apps hold every
@@ -81,7 +75,7 @@ def _fingerprint(trained, scenario_name: str, rtm=None, simulator=None) -> str:
     ).fingerprint()
 
 
-@pytest.mark.parametrize("name", sorted(set(FIELDS) - EXEMPT))
+@pytest.mark.parametrize("name", sorted(FIELDS))
 def test_a_non_default_value_changes_the_fingerprint(name, trained_dnn):
     if name not in PROBES:
         pytest.fail(f"{name} has no liveness probe; add one to PROBES")
@@ -96,7 +90,7 @@ def test_a_non_default_value_changes_the_fingerprint(name, trained_dnn):
 
 
 def test_every_probe_names_a_field():
-    assert set(PROBES) | EXEMPT == set(FIELDS)
+    assert set(PROBES) == set(FIELDS)
 
 
 class TestBestEffortRetry:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.dnn.training import IncrementalTrainer
 from repro.dnn.zoo import make_dynamic_cifar_dnn
+from repro.experiments.managers import detach_op_cache
 from repro.perfmodel.calibrated import CalibratedLatencyModel
 from repro.perfmodel.energy import EnergyModel
 from repro.perfmodel.roofline import RooflineLatencyModel
@@ -14,7 +15,7 @@ from repro.rtm.cache import (
     soc_topology_key,
     temperature_bucket_c,
 )
-from repro.rtm.manager import RTMConfig, RuntimeManager
+from repro.rtm.manager import RuntimeManager
 from repro.rtm.operating_points import OperatingPointSpace
 from repro.rtm.state import AppRuntimeState, MapApplication, Mapping, SystemState
 from repro.workloads.requirements import Requirements
@@ -182,8 +183,9 @@ class TestManagerCacheIntegration:
         assert manager.cache is not None
         assert manager.cache_stats() is manager.cache.stats
 
-    def test_config_can_disable_the_cache(self):
-        manager = RuntimeManager(config=RTMConfig(enable_op_cache=False))
+    def test_detach_op_cache_disables_the_cache(self):
+        manager = RuntimeManager()
+        detach_op_cache(manager)
         assert manager.cache is None
         assert manager.cache_stats() is None
 
@@ -196,10 +198,9 @@ class TestManagerCacheIntegration:
     def test_cached_and_uncached_selection_agree(self, trained_dnn, xu3):
         requirements = Requirements(max_latency_ms=400.0, max_energy_mj=100.0)
         cached = RuntimeManager().select_operating_point(trained_dnn, xu3, requirements)
-        uncached = RuntimeManager(
-            config=RTMConfig(enable_op_cache=False)
-        ).select_operating_point(trained_dnn, xu3, requirements)
-        assert cached == uncached
+        uncached = RuntimeManager()
+        detach_op_cache(uncached)
+        assert cached == uncached.select_operating_point(trained_dnn, xu3, requirements)
 
     def test_repeated_selection_hits_the_cache(self, trained_dnn, xu3):
         manager = RuntimeManager()
@@ -240,7 +241,8 @@ class TestManagerCacheIntegration:
             apps[app_id] = AppRuntimeState(application=application)
         state = SystemState(time_ms=0.0, soc=xu3, apps=apps)
         cached = RuntimeManager()
-        uncached = RuntimeManager(config=RTMConfig(enable_op_cache=False))
+        uncached = RuntimeManager()
+        detach_op_cache(uncached)
 
         def decide():
             actions = cached.decide(state).actions

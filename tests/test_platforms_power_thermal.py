@@ -153,8 +153,6 @@ class TestThermalModel:
             ThermalParams(thermal_resistance_c_per_w=0.0)
         with pytest.raises(ValueError):
             ThermalParams(throttle_threshold_c=70.0, throttle_release_c=80.0)
-        with pytest.raises(ValueError):
-            ThermalParams(critical_c=50.0, throttle_threshold_c=85.0)
 
 
 class TestThermalLaw:
