@@ -93,6 +93,7 @@ from repro.platforms import (
 )
 from repro.registry import Registry, find_duplicates
 from repro.rtm import (
+    POLICY_REGISTRY,
     MinEnergyUnderConstraints,
     OperatingPointSpace,
     RuntimeManager,
@@ -139,10 +140,9 @@ def _names_known(*checks: "tuple[Registry, Sequence[str]]") -> bool:
     for registry, names in checks:
         unknown = [name for name in names if name not in registry]
         if unknown:
-            print(
-                f"unknown {registry.kind}s {unknown}; available: {sorted(registry)}",
-                file=sys.stderr,
-            )
+            kind = registry.kind
+            plural = kind[:-1] + "ies" if kind.endswith("y") else kind + "s"
+            print(f"unknown {plural} {unknown}; available: {sorted(registry)}", file=sys.stderr)
             for name in unknown:
                 suggestions = registry.suggest(name)
                 if suggestions:
@@ -286,10 +286,17 @@ def cmd_case_study(args: argparse.Namespace) -> int:
     if (args.latency_ms is None) != (args.energy_mj is None):
         print("a custom budget needs both --latency-ms and --energy-mj", file=sys.stderr)
         return 2
-    if not _names_known((PLATFORM_REGISTRY, [args.platform])):
+    if not _names_known((PLATFORM_REGISTRY, [args.platform]), (POLICY_REGISTRY, [args.policy])):
+        return 2
+    platform = build_preset(args.platform)
+    unknown = [name for name in args.clusters if not platform.has_cluster(name)]
+    if unknown:
+        print(
+            f"{args.platform} has no clusters {unknown}; available: {platform.cluster_names}",
+            file=sys.stderr,
+        )
         return 2
     trained = _trained_dnn()
-    platform = build_preset(args.platform)
     manager = RuntimeManager(policy=make_policy(args.policy))
     budgets = list(CASE_STUDY_BUDGETS)
     if args.latency_ms is not None:
@@ -302,7 +309,8 @@ def cmd_case_study(args: argparse.Namespace) -> int:
             clusters=args.clusters,
             core_counts=[1],
         )
-        print(f"budget ({latency_ms:.0f} ms, {energy_mj:.0f} mJ) -> {point.describe()}")
+        chosen = "no operating point found" if point is None else point.describe()
+        print(f"budget ({latency_ms:.0f} ms, {energy_mj:.0f} mJ) -> {chosen}")
     return 0
 
 
@@ -1378,6 +1386,11 @@ def cmd_fleet_bench(args: argparse.Namespace) -> int:
     if _single_pass_resume_conflict(
         args, "per-case verbs", "the fleet benchmark"
     ) or not _usage_ok({"--devices": args.devices}):
+        return 2
+    try:
+        FleetSpec(scenario=args.scenario, policy=args.policy, seed=args.seed).validate()
+    except FleetSpecError as error:
+        print(f"invalid fleet spec: {error}", file=sys.stderr)
         return 2
     check_serial = not args.no_serial_check
     print(

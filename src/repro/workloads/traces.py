@@ -34,7 +34,9 @@ file-facing path is generator-based and O(1) in trace length:
   :class:`TraceHeader`);
 * :class:`TraceWriter` appends records as they are produced, committing the
   file atomically (same-directory temp + fsync + ``os.replace`` + directory
-  fsync) on close;
+  fsync) on close; it compresses on one background thread that lives only
+  inside its ``with`` block, fed fixed chunks of encoded lines over a
+  bounded queue, and writes the same bytes as a one-line-per-write writer;
 * :meth:`ArrivalTrace.stream_scenario` replays a file into a scenario
   without materialising the intermediate record lists (the
   :class:`~repro.workloads.scenarios.Scenario` itself still holds one
@@ -47,17 +49,20 @@ file-facing path is generator-based and O(1) in trace length:
 
 Every record is validated at read time (required keys, numeric types), so a
 malformed file surfaces as a :class:`TraceFormatError` with the offending
-record named instead of a ``KeyError`` deep inside a consumer.
+record named instead of a ``KeyError`` deep inside a consumer.  The writer
+runs the same checks before a record is queued.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
-import math
+import queue
+import threading
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
+from math import isfinite
 from pathlib import Path
 from typing import IO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -177,53 +182,86 @@ def _require_number(
     *,
     optional: bool = False,
     allow_none: bool = False,
-) -> Optional[float]:
-    """Validate (and return) a numeric field of a record."""
+) -> None:
+    """Validate a numeric field of a record that failed the finite-float fast path."""
     if key not in payload:
         if optional:
-            return None
+            return
         raise TraceFormatError(f"{context} is missing required key {key!r}")
     value = payload[key]
     if value is None and allow_none:
-        return None
+        return
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TraceFormatError(f"{context} has non-numeric {key}={value!r}")
-    if not math.isfinite(value):
+    if not isfinite(value):
         raise TraceFormatError(f"{context} has non-finite {key}={value!r}")
-    return float(value)
+
+
+#: ``(key, optional, allow_none)`` of the numeric fields of an application
+#: record, in the order they are checked.
+_APPLICATION_NUMBERS = (
+    ("arrival_ms", False, False),
+    ("departure_ms", True, True),
+    ("memory_footprint_mb", True, False),
+)
 
 
 def _validate_application_record(record: Dict[str, object], location: str) -> None:
-    """Shape-check one application record (required keys, numeric types)."""
+    """Shape-check one application record (required keys, numeric types).
+
+    Runs on every record the writer appends and the reader yields, so a
+    finite ``float`` passes without a call, and the record's name for an
+    error message is built only when a field needs the full check.
+    """
     app_id = record.get("app_id")
     if not isinstance(app_id, str) or not app_id:
         raise TraceFormatError(
             f"application record in {location} needs a non-empty string 'app_id', got {app_id!r}"
         )
-    where = f"application record {app_id!r} in {location}"
     kind = record.get("kind")
     if not isinstance(kind, str) or not kind:
-        raise TraceFormatError(f"{where} needs a non-empty string 'kind', got {kind!r}")
-    _require_number(record, "arrival_ms", where)
-    _require_number(record, "departure_ms", where, optional=True, allow_none=True)
-    _require_number(record, "memory_footprint_mb", where, optional=True)
+        raise TraceFormatError(
+            f"application record {app_id!r} in {location} needs a non-empty string "
+            f"'kind', got {kind!r}"
+        )
+    for key, optional, allow_none in _APPLICATION_NUMBERS:
+        value = record.get(key)
+        if type(value) is not float or not isfinite(value):
+            _require_number(
+                record,
+                key,
+                f"application record {app_id!r} in {location}",
+                optional=optional,
+                allow_none=allow_none,
+            )
     requirements = record.get("requirements")
     if requirements is not None and not isinstance(requirements, dict):
-        raise TraceFormatError(f"{where} has a non-table 'requirements': {requirements!r}")
+        raise TraceFormatError(
+            f"application record {app_id!r} in {location} has a non-table "
+            f"'requirements': {requirements!r}"
+        )
 
 
 def _validate_event_record(record: Dict[str, object], location: str) -> None:
     """Shape-check one scheduled-event record."""
-    where = f"event record {record.get('app_id')!r} in {location}"
-    _require_number(record, "time_ms", where)
+    app_id = record.get("app_id")
+    time_ms = record.get("time_ms")
+    if type(time_ms) is not float or not isfinite(time_ms):
+        _require_number(record, "time_ms", f"event record {app_id!r} in {location}")
     kind = record.get("kind")
     if not isinstance(kind, str) or not kind:
-        raise TraceFormatError(f"{where} needs a non-empty string 'kind', got {kind!r}")
-    if "app_id" not in record or not isinstance(record.get("app_id"), str):
-        raise TraceFormatError(f"{where} needs a string 'app_id'")
+        raise TraceFormatError(
+            f"event record {app_id!r} in {location} needs a non-empty string 'kind', "
+            f"got {kind!r}"
+        )
+    if not isinstance(app_id, str):
+        raise TraceFormatError(f"event record {app_id!r} in {location} needs a string 'app_id'")
     requirements = record.get("requirements")
     if requirements is not None and not isinstance(requirements, dict):
-        raise TraceFormatError(f"{where} has a non-table 'requirements': {requirements!r}")
+        raise TraceFormatError(
+            f"event record {app_id!r} in {location} has a non-table 'requirements': "
+            f"{requirements!r}"
+        )
 
 
 # -------------------------------------------------------------------- header
@@ -290,6 +328,7 @@ class TraceStream:
 def _iter_body_records(
     lines: Iterator[str], path: Path
 ) -> Iterator[Tuple[str, Dict[str, object]]]:
+    location = str(path)
     for line in lines:
         try:
             record = json.loads(line)
@@ -299,9 +338,9 @@ def _iter_body_records(
             raise TraceFormatError(f"non-table record line {record!r} in {path}")
         kind = record.pop("record", None)
         if kind == "application":
-            _validate_application_record(record, str(path))
+            _validate_application_record(record, location)
         elif kind == "event":
-            _validate_event_record(record, str(path))
+            _validate_event_record(record, location)
         else:
             raise TraceFormatError(f"unknown record type {kind!r} in {path}")
         yield kind, record
@@ -310,18 +349,41 @@ def _iter_body_records(
 # -------------------------------------------------------------------- writer
 
 
+#: Record lines the caller joins into one chunk for the writer thread.
+_CHUNK_LINES = 512
+#: Chunks queued for the writer thread before the caller waits for it.  A
+#: writer holds at most about five chunks: the lines being gathered, their
+#: joined bytes while the queue is full, the queued chunks and the one being
+#: compressed (under a megabyte of diurnal records).
+_QUEUE_CHUNKS = 2
+
+#: ``json.dumps(payload, sort_keys=True)`` without building an encoder per line.
+_encode_line = json.JSONEncoder(sort_keys=True).encode
+
+
 class TraceWriter:
     """Incrementally write an arrival trace: header first, records appended.
 
-    A context manager.  Records are written (and validated) one at a time, so
-    recording a million-arrival day needs O(1) memory — unlike
-    :meth:`ArrivalTrace.save`, nothing is accumulated.  The output file only
-    appears on clean exit, via the shared atomic/durable sequence
+    A context manager.  Records are validated and encoded one at a time as
+    they are appended, so recording a million-arrival day needs O(1) memory
+    — unlike :meth:`ArrivalTrace.save`, nothing is accumulated.  The output
+    file only appears on clean exit, via the shared atomic/durable sequence
     (:func:`repro.ioutils.atomic_binary_writer`: same-directory temp, fsync,
     ``os.replace``, directory fsync); an exception mid-write leaves any
     existing file untouched.  Compression follows the file suffix: ``.gz``
     writes a deterministic (``mtime=0``) gzip member, ``.zst``/``.zstd``
     needs the optional ``zstandard`` package.
+
+    The sink (compressed or plain) belongs to one writer thread that lives
+    only inside the ``with`` block.  The caller joins the encoded lines into
+    chunks of ``_CHUNK_LINES`` and hands them over a queue of
+    ``_QUEUE_CHUNKS``, so memory stays bounded by chunk size × queue depth,
+    and zlib's deflate, which releases the interpreter lock, runs on another
+    core while the caller produces the next chunk.  Deflate without a flush
+    emits the same stream however its input is split, so the file is
+    byte-identical to writing one line at a time.  A write error in the
+    thread is raised to the caller by a later ``write_*`` or by leaving the
+    ``with`` block, and the thread is joined on every exit path.
 
     Duplicate ``app_id`` detection is deliberately *not* performed here — it
     would cost O(arrivals) memory; readers enforce it where the scenario is
@@ -342,80 +404,140 @@ class TraceWriter:
         self.duration_ms = float(duration_ms)
         self.applications_written = 0
         self.events_written = 0
+        self._location = str(self.path)
+        # Encoded lines of the chunk being built; None outside the with block.
+        self._lines: Optional[List[str]] = None
         self._ctx = None
-        self._raw: Optional[IO[bytes]] = None
-        self._sink: Optional[IO[bytes]] = None
+        self._queue: Optional["queue.Queue[Optional[bytes]]"] = None
+        self._thread: Optional[threading.Thread] = None
+        # The writer thread's first failure, raised to the caller.
+        self._error: Optional[Exception] = None
 
     # -- context management
 
     def __enter__(self) -> "TraceWriter":
-        self._ctx = atomic_binary_writer(self.path)
-        self._raw = self._ctx.__enter__()
+        if self._lines is not None:
+            raise RuntimeError(f"TraceWriter for {self.path} is already open")
+        ctx = atomic_binary_writer(self.path)
+        raw = ctx.__enter__()
+        chunk_queue: "queue.Queue[Optional[bytes]]" = queue.Queue(maxsize=_QUEUE_CHUNKS)
+        try:
+            sink = self._open_sink(raw)
+            thread = threading.Thread(
+                target=self._drain, args=(chunk_queue, sink, raw), name="trace-writer", daemon=True
+            )
+            thread.start()
+        except BaseException as error:
+            ctx.__exit__(type(error), error, error.__traceback__)
+            raise
+        self._ctx, self._queue, self._thread = ctx, chunk_queue, thread
+        self._error = None
+        self._lines = [
+            _encode_line(
+                {
+                    "format": TRACE_FORMAT,
+                    "version": TRACE_VERSION,
+                    "scenario": self.scenario_name,
+                    "platform": self.platform_name,
+                    "duration_ms": self.duration_ms,
+                }
+            )
+        ]
+        return self
+
+    def _open_sink(self, raw: IO[bytes]) -> IO[bytes]:
+        """The sink the path's suffix asks for, writing into ``raw``."""
         suffix = self.path.suffix.lower()
         if suffix == ".gz":
             # mtime=0 and an empty embedded name keep equal traces byte-equal.
-            self._sink = gzip.GzipFile(
-                filename="", mode="wb", fileobj=self._raw, mtime=0
-            )
-        elif suffix in (".zst", ".zstd"):
+            return gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0)
+        if suffix in (".zst", ".zstd"):
             try:
                 import zstandard
             except ImportError:
-                self._abort()
                 raise TraceFormatError(
                     f"cannot write trace file {self.path}: .zst traces need the "
                     "optional 'zstandard' package, which is not installed"
                 ) from None
-            self._sink = zstandard.ZstdCompressor().stream_writer(self._raw, closefd=False)
-        else:
-            self._sink = self._raw
-        self._write_line(
-            {
-                "format": TRACE_FORMAT,
-                "version": TRACE_VERSION,
-                "scenario": self.scenario_name,
-                "platform": self.platform_name,
-                "duration_ms": self.duration_ms,
-            }
-        )
-        return self
+            return zstandard.ZstdCompressor().stream_writer(raw, closefd=False)
+        return raw
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        assert self._ctx is not None
-        if exc_type is None:
-            if self._sink is not self._raw:
-                self._sink.close()  # finalise the compression member
-            self._ctx.__exit__(None, None, None)
+        lines, self._lines = self._lines, None
+        if lines is None:
+            raise RuntimeError(f"TraceWriter for {self.path} is not open")
+        try:
+            if exc_type is None and lines:
+                self._queue.put(_join_chunk(lines))
+        finally:
+            self._queue.put(None)
+            self._thread.join()
+            self._queue = self._thread = None
+        ctx, self._ctx = self._ctx, None
+        error, self._error = self._error, None
+        if exc_type is None and error is None:
+            ctx.__exit__(None, None, None)
+        elif exc_type is None:
+            ctx.__exit__(type(error), error, error.__traceback__)
+            raise error
         else:
-            self._abort(exc_type, exc, tb)
+            ctx.__exit__(exc_type, exc or BaseException(), tb)
 
-    def _abort(self, exc_type=BaseException, exc=None, tb=None) -> None:
-        if self._ctx is not None:
-            try:
-                if self._sink is not None and self._sink is not self._raw:
-                    self._sink.close()
-            except (OSError, ValueError):
+    def _drain(
+        self, chunk_queue: "queue.Queue[Optional[bytes]]", sink: IO[bytes], raw: IO[bytes]
+    ) -> None:
+        """The writer thread: write queued chunks until ``None``, then close the sink.
+
+        After a failure it keeps taking chunks without writing them, so the
+        caller never waits on a full queue; the caller raises the failure.
+        """
+        chunks = iter(chunk_queue.get, None)
+        try:
+            for chunk in chunks:
+                sink.write(chunk)
+        except Exception as error:
+            self._error = error
+            for _ in chunks:
                 pass
-            self._ctx.__exit__(exc_type, exc or BaseException(), tb)
-            self._ctx = None
+        if sink is not raw:
+            try:
+                sink.close()  # finalise the compression member
+            except Exception as error:
+                if self._error is None:
+                    self._error = error
 
     # -- record appends
 
-    def _write_line(self, payload: Dict[str, object]) -> None:
-        assert self._sink is not None, "TraceWriter must be entered before writing"
-        self._sink.write((json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))
+    def _append(self, payload: Dict[str, object]) -> None:
+        lines = self._lines
+        if lines is None:
+            raise RuntimeError(
+                f"TraceWriter for {self.path} is not open: write records inside "
+                "its with block"
+            )
+        lines.append(_encode_line(payload))
+        if len(lines) >= _CHUNK_LINES:
+            if self._error is not None:
+                raise self._error
+            self._queue.put(_join_chunk(lines))
+            lines.clear()
 
     def write_application(self, record: Dict[str, object]) -> None:
-        """Append one application record (validated before it hits the file)."""
-        _validate_application_record(record, str(self.path))
-        self._write_line({"record": "application", **record})
+        """Append one application record (validated before it is queued)."""
+        _validate_application_record(record, self._location)
+        self._append({"record": "application", **record})
         self.applications_written += 1
 
     def write_event(self, record: Dict[str, object]) -> None:
         """Append one scheduled-event record."""
-        _validate_event_record(record, str(self.path))
-        self._write_line({"record": "event", **record})
+        _validate_event_record(record, self._location)
+        self._append({"record": "event", **record})
         self.events_written += 1
+
+
+def _join_chunk(lines: List[str]) -> bytes:
+    """The bytes of encoded record lines, each ended by a newline."""
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 # ------------------------------------------------------------- arrival trace

@@ -271,6 +271,26 @@ class TestCommands:
         assert main(["case-study", "--platform", "jetson_nanoo"]) == 2
         assert "unknown platform preset" in capsys.readouterr().err
 
+    def test_case_study_unknown_policy_fails_cleanly(self, capsys):
+        assert main(["case-study", "--policy", "max_acuracy"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown policies ['max_acuracy']" in err
+        assert "did you mean 'max_accuracy'" in err
+
+    def test_case_study_unknown_cluster_fails_cleanly(self, capsys):
+        assert main(["case-study", "--clusters", "a15", "nope"]) == 2
+        assert (
+            "odroid_xu3 has no clusters ['nope']; available: ['a15', 'a7', 'mali_gpu']"
+            in capsys.readouterr().err
+        )
+
+    def test_case_study_reports_a_budget_without_a_point(self, capsys, monkeypatch):
+        from repro.rtm import RuntimeManager
+
+        monkeypatch.setattr(RuntimeManager, "select_operating_point", lambda *a, **k: None)
+        assert main(["case-study", "--latency-ms", "50", "--energy-mj", "300"]) == 0
+        assert "budget (50 ms, 300 mJ) -> no operating point found" in capsys.readouterr().out
+
     def test_scenarios_list_prints_the_registry(self, capsys):
         assert main(["scenarios", "list"]) == 0
         output = capsys.readouterr().out

@@ -707,6 +707,15 @@ class TestFleetCLI:
         assert main(["fleet", "run", "--policy", "nope"]) == 2
         assert "unknown" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--scenario", "--policy"])
+    def test_bench_rejects_unknown_names_before_running(self, capsys, flag):
+        argv = ["fleet", "bench", "--devices", "5", "--no-serial-check", flag, "nope"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid fleet spec: unknown fleet ")
+        assert "'nope'" in captured.err
+        assert captured.out == ""
+
     def test_run_rejects_bad_device_mix(self, capsys):
         assert main(["fleet", "run", "--devices", "generic_quad"]) == 2
         assert "PRESET=COUNT" in capsys.readouterr().err

@@ -3,7 +3,9 @@
 Covers the streaming surface of :mod:`repro.workloads.traces` — the
 generator-based readers (`iter_records`/`stream_load`/`stream_scenario`),
 the incremental :class:`TraceWriter`, suffix-detected gzip compression and
-the one-pass :func:`compute_trace_stats` — plus the malformed-trace
+the one-pass :func:`compute_trace_stats` — plus the writer's byte oracle
+(``tests/reference_trace_writer.py``) across chunk boundaries, its writer
+thread (concurrent writers, sink failures, lifetime, misuse), the malformed-trace
 validation corpus (missing keys, bad types, duplicate ids, truncated gzip,
 missing header version), the diurnal traffic generator, and tracemalloc
 peak-memory assertions that recording and summarising stay bounded however
@@ -12,14 +14,20 @@ long the trace is.
 
 from __future__ import annotations
 
+import errno
 import gzip
+import hashlib
 import json
+import sys
+import threading
 import tracemalloc
+from contextlib import contextmanager
+from itertools import islice
 
 import pytest
 
 from repro.ioutils import atomic_binary_writer, atomic_write_text, fsync_directory
-from repro.workloads import build_scenario
+from repro.workloads import build_scenario, traces
 from repro.workloads.diurnal import (
     DiurnalConfig,
     DiurnalTraffic,
@@ -32,6 +40,7 @@ from repro.workloads.traces import (
     TraceWriter,
     compute_trace_stats,
 )
+from tests.reference_trace_writer import write_reference_trace
 
 HEADER = {
     "format": "repro-arrival-trace",
@@ -161,6 +170,238 @@ class TestStreamingRoundTrips:
                 del record["arrival_ms"]
                 writer.write_application(record)
         assert not path.exists()
+
+
+# ------------------------------------------------------ writer byte oracle
+
+#: Record lines per chunk the writer hands to its thread.
+CHUNK = traces._CHUNK_LINES
+
+#: sha256 of ``write_diurnal_trace(path, config_for_arrivals(2000), seed=1)``
+#: as the single-threaded writer wrote it, by suffix.  The ``.gz`` bytes are
+#: zlib's level-9 deflate stream of the ``.jsonl`` bytes.
+PINNED_DIURNAL_SHA256 = {
+    ".jsonl": "115f02b8fbb61c2b54a6f5ea8def6ba7330b7a8773d97f649e351dbb6a13c959",
+    ".jsonl.gz": "7e66ab8b82693091fbd90f35ea42e955591479c310c8ba47ef9027a53a644c3a",
+}
+
+
+def _diurnal_records(count: int, seed: int = 1) -> list:
+    """The first ``count`` records of a seeded diurnal stream."""
+    traffic = DiurnalTraffic(config_for_arrivals(3200, duration_ms=600_000.0), seed=seed)
+    records = [record for _, record in islice(traffic.iter_records(), count)]
+    assert len(records) == count
+    return records
+
+
+def _write_with_trace_writer(path, records) -> None:
+    with TraceWriter(
+        path, scenario_name="oracle", platform_name="odroid_xu3", duration_ms=600_000.0
+    ) as writer:
+        for record in records:
+            writer.write_application(record)
+
+
+def _oracle_bytes(tmp_path, suffix, records) -> bytes:
+    path = tmp_path / f"oracle{suffix}"
+    write_reference_trace(
+        path,
+        scenario_name="oracle",
+        platform_name="odroid_xu3",
+        duration_ms=600_000.0,
+        applications=records,
+    )
+    return path.read_bytes()
+
+
+class TestWriterOracle:
+    """``TraceWriter`` writes exactly the bytes of a naive one-line-per-write writer."""
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".jsonl.gz"])
+    @pytest.mark.parametrize(
+        "count", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 5 * CHUNK + 7]
+    )
+    def test_diurnal_stream_matches_reference_bytes(self, tmp_path, suffix, count):
+        records = _diurnal_records(count)
+        path = tmp_path / f"writer{suffix}"
+        _write_with_trace_writer(path, records)
+        assert path.read_bytes() == _oracle_bytes(tmp_path, suffix, records)
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".jsonl.gz"])
+    def test_recorded_scenario_with_events_matches_reference_bytes(self, tmp_path, suffix):
+        trace = ArrivalTrace.from_scenario(build_scenario("fig2"))
+        assert trace.events
+        path = tmp_path / f"saved{suffix}"
+        trace.save(path)
+        reference = tmp_path / f"reference{suffix}"
+        write_reference_trace(
+            reference,
+            scenario_name=trace.scenario_name,
+            platform_name=trace.platform_name,
+            duration_ms=trace.duration_ms,
+            applications=trace.applications,
+            events=trace.events,
+        )
+        assert path.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("suffix", sorted(PINNED_DIURNAL_SHA256))
+    def test_diurnal_trace_bytes_are_pinned(self, tmp_path, suffix):
+        path = tmp_path / f"pinned{suffix}"
+        assert write_diurnal_trace(path, config_for_arrivals(2000), seed=1) == 3138
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == PINNED_DIURNAL_SHA256[suffix]
+
+
+# ------------------------------------------------------- the writer thread
+
+
+class _FailingStream:
+    """A raw binary stream that raises ``OSError`` once ``limit`` bytes are written."""
+
+    def __init__(self, stream, limit: int) -> None:
+        self.stream = stream
+        self.limit = limit
+        self.written = 0
+
+    def write(self, data) -> int:
+        self.written += len(data)
+        if self.written > self.limit:
+            raise OSError(errno.ENOSPC, "injected: no space left on device")
+        return self.stream.write(data)
+
+
+def _alive_threads_besides(before) -> list:
+    return [thread for thread in threading.enumerate() if thread not in before]
+
+
+def _run_bounded(target, timeout: float = 60.0) -> None:
+    """Run ``target`` on its own thread; fail instead of hanging if it blocks."""
+    failure: list = []
+
+    def body() -> None:
+        try:
+            target()
+        except BaseException as error:  # re-raised on the test's thread below
+            failure.append(error)
+
+    thread = threading.Thread(target=body, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"{target.__name__} still running after {timeout} s"
+    if failure:
+        raise failure[0]
+
+
+class TestWriterThread:
+    """The writer thread: concurrent writers, sink failures, lifetime, misuse."""
+
+    def test_concurrent_writers_each_match_reference_bytes(self, tmp_path):
+        records = {seed: _diurnal_records(3 * CHUNK + 11, seed=seed) for seed in range(4)}
+        suffixes = {seed: (".jsonl.gz", ".jsonl")[seed % 2] for seed in records}
+        paths = {seed: tmp_path / f"w{seed}{suffixes[seed]}" for seed in records}
+        failures: list = []
+
+        def write(seed: int) -> None:
+            try:
+                _write_with_trace_writer(paths[seed], records[seed])
+            except BaseException as error:  # reported on the test's thread
+                failures.append(error)
+
+        before = set(threading.enumerate())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=write, args=(seed,)) for seed in records]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(120.0)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures
+        assert _alive_threads_besides(before) == []
+        for seed, path in paths.items():
+            expected = _oracle_bytes(tmp_path, suffixes[seed], records[seed])
+            assert path.read_bytes() == expected, f"writer {seed} diverged"
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".jsonl.gz"])
+    def test_sink_failure_reaches_caller_and_leaves_destination(
+        self, tmp_path, monkeypatch, suffix
+    ):
+        @contextmanager
+        def failing_writer(path):
+            with atomic_binary_writer(path) as stream:
+                yield _FailingStream(stream, limit=4096)
+
+        monkeypatch.setattr(traces, "atomic_binary_writer", failing_writer)
+        path = tmp_path / f"t{suffix}"
+        path.write_bytes(b"previous content")
+        records = _diurnal_records(5 * CHUNK + 7)
+        before = set(threading.enumerate())
+        raised_by: list = []
+
+        def write() -> None:
+            with pytest.raises(OSError, match="injected"):
+                with TraceWriter(
+                    path, scenario_name="x", platform_name="odroid_xu3", duration_ms=1.0
+                ) as writer:
+                    for _ in range(4):  # 20 chunks: the queue holds 2
+                        for record in records:
+                            try:
+                                writer.write_application(record)
+                            except OSError:
+                                raised_by.append("write_application")
+                                raise
+                    raised_by.append("exit")
+
+        _run_bounded(write)
+        if suffix == ".jsonl":
+            # The first chunk fails; the thread keeps draining, so a later
+            # append raises long before the last of the 20 chunks.
+            assert raised_by == ["write_application"]
+        assert path.read_bytes() == b"previous content"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+        assert _alive_threads_besides(before) == []
+
+    def test_exception_in_body_joins_the_thread_and_keeps_destination(self, tmp_path):
+        path = tmp_path / "t.jsonl.gz"
+        path.write_bytes(b"previous content")
+        before = set(threading.enumerate())
+
+        def write() -> None:
+            with pytest.raises(RuntimeError, match="mid-write crash"):
+                with TraceWriter(
+                    path, scenario_name="x", platform_name="odroid_xu3", duration_ms=1.0
+                ) as writer:
+                    for record in _diurnal_records(3 * CHUNK):
+                        writer.write_application(record)
+                    raise RuntimeError("mid-write crash")
+
+        _run_bounded(write)
+        assert path.read_bytes() == b"previous content"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+        assert _alive_threads_besides(before) == []
+
+    def test_writing_outside_the_with_block_is_refused(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        first, second = _diurnal_records(2)
+        writer = TraceWriter(
+            path, scenario_name="oracle", platform_name="odroid_xu3", duration_ms=600_000.0
+        )
+        with pytest.raises(RuntimeError, match="not open"):
+            writer.write_application(first)
+        with pytest.raises(RuntimeError, match="not open"):
+            writer.write_event({"time_ms": 1.0, "kind": "departure", "app_id": "a"})
+        assert writer.applications_written == writer.events_written == 0
+        with writer:
+            writer.write_application(second)
+        written = path.read_bytes()
+        assert written == _oracle_bytes(tmp_path, ".jsonl", [second])
+        with pytest.raises(RuntimeError, match="not open"):
+            writer.write_application(first)
+        assert writer.applications_written == 1
+        assert path.read_bytes() == written
 
 
 # -------------------------------------------------------- malformed corpus
