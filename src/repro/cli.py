@@ -185,9 +185,9 @@ def _usage_ok(
 def _backend_workers_conflict(args: argparse.Namespace) -> bool:
     """True (after printing the error) when --backend rejects --workers.
 
-    Single-process backends raise on ``workers > 1`` deep inside
-    ``run_many``; catching the combination here turns that into a usage
-    error with the fix spelled out.
+    ``run_many`` raises ``ValueError`` for ``workers > 1`` on a backend
+    whose registry entry is not ``parallel``; catching the combination here
+    turns that into a usage error with the fix spelled out.
     """
     if args.backend is None or args.workers == 1:
         return False
@@ -289,7 +289,10 @@ def cmd_case_study(args: argparse.Namespace) -> int:
     if not _names_known((PLATFORM_REGISTRY, [args.platform]), (POLICY_REGISTRY, [args.policy])):
         return 2
     platform = build_preset(args.platform)
-    unknown = [name for name in args.clusters if not platform.has_cluster(name)]
+    clusters = args.clusters or [
+        cluster.name for cluster in platform.clusters if cluster.core_type.is_cpu
+    ]
+    unknown = [name for name in clusters if not platform.has_cluster(name)]
     if unknown:
         print(
             f"{args.platform} has no clusters {unknown}; available: {platform.cluster_names}",
@@ -306,7 +309,7 @@ def cmd_case_study(args: argparse.Namespace) -> int:
             trained,
             platform,
             Requirements(max_latency_ms=latency_ms, max_energy_mj=energy_mj),
-            clusters=args.clusters,
+            clusters=clusters,
             core_counts=[1],
         )
         chosen = "no operating point found" if point is None else point.describe()
@@ -1749,7 +1752,7 @@ VERBS: Tuple[tuple, ...] = (
         "run the Section IV budget queries",
         _PLATFORM,
         _arg("--policy", default="max_accuracy"),
-        _arg("--clusters", nargs="+", default=["a15", "a7"]),
+        _arg("--clusters", nargs="+", default=None, help="default: the platform's CPU clusters"),
         _arg("--latency-ms", type=float, default=None),
         _arg("--energy-mj", type=float, default=None),
     ),

@@ -20,8 +20,11 @@ Quick start::
     batch = run_many([spec, ExperimentSpec(scenario="steady")], workers=2)
 
 Batches execute through a named backend (``serial`` / ``process`` /
-``batched``, see :mod:`repro.experiments.backends`); all backends produce
-bit-identical traces::
+``batched``, see :mod:`repro.experiments.backends`), a registered function
+that only executes and reports each spec's outcome through ``run_many``'s
+one ``emit``; ``run_many`` streams outcomes to the results store, retries
+failures and assembles the batch.  All backends produce bit-identical
+traces::
 
     batch = run_many(grid_specs(scenarios, managers, seeds=range(8)),
                      backend="batched")
@@ -31,11 +34,7 @@ Specs round-trip through TOML/JSON files (``ExperimentSpec.load`` /
 ``repro-experiments run spec.toml``.
 """
 
-from repro.experiments.backends import (
-    EXECUTION_BACKEND_REGISTRY,
-    ExecutionBackend,
-    make_execution_backend,
-)
+from repro.experiments.backends import EXECUTION_BACKEND_REGISTRY
 from repro.experiments.managers import MANAGER_REGISTRY, make_manager
 from repro.experiments.runner import (
     ExperimentBatch,
@@ -57,8 +56,6 @@ from repro.experiments.spec import (
 
 __all__ = [
     "EXECUTION_BACKEND_REGISTRY",
-    "ExecutionBackend",
-    "make_execution_backend",
     "MANAGER_REGISTRY",
     "make_manager",
     "ExperimentBatch",

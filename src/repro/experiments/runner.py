@@ -11,12 +11,14 @@ Batches dispatch through the execution-backend registry
 (:mod:`repro.experiments.backends`): ``serial`` runs specs one after
 another, ``process`` fans them out over ``workers`` processes, ``batched``
 advances all replicas in lock-step through shared decision machinery on one
-core.  All backends produce bit-identical traces.
+core.  All backends produce bit-identical traces.  A backend only executes:
+it reports each spec's outcome through ``run_many``'s one ``emit``, which
+streams it to the results store and records it for retries and assembly.
 
 Design rules shared by every backend:
 
 * every spec is seeded explicitly; workers share no random state;
-* results are reassembled in submission order, so aggregates are identical
+* results are assembled in submission order, so aggregates are identical
   for any backend and worker count;
 * a spec that raises is captured per case (``ExperimentBatch.errors``)
   instead of killing the batch.
@@ -24,8 +26,9 @@ Design rules shared by every backend:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.managers import MANAGER_REGISTRY, detach_op_cache, make_manager
 from repro.experiments.spec import ExperimentSpec
@@ -217,20 +220,13 @@ def run(spec: ExperimentSpec, validate: bool = True) -> ExperimentResult:
     return ExperimentResult(spec=spec, trace=trace)
 
 
-def _run_one(spec: ExperimentSpec) -> ExperimentResult:
-    """Worker entry point (module-level, hence picklable)."""
-    return run(spec, validate=False)
+def _run_one_timed(spec: ExperimentSpec) -> Tuple[ExperimentResult, float]:
+    """Worker entry of the serial and process backends: ``(result, wall seconds)``.
 
-
-def _run_one_timed(spec: ExperimentSpec):
-    """Worker entry point returning ``(result, wall_seconds)``.
-
-    The wall time is measured inside the worker, so it is the spec's own
-    execution time — not submission-to-completion latency, which would fold
-    in pool queueing.
+    Module-level, hence picklable.  The wall time is measured inside the
+    worker, so it is the spec's own execution time — not
+    submission-to-completion latency, which would fold in pool queueing.
     """
-    import time
-
     start = time.perf_counter()
     result = run(spec, validate=False)
     return result, time.perf_counter() - start
@@ -257,21 +253,25 @@ def run_many(
     replicas on one core).  Omitted, it defaults to ``"process"`` when
     ``workers > 1`` and ``"serial"`` otherwise, preserving the historical
     ``run_many(specs, workers=N)`` behaviour.  All backends produce
-    bit-identical traces; they differ only in wall-clock time.
+    bit-identical traces; they differ only in wall-clock time.  An unknown
+    name, or ``workers > 1`` on a backend whose registry entry is not
+    ``parallel``, raises ``ValueError`` before anything runs.
 
     ``store`` (a :class:`~repro.store.ResultsStore` or a path to one) makes
-    the batch durable: every backend streams each completed result into it
-    as the result finishes.  With ``resume=True`` specs whose spec_id is
-    already stored are not executed — their stored records land in
+    the batch durable: each spec's result, or its failure message (the
+    store's ``errors`` table), is streamed into it the moment the spec
+    finishes.  With ``resume=True`` specs whose spec_id is already stored
+    are not executed — their stored records land in
     ``ExperimentBatch.skipped`` — so a killed sweep re-invoked with the same
     store completes exactly the missing work.
 
-    Results are keyed by :attr:`ExperimentSpec.label` and reassembled in
+    Results are keyed by :attr:`ExperimentSpec.label` and assembled in
     submission order, so aggregates are byte-identical for any backend and
     worker count.  One failing spec does not abort the batch: its error
-    message lands in ``ExperimentBatch.errors`` under the label and the
-    remaining specs still run.  Duplicate labels are rejected up front (give
-    batch entries explicit ``name``\\ s to disambiguate repeats).
+    message (first line ``"TypeName: message"``, truncated traceback after)
+    lands in ``ExperimentBatch.errors`` under the label and the remaining
+    specs still run.  Duplicate labels are rejected up front (give batch
+    entries explicit ``name``\\ s to disambiguate repeats).
 
     ``retries`` re-executes specs that errored (transient crashes, lost
     workers) up to that many extra rounds, waiting ``retry_backoff * 2**i``
@@ -280,9 +280,7 @@ def run_many(
     only) is a per-spec watchdog: when no spec completes for that long, the
     stuck pending specs are recorded as errors instead of hanging the sweep.
     """
-    import time as _time
-
-    from repro.experiments.backends import make_execution_backend
+    from repro.experiments.backends import EXECUTION_BACKEND_REGISTRY
 
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -294,14 +292,27 @@ def run_many(
         raise ValueError("retry_backoff must be non-negative")
     if spec_timeout is not None and spec_timeout <= 0:
         raise ValueError("spec_timeout must be positive")
+    if backend is None:
+        backend = "process" if workers > 1 else "serial"
+    if backend not in EXECUTION_BACKEND_REGISTRY:
+        raise ValueError(EXECUTION_BACKEND_REGISTRY.describe_unknown(backend))
+    if workers > 1 and not EXECUTION_BACKEND_REGISTRY.metadata(backend).get("parallel"):
+        raise ValueError(
+            f"the {backend!r} backend is single-process and does not accept "
+            f"workers={workers}; use backend='process' to run on a worker pool"
+        )
+    # Outcomes are tracked by index, but the batch is keyed by label: two
+    # specs sharing one would silently drop a submission.
     duplicates = find_duplicates(spec.label for spec in specs)
     if duplicates:
-        raise ValueError(f"duplicate experiment labels: {duplicates}")
+        raise ValueError(
+            f"duplicate experiment labels: {duplicates}; give repeated "
+            "entries distinct 'name' keys"
+        )
     if validate:
         for spec in specs:
             spec.validate()
-    if backend is None:
-        backend = "process" if workers > 1 else "serial"
+    execute = EXECUTION_BACKEND_REGISTRY[backend]
 
     owns_store = False
     if store is not None and not hasattr(store, "put_result"):
@@ -321,32 +332,38 @@ def run_many(
                     skipped[spec.label] = stored
                 else:
                     to_run.append(spec)
-        execution_backend = make_execution_backend(backend)
-        batch = execution_backend.execute(
-            to_run, workers=workers, store=store, spec_timeout=spec_timeout
-        )
-        for attempt in range(retries):
-            if not batch.errors:
+
+        # Each round runs the specs at ``positions`` (indices into
+        # ``to_run``); a backend's ``emit`` index is a position in its round.
+        positions: Sequence[int] = range(len(to_run))
+        outcomes: Dict[int, object] = {}
+
+        def emit(index: int, outcome, wall_time_s: Optional[float]) -> None:
+            position = positions[index]
+            outcomes[position] = outcome
+            if store is None:
+                return
+            spec = to_run[position]
+            if isinstance(outcome, str):
+                store.put_error(spec.spec_id(), spec.label, outcome)
+            else:
+                store.put_result(outcome, wall_time_s=wall_time_s)
+
+        for attempt in range(retries + 1):
+            if not positions:
                 break
-            if retry_backoff > 0:
-                _time.sleep(retry_backoff * 2**attempt)
-            by_label = {spec.label: spec for spec in to_run}
-            retry_specs = [by_label[label] for label in batch.errors if label in by_label]
-            if not retry_specs:
-                break
-            retry_batch = execution_backend.execute(
-                retry_specs, workers=workers, store=store, spec_timeout=spec_timeout
-            )
-            for label, result in retry_batch.results.items():
-                batch.results[label] = result
-                batch.errors.pop(label, None)
-            batch.errors.update(retry_batch.errors)
-        # Keep results in submission order even when retries filled gaps.
-        order = {spec.label: index for index, spec in enumerate(to_run)}
-        batch.results = dict(
-            sorted(batch.results.items(), key=lambda item: order.get(item[0], len(order)))
-        )
-        batch.skipped = skipped
+            if attempt and retry_backoff > 0:
+                time.sleep(retry_backoff * 2 ** (attempt - 1))
+            execute([to_run[position] for position in positions], workers, spec_timeout, emit)
+            positions = [position for position in positions if isinstance(outcomes[position], str)]
+
+        batch = ExperimentBatch(skipped=skipped)
+        for position, spec in enumerate(to_run):
+            outcome = outcomes[position]
+            if isinstance(outcome, str):
+                batch.errors[spec.label] = outcome
+            else:
+                batch.results[spec.label] = outcome
         return batch
     finally:
         if owns_store:

@@ -203,8 +203,11 @@ class FleetOrchestrator:
             spec.scenario, seed=spec.seed, devices=spec.devices or None
         )
         # One trained model for the whole fleet (the WorkloadGenerator
-        # idiom): training is deterministic, so sharing it changes nothing
-        # behaviourally and saves N-1 simulated training runs.
+        # idiom) saves N-1 simulated training runs.  Training is
+        # deterministic, but every device's apps share its one DynamicDNN,
+        # whose active fraction a configuration switch mutates; sharing
+        # changes nothing behaviourally only while no fleet RTM compresses
+        # a DNN (so far every fleet switch chooses the full model).
         self._trained = trained if trained is not None else (
             IncrementalTrainer().train(make_dynamic_cifar_dnn())
         )

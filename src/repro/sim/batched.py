@@ -40,7 +40,8 @@ from the memos too.
 
 The module exposes :class:`BatchedEngine` (scenario/manager level); spec
 level dispatch lives in :mod:`repro.experiments.backends` as the ``batched``
-execution backend.
+execution backend, which formats a replica's exception like the other
+backends do.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import gc
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from repro.sim.engine import ManagerProtocol, SharedSimulationStores, Simulator, SimulatorConfig
 from repro.sim.faults import FaultPlan
@@ -165,6 +166,10 @@ class BatchedCase:
     dedup_key: Optional[tuple] = field(default=None, compare=False)
 
 
+#: ``on_outcome(label, trace_or_exception)``: one replica's outcome.
+_OnOutcome = Callable[[str, Union[SimulationTrace, Exception]], None]
+
+
 class BatchedEngine:
     """Lock-step driver advancing every replica of a batch in one process.
 
@@ -177,23 +182,24 @@ class BatchedEngine:
     choice.
 
     Failures are isolated per replica, mirroring the process backend: a
-    replica that raises is recorded in the errors mapping and the rest of
-    the batch completes.
+    replica that raises is reported with its exception and the rest of the
+    batch completes.
     """
 
     def __init__(self, stores: Optional[SharedSimulationStores] = None) -> None:
         self.stores = stores or SharedSimulationStores()
 
-    def run(
-        self, cases: List[BatchedCase], on_complete=None
-    ) -> Tuple[Dict[str, SimulationTrace], Dict[str, str]]:
-        """Run every case; returns (label -> trace, label -> error message).
+    def run(self, cases: List[BatchedCase], on_outcome: _OnOutcome) -> None:
+        """Run every case, reporting each through ``on_outcome(label, outcome)``.
 
-        ``on_complete(label, trace)``, when given, fires the moment a
-        replica's timeline ends — replicas finish on different lock-step
-        strides, so a consumer (e.g. a results store) receives completed
-        traces progressively rather than when the whole batch drains.  A
-        deduplicated group fires once per member label.
+        ``outcome`` is the replica's :class:`SimulationTrace`, or the
+        exception it raised while being built, primed or advanced.  Each
+        label is reported exactly once, the moment its replica's timeline
+        ends or fails — replicas finish on different lock-step strides, so a
+        consumer (e.g. a results store) receives outcomes progressively
+        rather than when the whole batch drains.  A deduplicated group
+        reports once per member label.  An exception raised by
+        ``on_outcome`` itself ends the batch.
 
         Garbage collection is suspended for the duration of the batch
         (:func:`gc_suspended`): hundreds of simultaneously-live replicas make
@@ -205,13 +211,9 @@ class BatchedEngine:
         ends anyway: a collection mid-run scans them all and frees none.
         """
         with gc_suspended():
-            return self._run(cases, on_complete)
+            self._run(cases, on_outcome)
 
-    def _run(
-        self, cases: List[BatchedCase], on_complete=None
-    ) -> Tuple[Dict[str, SimulationTrace], Dict[str, str]]:
-        traces: Dict[str, SimulationTrace] = {}
-        errors: Dict[str, str] = {}
+    def _run(self, cases: List[BatchedCase], on_outcome: _OnOutcome) -> None:
         # Collapse duplicate replicas: equal complete inputs, equal traces.
         groups: "OrderedDict[object, List[BatchedCase]]" = OrderedDict()
         for case in cases:
@@ -234,9 +236,8 @@ class BatchedEngine:
                 )
                 simulator.prime()
             except Exception as exc:  # noqa: BLE001 - isolate per replica
-                message = f"{type(exc).__name__}: {exc}"
                 for label in labels:
-                    errors[label] = message
+                    on_outcome(label, exc)
                 continue
             replicas.append((labels, simulator))
 
@@ -256,16 +257,12 @@ class BatchedEngine:
                     try:
                         simulator.advance_to(now)
                     except Exception as exc:  # noqa: BLE001 - isolate per replica
-                        message = f"{type(exc).__name__}: {exc}"
                         for label in labels:
-                            errors[label] = message
+                            on_outcome(label, exc)
                         continue
                     if now >= duration_ms:
                         for label in labels:
-                            traces[label] = simulator.trace
-                            if on_complete is not None:
-                                on_complete(label, simulator.trace)
+                            on_outcome(label, simulator.trace)
                     else:
                         still_running.append((labels, simulator, duration_ms))
                 active = still_running
-        return traces, errors

@@ -14,10 +14,10 @@ Single-writer thread contract
 SQLite allows exactly one writer at a time; concurrent writers see
 ``database is locked`` errors.  Following the ``SqlLogger`` idiom, the store
 therefore funnels **every** write through one queue: callers (any thread —
-serial loops, process-pool completion callbacks, the batched engine's
-completion hook) enqueue write operations and return immediately, and a
-single daemon thread owning the sole write connection drains the queue in
-order.  The database is opened in WAL mode so readers never block on the
+``run_many``'s one ``emit``, which every execution backend reports each
+spec's outcome through, and the bench and fleet verbs) enqueue write
+operations and return immediately, and a single daemon thread owning the
+sole write connection drains the queue in order.  The database is opened in WAL mode so readers never block on the
 writer: read methods open short-lived read connections in the calling
 thread after draining the queue (:meth:`ResultsStore.flush`), which
 guarantees read-your-writes within a process.  Writer-thread failures are
@@ -36,20 +36,23 @@ Schema (``user_version`` pragma = :data:`STORE_SCHEMA_VERSION`)
     makes the store a standing regression oracle (``store diff`` re-runs a
     stored spec and surfaces fingerprint drift).
 ``errors``
-    ``spec_id`` (PK) · ``label`` · ``message`` (the failure text the backend
-    recorded — first line ``"TypeName: message"``, truncated traceback
-    after) · ``created_at``.  Backends stream per-spec failures here as they
-    happen (schema v2).  Error rows are *not* results: ``ids()`` ignores
+    ``spec_id`` (PK) · ``label`` · ``message`` (the failure text — first
+    line ``"TypeName: message"``, truncated traceback after, alike on every
+    backend) · ``created_at``.  ``run_many`` streams per-spec failures here
+    as they happen (schema v2).  Error rows are *not* results: ``ids()`` ignores
     them, so ``resume=True`` recomputes errored specs, and a later success
     deletes the row — the table always lists the still-unresolved failures.
 ``bench_runs``
     Append-only benchmark documents (the payloads of ``BENCH_*.json``),
-    one row per ``repro-experiments bench`` invocation, keyed by ``kind``
-    (``decision_kernel`` / ``batched_engine``) — the JSON files become
-    views over the newest row.
+    one row per ``repro-experiments bench`` or ``fleet bench`` invocation,
+    keyed by ``kind`` (``decision_kernel`` / ``batched_engine`` /
+    ``fleet``) — the JSON files become views over the newest row.
 ``bench_cases``
-    Per-spec bench timings keyed by ``(spec_id, kind)`` so an interrupted
-    decision-kernel bench resumes case-by-case like a sweep does.
+    Per-case payloads keyed by ``(spec_id, kind)``: decision-kernel bench
+    timings under their spec_id, so an interrupted bench resumes
+    case-by-case like a sweep does, and (kind ``fleet``) the payloads that
+    ``fleet run`` and ``fleet sweep --store`` write under their
+    ``fleet_id``.
 
 Migrating the schema: bump :data:`STORE_SCHEMA_VERSION` and register a
 ``from_version -> callable(connection)`` entry in :data:`MIGRATIONS`; on

@@ -14,7 +14,6 @@ from repro.experiments import (
     EXECUTION_BACKEND_REGISTRY,
     ExperimentSpec,
     grid_specs,
-    make_execution_backend,
     make_manager,
     run_many,
 )
@@ -45,8 +44,9 @@ class TestBackendRegistry:
         assert {"serial", "process", "batched"} <= set(EXECUTION_BACKEND_REGISTRY)
 
     def test_unknown_backend_raises_with_available_names(self):
-        with pytest.raises(ValueError, match="serial"):
-            make_execution_backend("threaded")
+        specs = [ExperimentSpec(scenario="steady", manager="rtm", scenario_params=SHORT)]
+        with pytest.raises(ValueError, match="available: batched, process, serial"):
+            run_many(specs, backend="threaded")
 
     def test_single_process_backends_reject_worker_pools(self):
         specs = [ExperimentSpec(scenario="steady", manager="rtm", scenario_params=SHORT)]
@@ -54,10 +54,12 @@ class TestBackendRegistry:
             with pytest.raises(ValueError, match="single-process"):
                 run_many(specs, backend=name, workers=2)
 
-    def test_run_many_rejects_unknown_backend(self):
+    def test_run_many_rejects_unknown_backend(self, tmp_path):
+        # The name is checked before the store is opened or anything runs.
         specs = [ExperimentSpec(scenario="steady", manager="rtm", scenario_params=SHORT)]
-        with pytest.raises(ValueError, match="batched"):
-            run_many(specs, backend="thredded")
+        with pytest.raises(ValueError, match="unknown execution backend 'thredded'"):
+            run_many(specs, backend="thredded", store=tmp_path / "never.db")
+        assert not (tmp_path / "never.db").exists()
 
 
 class TestBatchedSerialParity:
@@ -150,17 +152,32 @@ class TestCollectorSuspension:
 
     def test_run_suspends_and_restores_the_collector(self, collector_enabled):
         seen = []
-        traces, errors = BatchedEngine().run(
-            self._cases(), on_complete=lambda label, trace: seen.append(gc.isenabled())
+        BatchedEngine().run(
+            self._cases(),
+            lambda label, outcome: seen.append((label, type(outcome).__name__, gc.isenabled())),
         )
         assert gc.isenabled() is collector_enabled
-        assert not errors and len(traces) == 2
-        assert seen == [False, False]
+        assert seen == [
+            ("steady-0", "SimulationTrace", False),
+            ("steady-1", "SimulationTrace", False),
+        ]
 
     def test_run_restores_the_collector_when_it_raises(self, collector_enabled):
-        def consumer_fails(label, trace):
+        def consumer_fails(label, outcome):
             raise RuntimeError("consumer failed")
 
         with pytest.raises(RuntimeError, match="consumer failed"):
-            BatchedEngine().run(self._cases(), on_complete=consumer_fails)
+            BatchedEngine().run(self._cases(), consumer_fails)
+        assert gc.isenabled() is collector_enabled
+
+    def test_a_failing_replica_reports_its_exception(self, collector_enabled):
+        from repro.sim.faults import CoreFailure, FaultPlan, FaultPlanError
+
+        cases = self._cases()
+        cases[0].fault_plan = FaultPlan(events=(CoreFailure(time_ms=500.0, cluster="nope"),))
+        seen = {}
+        BatchedEngine().run(cases, seen.__setitem__)
+        assert isinstance(seen["steady-0"], FaultPlanError)
+        assert seen["steady-0"].__traceback__ is not None
+        assert type(seen["steady-1"]).__name__ == "SimulationTrace"
         assert gc.isenabled() is collector_enabled

@@ -243,6 +243,15 @@ class TestCommands:
         assert "400 ms" in output and "200 ms" in output
         assert "a7" in output and "a15" in output
 
+    def test_case_study_defaults_to_the_platforms_cpu_clusters(self, capsys):
+        assert main(["case-study", "--platform", "jetson_nano"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" -> ")[0] for line in lines] == [
+            "budget (400 ms, 100 mJ)",
+            "budget (200 ms, 150 mJ)",
+        ]
+        assert all(" on a57 " in line for line in lines)
+
     def test_case_study_custom_budget(self, capsys):
         assert main(["case-study", "--latency-ms", "50", "--energy-mj", "300"]) == 0
         output = capsys.readouterr().out

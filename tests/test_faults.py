@@ -6,8 +6,9 @@ job-crash model, graceful degradation under core loss (the RTM remaps and
 keeps meeting requirements where static baselines keep dropping jobs),
 equal-time event ordering, bit-identical fingerprints across all three
 execution backends on chaos specs, and the crash-tolerant process-pool
-harness: SIGKILL-ed workers, the per-spec timeout watchdog, retries, and
-store-backed resume of failed specs.
+harness: SIGKILL-ed workers, the per-spec timeout watchdog, retries on the
+serial and batched backends, store-backed resume of failed specs, and
+failure messages that carry the same traceback on every backend.
 """
 
 from __future__ import annotations
@@ -280,15 +281,29 @@ HARNESS_SPECS = grid_specs(["steady"], ["rtm"], seeds=[0, 1, 2])
 #: Behaviour switchboard of ``_harness_run_one_timed``.  The process pool
 #: pickles submitted functions *by reference*, so the misbehaving worker
 #: entry point must be module-level; its behaviour is steered through this
-#: dict, which ``fork``-started workers inherit from the parent.
-_HOOK: dict = {"kill_label": None, "kill_sentinel": None, "sleep_label": None}
+#: dict, which ``fork``-started workers inherit from the parent.  The serial
+#: backend runs the same entry in the test process itself, so a serial run
+#: made while ``kill_label`` is armed (without an existing sentinel) would
+#: SIGKILL pytest.
+_HOOK: dict = {"kill_label": None, "kill_sentinel": None, "sleep_label": None, "gate": None}
 
 _ORIGINAL_RUN_ONE_TIMED = runner_module._run_one_timed
 
 
 def _harness_run_one_timed(spec):
-    """Worker entry point that can SIGKILL itself or hang, per ``_HOOK``."""
+    """Worker entry point that can SIGKILL itself, hang or wait, per ``_HOOK``.
+
+    With ``gate`` set to a path, every spec without a fault plan waits for
+    that file (up to 30 s) before it runs.
+    """
     label = spec.label
+    gate = _HOOK["gate"]
+    if gate is not None and not spec.faults:
+        deadline = time.monotonic() + 30.0
+        while not os.path.exists(gate):
+            if time.monotonic() > deadline:
+                raise RuntimeError(f"{gate} never appeared")
+            time.sleep(0.01)
     if label == _HOOK["sleep_label"]:  # pragma: no cover - reaped by watchdog
         time.sleep(120.0)
     if label == _HOOK["kill_label"]:
@@ -302,19 +317,22 @@ def _harness_run_one_timed(spec):
     return _ORIGINAL_RUN_ONE_TIMED(spec)
 
 
+@pytest.fixture()
+def harness(monkeypatch):
+    """Route every spec through ``_harness_run_one_timed``, all hooks off."""
+    for key in _HOOK:
+        monkeypatch.setitem(_HOOK, key, None)
+    monkeypatch.setattr(runner_module, "_run_one_timed", _harness_run_one_timed)
+
+
+@pytest.mark.usefixtures("harness")
 class TestProcessPoolCrashTolerance:
-    """The process backend under worker death, hangs, and retries.
+    """The process backend under worker death and hangs; retry rounds.
 
     The pool uses the ``fork`` start method on Linux, so worker processes
     inherit the parent's monkeypatched ``_run_one_timed`` — the tests steer
     worker behaviour (SIGKILL, sleeps) without any code in the product.
     """
-
-    @pytest.fixture(autouse=True)
-    def _reset_hook(self, monkeypatch):
-        for key in _HOOK:
-            monkeypatch.setitem(_HOOK, key, None)
-        monkeypatch.setattr(runner_module, "_run_one_timed", _harness_run_one_timed)
 
     def test_sigkilled_worker_resubmitted_on_fresh_pool(self, tmp_path, monkeypatch):
         monkeypatch.setitem(_HOOK, "kill_label", "steady/rtm/seed1")
@@ -385,7 +403,7 @@ class TestProcessPoolCrashTolerance:
 
     def test_retries_rerun_only_failed_specs(self, monkeypatch):
         calls = []
-        original = runner_module._run_one
+        original = runner_module._run_one_timed
 
         def flaky(spec):
             calls.append(spec.label)
@@ -393,7 +411,7 @@ class TestProcessPoolCrashTolerance:
                 raise RuntimeError("transient infrastructure failure")
             return original(spec)
 
-        monkeypatch.setattr(runner_module, "_run_one", flaky)
+        monkeypatch.setattr(runner_module, "_run_one_timed", flaky)
         batch = run_many(HARNESS_SPECS, backend="serial", retries=1)
         assert not batch.errors
         assert set(batch.results) == {spec.label for spec in HARNESS_SPECS}
@@ -406,10 +424,104 @@ class TestProcessPoolCrashTolerance:
         def explodes(spec):
             raise RuntimeError("boom with context")
 
-        monkeypatch.setattr(runner_module, "_run_one", explodes)
+        monkeypatch.setattr(runner_module, "_run_one_timed", explodes)
         batch = run_many(HARNESS_SPECS[:1], backend="serial")
         message = batch.errors["steady/rtm/seed0"]
         first_line, _, rest = message.partition("\n")
         assert first_line == "RuntimeError: boom with context"
         assert "explodes" in rest  # the traceback names the failing frame
         assert len(message) < 3000
+
+    def test_batched_retries_recover_a_spec_whose_build_failed(self, tmp_path, monkeypatch):
+        # The batched backend builds every spec through the runner module, so
+        # a build that raises once is the batched analogue of a lost worker.
+        calls = []
+        original = runner_module.build_scenario_from_spec
+
+        def flaky_build(spec):
+            calls.append(spec.label)
+            if spec.label.endswith("seed1") and calls.count(spec.label) == 1:
+                raise RuntimeError("transient build failure")
+            return original(spec)
+
+        monkeypatch.setattr(runner_module, "build_scenario_from_spec", flaky_build)
+        with ResultsStore(tmp_path / "results.db") as store:
+            batch = run_many(HARNESS_SPECS, backend="batched", retries=1, store=store)
+            assert not batch.errors
+            assert list(batch.results) == [spec.label for spec in HARNESS_SPECS]
+            assert calls.count("steady/rtm/seed0") == 1
+            assert calls.count("steady/rtm/seed1") == 2
+            assert calls.count("steady/rtm/seed2") == 1
+            assert store.errors() == [], "the retry's success must resolve the error row"
+            assert store.ids() == {spec.spec_id() for spec in HARNESS_SPECS}
+
+
+@pytest.mark.usefixtures("harness")
+class TestFailureReporting:
+    """A spec failing inside the simulator is reported alike on every backend.
+
+    The message keeps its ``"TypeName: message"`` first line and a truncated
+    traceback naming the failing frame, and its ``errors`` row is written
+    while the rest of the batch is still running.
+    """
+
+    #: A fault plan naming a cluster the platform lacks: the simulator's fault
+    #: injector rejects it while the simulator is built.
+    BAD = ExperimentSpec(
+        name="bad",
+        scenario="steady",
+        manager="rtm",
+        faults={"events": [{"kind": "core_failure", "time_ms": 1000.0, "cluster": "nope"}]},
+    )
+    FIRST_LINE = (
+        "FaultPlanError: fault 'core_failure' targets unknown cluster 'nope' "
+        "on platform 'odroid_xu3'"
+    )
+
+    @pytest.mark.parametrize("backend", ["serial", "process", "batched"])
+    def test_message_and_streamed_error_row(self, backend, tmp_path, monkeypatch):
+        # Serial and process: the fault-free specs wait for the gate, which
+        # opens only when the failure reaches the store.  Batched: the
+        # failure is built before any replica advances, so it must be stored
+        # before the first stride.
+        from repro.sim.engine import Simulator
+
+        gate = tmp_path / "error-stored"
+        monkeypatch.setitem(_HOOK, "gate", str(gate))
+        advances = []
+        advance_to = Simulator.advance_to
+
+        def counting_advance_to(simulator, time_ms):
+            advances.append(time_ms)
+            return advance_to(simulator, time_ms)
+
+        monkeypatch.setattr(Simulator, "advance_to", counting_advance_to)
+        order = []
+        with ResultsStore(tmp_path / "results.db") as store:
+            put_result, put_error = store.put_result, store.put_error
+
+            def put_result_in_order(result, wall_time_s=None):
+                order.append(result.spec.label)
+                return put_result(result, wall_time_s=wall_time_s)
+
+            def put_error_in_order(spec_id, label, message):
+                order.append((label, len(advances)))
+                gate.touch()
+                return put_error(spec_id, label, message)
+
+            monkeypatch.setattr(store, "put_result", put_result_in_order)
+            monkeypatch.setattr(store, "put_error", put_error_in_order)
+            batch = run_many(
+                [self.BAD] + HARNESS_SPECS,
+                backend=backend,
+                workers=2 if backend == "process" else 1,
+                store=store,
+            )
+            assert set(batch.results) == {spec.label for spec in HARNESS_SPECS}
+            message = batch.errors["bad"]
+            first_line, _, rest = message.partition("\n")
+            assert first_line == self.FIRST_LINE
+            assert "in _validate" in rest  # the frame that raised
+            assert len(message) < 3000
+            assert order[0] == ("bad", 0), "the failure must be stored before anything runs"
+            assert store.get_error(self.BAD.spec_id()).message == message

@@ -11,7 +11,10 @@ can eyeball individual traces, so these tests pin down what must hold for
 * a (spec, seed) pair is deterministic: rerunning yields the identical
   fingerprint;
 * the operating-point cache never changes behaviour, including on fuzzed
-  scenarios nobody hand-shaped.
+  scenarios nobody hand-shaped;
+* two metamorphic relations the lock-step engine relies on: slicing a run
+  with ``Simulator.advance_to`` at arbitrary cut points leaves its
+  fingerprint unchanged, and so does a fault scheduled after the horizon.
 
 The full suite sweeps the session-scoped registry grid (every scenario x
 manager at seed 0).  The ``smoke``-marked subset runs a handful of fresh
@@ -25,7 +28,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import ExperimentSpec, run
+from repro.experiments import ExperimentSpec, make_manager, run
+from repro.sim.engine import Simulator
+from repro.sim.faults import CoreFailure, FaultPlan, FrequencyCap
 from repro.sim.trace import SimulationTrace
 from repro.workloads import ScenarioFuzzer, build_scenario, perturb, scale
 
@@ -163,6 +168,82 @@ class TestFuzzedCacheParity:
         uncached = run(ExperimentSpec(scenario="fuzzed", seed=seed, use_op_cache=False))
         assert cached.trace.fingerprint() == uncached.trace.fingerprint()
         assert_all_invariants(cached.trace, f"fuzzed/seed{seed}")
+
+
+# --------------------------------------------------- metamorphic relations
+#
+# The lock-step engine advances every replica in decision-interval strides
+# and must reproduce each replica's lone run, which holds only if slicing a
+# run's timeline changes nothing; a fault past the horizon must be inert.
+
+METAMORPHIC_CASES = [
+    (scenario, manager)
+    for scenario in (
+        "steady",
+        "rush_hour",
+        "fig2",
+        "chaos_double_fault",
+        "chaos_bursty_transient_crashes",
+    )
+    for manager in ("rtm", "governor_only")
+]
+
+#: Power/thermal sample period of the default simulator config (ms).
+SAMPLE_GRID_MS = 100.0
+
+
+def _simulator(scenario_name: str, manager: str, fault_plan=None) -> Simulator:
+    return Simulator(
+        build_scenario(scenario_name, seed=0), make_manager(manager), fault_plan=fault_plan
+    )
+
+
+_WHOLE_RUNS = {}
+
+
+def _whole_run_fingerprint(scenario_name: str, manager: str) -> str:
+    key = (scenario_name, manager)
+    if key not in _WHOLE_RUNS:
+        _WHOLE_RUNS[key] = _simulator(scenario_name, manager).run().fingerprint()
+    return _WHOLE_RUNS[key]
+
+
+class TestMetamorphicRelations:
+    @pytest.mark.parametrize("scenario_name, manager", METAMORPHIC_CASES)
+    @settings(max_examples=4, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_slicing_with_advance_to_keeps_the_fingerprint(self, scenario_name, manager, data):
+        simulator = _simulator(scenario_name, manager)
+        duration_ms = simulator.scenario.duration_ms
+        steps = int(duration_ms // SAMPLE_GRID_MS)
+        cut = st.one_of(
+            st.integers(min_value=0, max_value=steps).map(lambda k: k * SAMPLE_GRID_MS),
+            st.floats(min_value=0.0, max_value=duration_ms),
+            st.floats(min_value=duration_ms, max_value=2.0 * duration_ms),
+        )
+        cuts = data.draw(st.lists(cut, min_size=1, max_size=6), label="cuts")
+        # The first cut is repeated: advancing to the current time is a no-op.
+        for time_ms in sorted(cuts + cuts[:1]):
+            simulator.advance_to(time_ms)
+        simulator.advance_to(duration_ms)
+        assert simulator.trace.fingerprint() == _whole_run_fingerprint(scenario_name, manager)
+
+    @pytest.mark.parametrize("scenario_name, manager", METAMORPHIC_CASES)
+    def test_a_fault_after_the_horizon_changes_nothing(self, scenario_name, manager):
+        scenario = build_scenario(scenario_name, seed=0)
+        duration_ms = scenario.duration_ms
+        cluster = scenario.build_platform().cluster_names[0]
+        own = scenario.fault_plan or FaultPlan()
+        late = FaultPlan(
+            events=own.events
+            + (
+                CoreFailure(time_ms=duration_ms + SAMPLE_GRID_MS, cluster=cluster),
+                FrequencyCap(time_ms=2.0 * duration_ms, cluster=cluster, max_frequency_mhz=200.0),
+            ),
+            job_crashes=own.job_crashes,
+        )
+        fingerprint = _simulator(scenario_name, manager, fault_plan=late).run().fingerprint()
+        assert fingerprint == _whole_run_fingerprint(scenario_name, manager)
 
 
 # ------------------------------------------------------------- smoke subset

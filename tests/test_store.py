@@ -1,11 +1,12 @@
 """Tests for the persistent results warehouse (``repro.store``).
 
 Covers the append-only store contract (first write wins, single-writer
-thread, schema versioning with a migration hook), streaming writes from all
-three execution backends, the kill-and-resume workflow (an interrupted sweep
-resumed against the same store produces the same combined fingerprint digest
-as a clean one-shot sweep), duplicate-label rejection parity across
-backends, export formats and the bench-case resume path.
+thread, schema versioning with a migration hook), ``run_many`` streaming
+each spec's outcome into the store under all three execution backends, the
+kill-and-resume workflow (an interrupted sweep resumed against the same
+store produces the same combined fingerprint digest as a clean one-shot
+sweep), duplicate-label rejection on every backend, export formats and the
+bench-case resume path.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import sqlite3
 
 import pytest
 
+import repro.experiments.backends as backends_module
 import repro.store.results as store_module
 from repro.analysis.bench import BENCH_KIND_DECISION, run_bench_specs
 from repro.experiments import ExperimentSpec, grid_specs, run, run_many
-from repro.experiments.backends import make_execution_backend
 from repro.store import MIGRATIONS, STORE_SCHEMA_VERSION, ResultsStore, StoreError
 
 
@@ -291,12 +292,12 @@ class TestGc:
 
 
 class TestBackendStreaming:
-    """Every backend streams completed results into the store as they finish."""
+    """``run_many`` streams each result into the store as its spec finishes."""
 
     @pytest.mark.parametrize("backend", ["serial", "process", "batched"])
     def test_backend_streams_results_to_the_store(self, backend, tmp_path, executed):
         with ResultsStore(tmp_path / f"{backend}.db") as store:
-            batch = make_execution_backend(backend).execute(SPECS, workers=1, store=store)
+            batch = run_many(SPECS, backend=backend, validate=False, store=store)
             assert not batch.errors
             assert store.ids() == {spec.spec_id() for spec in SPECS}
             for result in executed:
@@ -304,15 +305,63 @@ class TestBackendStreaming:
 
     def test_process_pool_streams_results_to_the_store(self, tmp_path, executed):
         with ResultsStore(tmp_path / "pool.db") as store:
-            batch = make_execution_backend("process").execute(SPECS, workers=2, store=store)
+            batch = run_many(SPECS, backend="process", workers=2, validate=False, store=store)
             assert not batch.errors
             for result in executed:
                 assert store.get(result.spec.spec_id()).fingerprint == result.trace.fingerprint()
 
+    def test_serial_results_reach_the_store_before_the_next_spec_runs(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.experiments.runner as runner_module
+
+        real_run_one_timed = runner_module._run_one_timed
+        with ResultsStore(tmp_path / "serial.db") as store:
+            stored_before = []
+
+            def run_one_timed(spec):
+                stored_before.append(len(store.ids()))
+                return real_run_one_timed(spec)
+
+            monkeypatch.setattr(runner_module, "_run_one_timed", run_one_timed)
+            run_many(SPECS, backend="serial", validate=False, store=store)
+        assert stored_before == list(range(len(SPECS)))
+
+    def test_batched_results_reach_the_store_while_longer_replicas_run(
+        self, tmp_path, monkeypatch
+    ):
+        # A short replica finishes strides before a long one: its row must be
+        # written then, while the long replica is still advancing.
+        from repro.sim.engine import Simulator
+
+        advances = []
+        advance_to = Simulator.advance_to
+
+        def counting_advance_to(simulator, time_ms):
+            advances.append(time_ms)
+            return advance_to(simulator, time_ms)
+
+        monkeypatch.setattr(Simulator, "advance_to", counting_advance_to)
+        short = ExperimentSpec(
+            scenario="steady", name="short", scenario_params={"duration_ms": 2000.0}
+        )
+        long = ExperimentSpec(scenario="steady", name="long")
+        with ResultsStore(tmp_path / "batched.db") as store:
+            advances_when_stored = {}
+            put_result = store.put_result
+
+            def put_result_noting_progress(result, wall_time_s=None):
+                advances_when_stored[result.spec.label] = len(advances)
+                return put_result(result, wall_time_s=wall_time_s)
+
+            store.put_result = put_result_noting_progress
+            run_many([long, short], backend="batched", validate=False, store=store)
+        assert advances_when_stored["short"] < advances_when_stored["long"] == len(advances)
+
     def test_batched_backend_stores_null_wall_time(self, tmp_path):
         # Wall time is not separable per spec inside the lock-step engine.
         with ResultsStore(tmp_path / "batched.db") as store:
-            make_execution_backend("batched").execute(SPECS, workers=1, store=store)
+            run_many(SPECS, backend="batched", validate=False, store=store)
             assert store.get(SPECS[0].spec_id()).wall_time_s is None
 
     def test_failing_specs_are_not_stored(self, tmp_path):
@@ -324,24 +373,28 @@ class TestBackendStreaming:
 
 
 class TestDuplicateLabelParity:
-    """All three backends reject duplicate labels identically (bugfix).
+    """``run_many`` rejects duplicate labels identically on every backend.
 
-    ``ProcessBackend`` used to key futures by label, silently dropping one of
+    The process pool used to key futures by label, silently dropping one of
     two same-label submissions and misattributing its result; execution is
-    now tracked by submission index and every backend rejects duplicates up
-    front with the same error.
+    now tracked by submission index and ``run_many`` rejects duplicates up
+    front, before any backend runs.
     """
 
     @pytest.mark.parametrize("backend", ["serial", "process", "batched"])
     def test_backends_reject_duplicate_labels(self, backend):
         twice = [ExperimentSpec(scenario="steady"), ExperimentSpec(scenario="steady")]
         with pytest.raises(ValueError, match="duplicate experiment labels.*'name' keys"):
-            make_execution_backend(backend).execute(twice, workers=1)
+            run_many(twice, backend=backend)
 
-    def test_process_pool_rejects_before_spawning_workers(self):
+    def test_process_pool_rejects_before_spawning_workers(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            pytest.fail("a worker pool was started for a rejected batch")
+
+        monkeypatch.setattr(backends_module, "ProcessPoolExecutor", no_pool)
         twice = [ExperimentSpec(scenario="steady"), ExperimentSpec(scenario="steady")]
         with pytest.raises(ValueError, match="duplicate experiment labels"):
-            make_execution_backend("process").execute(twice, workers=4)
+            run_many(twice, backend="process", workers=4)
 
     def test_distinct_names_disambiguate_identical_specs(self, tmp_path):
         specs = [
@@ -392,7 +445,7 @@ class TestResume:
         """
         import repro.experiments.runner as runner_module
 
-        real_run_one = runner_module._run_one
+        real_run_one_timed = runner_module._run_one_timed
         killed_path = tmp_path / "killed.db"
         calls = []
 
@@ -400,12 +453,12 @@ class TestResume:
             if len(calls) == 2:
                 raise KeyboardInterrupt
             calls.append(spec.label)
-            return real_run_one(spec)
+            return real_run_one_timed(spec)
 
-        monkeypatch.setattr(runner_module, "_run_one", run_one_then_die)
+        monkeypatch.setattr(runner_module, "_run_one_timed", run_one_then_die)
         with pytest.raises(KeyboardInterrupt):
             run_many(SPECS, validate=False, store=killed_path)
-        monkeypatch.setattr(runner_module, "_run_one", real_run_one)
+        monkeypatch.setattr(runner_module, "_run_one_timed", real_run_one_timed)
 
         with ResultsStore(killed_path) as partial:
             assert len(partial) == 2  # everything completed before the kill
