@@ -42,6 +42,7 @@ from repro.experiments.runner import (
 from repro.experiments.spec import ExperimentSpec
 from repro.ioutils import atomic_write_text
 from repro.sim.engine import ManagerProtocol, Simulator
+from repro.sim.trace import fingerprints
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -291,8 +292,9 @@ def _time_backend(specs: Sequence[ExperimentSpec], backend: str) -> tuple:
     start = time.perf_counter()
     batch = run_many(specs, backend=backend, validate=False)
     wall_s = time.perf_counter() - start
-    fingerprints = {label: trace.fingerprint() for label, trace in batch.traces.items()}
-    return wall_s, fingerprints, len(batch.errors)
+    traces = batch.traces
+    digests = dict(zip(traces, fingerprints(list(traces.values()))))
+    return wall_s, digests, len(batch.errors)
 
 
 def run_batched_bench(

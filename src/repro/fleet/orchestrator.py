@@ -47,7 +47,7 @@ from repro.platforms.presets import build_preset
 from repro.sim.batched import gc_suspended
 from repro.sim.engine import SharedSimulationStores, Simulator
 from repro.sim.faults import CoreFailure, CoreRecovery, FaultPlan, FrequencyCap
-from repro.sim.trace import SimulationTrace
+from repro.sim.trace import SimulationTrace, fingerprints
 from repro.workloads.requirements import Requirements
 from repro.workloads.scenarios import Scenario
 from repro.workloads.tasks import make_background_application, make_dnn_application
@@ -622,13 +622,17 @@ class FleetOrchestrator:
             outbound[record.source] += 1
             inbound[record.target] += 1
         for device_id in self.device_ids:
-            trace = self.simulators[device_id].trace
-            traces[device_id] = trace
+            traces[device_id] = self.simulators[device_id].trace
+        # One pass over every device's trace: a device's trace is too short
+        # to amortise the fingerprint kernel's numpy calls on its own.
+        digests = fingerprints(list(traces.values()))
+        for device_id, fingerprint in zip(self.device_ids, digests):
+            trace = traces[device_id]
             jobs = len(trace.jobs)
             bad = sum(1 for job in trace.jobs if not job.met_requirements)
             device_metrics[device_id] = {
                 "preset": self._preset_of[device_id],
-                "fingerprint": trace.fingerprint(),
+                "fingerprint": fingerprint,
                 "jobs": jobs,
                 "bad_jobs": bad,
                 "violation_rate": bad / jobs if jobs else 0.0,

@@ -20,7 +20,8 @@ roofline estimator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -79,7 +80,7 @@ class CalibratedLatencyModel:
     ----------
     calibrations:
         Mapping of (SoC name, cluster name) to :class:`ClusterCalibration`.
-        Defaults to the Table I fits.
+        Defaults to the Table I fits.  The model keeps a read-only copy.
     reference_network:
         The network the calibrations were measured with; other networks scale
         the compute term by their MAC ratio to this one.
@@ -87,15 +88,23 @@ class CalibratedLatencyModel:
 
     def __init__(
         self,
-        calibrations: Optional[Dict[Tuple[str, str], ClusterCalibration]] = None,
+        calibrations: Optional[Mapping[Tuple[str, str], ClusterCalibration]] = None,
         reference_network: Optional[NetworkModel] = None,
     ) -> None:
-        self.calibrations = dict(DEFAULT_CALIBRATIONS if calibrations is None else calibrations)
+        self._calibrations: Mapping[Tuple[str, str], ClusterCalibration] = MappingProxyType(
+            dict(DEFAULT_CALIBRATIONS if calibrations is None else calibrations)
+        )
         self._reference_network = reference_network
         self._reference_macs: Optional[int] = (
             reference_network.total_macs() if reference_network is not None else None
         )
         self._fallback = RooflineLatencyModel()
+        self._cache_key: Optional[tuple] = None
+
+    @property
+    def calibrations(self) -> Mapping[Tuple[str, str], ClusterCalibration]:
+        """The calibration table, read-only, so :meth:`cache_key` stays valid."""
+        return self._calibrations
 
     @property
     def reference_macs(self) -> int:
@@ -107,19 +116,23 @@ class CalibratedLatencyModel:
 
     def calibration_for(self, soc_name: str, cluster_name: str) -> Optional[ClusterCalibration]:
         """The calibration for this cluster, or ``None`` if it is uncalibrated."""
-        return self.calibrations.get((soc_name, cluster_name))
+        return self._calibrations.get((soc_name, cluster_name))
 
     def cache_key(self) -> tuple:
         """Stable identity of this estimator for operating-point caches.
 
         Two instances with the same calibration table and reference network
-        predict identical latencies, so they share cache entries.
+        predict identical latencies, so they share cache entries.  Computed
+        on first use and kept: the table is read-only and the reference
+        network fixed.
         """
-        table = tuple(
-            (soc, cluster, cal.compute_ms_mhz, cal.overhead_ms)
-            for (soc, cluster), cal in sorted(self.calibrations.items())
-        )
-        return ("calibrated", table, self.reference_macs)
+        if self._cache_key is None:
+            table = tuple(
+                (soc, cluster, cal.compute_ms_mhz, cal.overhead_ms)
+                for (soc, cluster), cal in sorted(self._calibrations.items())
+            )
+            self._cache_key = ("calibrated", table, self.reference_macs)
+        return self._cache_key
 
     def latency_ms(
         self,
@@ -155,7 +168,7 @@ class CalibratedLatencyModel:
         if soc_name is not None:
             calibration = self.calibration_for(soc_name, cluster.name)
         else:
-            for (_, cluster_name), candidate in self.calibrations.items():
+            for (_, cluster_name), candidate in self._calibrations.items():
                 if cluster_name == cluster.name:
                     calibration = candidate
                     break
@@ -188,7 +201,7 @@ class CalibratedLatencyModel:
         if soc_name is not None:
             calibration = self.calibration_for(soc_name, cluster.name)
         else:
-            for (_, cluster_name), candidate in self.calibrations.items():
+            for (_, cluster_name), candidate in self._calibrations.items():
                 if cluster_name == cluster.name:
                     calibration = candidate
                     break

@@ -10,18 +10,32 @@ picklable like frozen dataclasses, but built in one tuple allocation instead
 of one ``object.__setattr__`` per field, and a simulation builds one per job,
 sample and decision.  Being tuples, they compare equal to any tuple of the
 same values, and the :mod:`dataclasses` helpers do not apply to them.
+
+A trace's fingerprint is sha256 over ``repr`` of each record's values with
+floats rounded to 6 decimals.  :func:`fingerprints` computes those bytes a
+column at a time for any number of traces: floats and ints become integer
+digits in numpy, strings and flags the ``repr`` of each distinct value, and
+a column it cannot prove exact takes the per-value definition.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from operator import attrgetter
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["JobRecord", "PowerSample", "DecisionRecord", "FaultRecord", "SimulationTrace"]
+__all__ = [
+    "JobRecord",
+    "PowerSample",
+    "DecisionRecord",
+    "FaultRecord",
+    "SimulationTrace",
+    "fingerprints",
+]
 
 
 class JobRecord(NamedTuple):
@@ -129,54 +143,6 @@ class FaultRecord(NamedTuple):
     target: str = ""
     value: float = 0.0
     detail: str = ""
-
-
-#: Records per sha256 update in :meth:`SimulationTrace.fingerprint`, and the
-#: lifetime of its float memo: large enough to amortise both, small enough
-#: that a trace of any length is hashed in a few MB.
-_CHUNK_RECORDS = 4096
-
-#: The values each record contributes to the fingerprint, in hashed order.
-_POWER_FIELDS = attrgetter("time_ms", "power_mw", "temperature_c", "throttling")
-_DECISION_FIELDS = attrgetter("time_ms", "num_actions", "trigger")
-_FAULT_FIELDS = attrgetter("time_ms", "kind", "target", "value")
-_JOB_ATTRIBUTES = attrgetter(
-    "app_id",
-    "job_index",
-    "release_ms",
-    "start_ms",
-    "finish_ms",
-    "latency_ms",
-    "energy_mj",
-    "configuration",
-    "accuracy_percent",
-    "cluster",
-    "cores",
-    "frequency_mhz",
-)
-
-
-def _job_fields(job: JobRecord) -> tuple:
-    """A job's hashed values: its attributes, then its violations as one
-    tuple and its dropped flag."""
-    return (*_JOB_ATTRIBUTES(job), tuple(job.violations), job.dropped)
-
-
-def _float_text(value: float) -> str:
-    """``repr(round(value, 6))`` of a built-in float.
-
-    In ``1e-4 <= abs(value) < 1e9`` that is ``"%.6f" % value`` without its
-    trailing zeros, which costs one formatting instead of a rounding and a
-    ``repr``: ``%.6f`` and ``round(value, 6)`` take the same correctly
-    rounded 6-decimal digits, and that decimal has at most 15 significant
-    digits, so it is what ``repr`` prints for the double it parses to.
-    Outside that range ``repr`` may switch to exponent notation (or print
-    nan and inf), so the expression itself is used.
-    """
-    if 1e-4 <= abs(value) < 1e9:
-        formatted = ("%.6f" % value).rstrip("0")
-        return formatted + "0" if formatted[-1] == "." else formatted
-    return repr(round(value, 6))
 
 
 @dataclass
@@ -321,48 +287,10 @@ class SimulationTrace:
 
         The hashed bytes are, record after record, ``repr`` of the record's
         tuple of values with every float ``v`` replaced by ``round(v, 6)`` (a
-        job's violations are one nested tuple, left as it is).  They are fed
-        to one sha256 in chunks of ``_CHUNK_RECORDS`` records, which gives
-        the digest of one update per record while memory stays bounded on any
-        trace.  Within a chunk each distinct non-zero built-in float is
-        formatted once (:func:`_float_text`, exact by construction); every
-        other value (zeros, float subclasses such as ``np.float64``, ints,
-        bools and strings) is rounded and ``repr``-ed as it is.
-        ``tests/test_fingerprint_encoder.py`` keeps the one-update-per-record
-        encoding as the reference this one must match.
+        job's violations are one nested tuple); see :func:`fingerprints`,
+        which this calls with the one trace, for how they are computed.
         """
-        digest = hashlib.sha256()
-        # Only non-zero built-in floats are memoised: 0.0 and -0.0 are one
-        # key but two texts, and 1 == 1.0 == np.float64(1.0) are one key too.
-        memo: Dict[float, str] = {}
-
-        def text(value: object) -> str:
-            if type(value) is float and value != 0.0:
-                formatted = memo.get(value)
-                if formatted is None:
-                    formatted = memo[value] = _float_text(value)
-                return formatted
-            return repr(round(value, 6) if isinstance(value, float) else value)
-
-        digest.update(("('duration', %s)" % text(self.duration_ms)).encode("utf-8"))
-        # Fault records extend the digest only when faults were injected, so
-        # every fault-free fingerprint minted before fault injection existed
-        # is unchanged.
-        for kind, records, fields in (
-            ("job", self.jobs, _job_fields),
-            ("power", self.power_samples, _POWER_FIELDS),
-            ("decision", self.decisions, _DECISION_FIELDS),
-            ("fault", self.faults, _FAULT_FIELDS),
-        ):
-            head = "('%s', " % kind
-            for start in range(0, len(records), _CHUNK_RECORDS):
-                memo.clear()
-                chunk = records[start:start + _CHUNK_RECORDS]
-                text_of_chunk = "".join(
-                    [head + ", ".join(map(text, fields(record))) + ")" for record in chunk]
-                )
-                digest.update(text_of_chunk.encode("utf-8"))
-        return digest.hexdigest()[:16]
+        return fingerprints([self])[0]
 
     # -------------------------------------------------------------- summary
 
@@ -394,3 +322,253 @@ class SimulationTrace:
             "cache": self.cache_counters(),
             "per_app": per_app,
         }
+
+
+# ------------------------------------------------------------ fingerprints
+
+#: Records per group in :func:`fingerprints`: large enough to amortise
+#: numpy's per-call cost, small enough that any number of traces of any
+#: length is hashed in a few MB.
+_CHUNK_RECORDS = 4096
+
+#: Each row kind in hashed order: its name, how many leading fields of a
+#: record are hashed, and a trace's records of that kind.  Fault rows extend
+#: the digest only when faults were injected, so every fault-free
+#: fingerprint minted before fault injection existed is unchanged.
+_KINDS = (
+    ("duration", 1, lambda trace: ((trace.duration_ms,),)),
+    ("job", 14, attrgetter("jobs")),
+    ("power", 4, attrgetter("power_samples")),
+    ("decision", 3, attrgetter("decisions")),
+    ("fault", 4, attrgetter("faults")),
+)
+_VIOLATIONS = JobRecord._fields.index("violations")
+
+#: Padding in the row matrices, dropped when they are compacted into text:
+#: UTF-8 never encodes a byte 0xFF, so no text contains it.
+_PAD = 0xFF
+
+
+def _triples(text_of) -> np.ndarray:
+    """(1000, 3) bytes whose row ``k`` is ``text_of("%03d" % k)``, blanks padded."""
+    text = "".join(text_of("%03d" % k) for k in range(1000)).encode("ascii")
+    return np.frombuffer(text.replace(b" ", bytes([_PAD])), np.uint8).reshape(1000, 3)
+
+
+_DIGITS = _triples(str)
+#: Integer triples, indexed by ``k + 1000`` when digits precede the triple
+#: and by ``k`` when none do, which pads its leading zeros; the units triple
+#: keeps its last digit.
+_LEADING = np.concatenate((_triples(lambda t: t.lstrip("0").rjust(3)), _DIGITS))
+_UNITS = np.concatenate((_triples(lambda t: (t.lstrip("0") or "0").rjust(3)), _DIGITS))
+#: Fraction triples: the first three decimals, indexed by ``k + 1000`` when
+#: digits follow them and by ``k`` when none do, which pads their trailing
+#: zeros but keeps the first; the last three with every trailing zero padded.
+_TENTHS = np.concatenate((_triples(lambda t: (t.rstrip("0") or "0").ljust(3)), _DIGITS))
+_MILLIONTHS = _triples(lambda t: t.rstrip("0").ljust(3))
+
+_POINT = np.frombuffer(b".", np.uint8)
+_COMMA = np.frombuffer(b", ", np.uint8)
+_CLOSE = np.frombuffer(b")", np.uint8)
+
+
+def _value_text(value: object) -> str:
+    """The definition of a value's hashed text."""
+    return repr(round(value, 6) if isinstance(value, float) else value)
+
+
+def _integer_digits(numbers: np.ndarray) -> np.ndarray:
+    """Decimal digits of non-negative int64 ``numbers`` (any shape), right
+    aligned in whole triples, leading zeros padding."""
+    groups = (len(str(int(numbers.max()))) + 2) // 3
+    triples = []  # least significant first
+    rest = numbers
+    for _ in range(groups - 1):
+        high = rest // 1000
+        triples.append(rest - 1000 * high)
+        rest = high
+    triples.append(rest)
+    digits = [np.take(_LEADING if groups > 1 else _UNITS, triples[-1], axis=0)]
+    for k in range(groups - 2, -1, -1):
+        preceded = numbers >= 1000 ** (k + 1)
+        digits.append(np.take(_UNITS if k == 0 else _LEADING, triples[k] + 1000 * preceded, axis=0))
+    return np.concatenate(digits, axis=-1) if groups > 1 else digits[0]
+
+
+def _micro_units(columns: List[tuple]) -> Tuple[np.ndarray, np.ndarray]:
+    """The float columns taken, and their values' correctly rounded micro-units.
+
+    A column is taken when every value has its sign bit clear and is below
+    1e9 (so finite).  ``rint(v * 1e6)`` is the correctly rounded ``n`` that
+    ``round(v, 6)`` and ``"%.6f" % v`` take unless ``v * 1e6`` lies within
+    its rounding error of a half-integer, bounded here by the
+    ``np.spacing`` of the largest scaled value; those few take ``n`` from
+    ``"%.6f" % v``.
+    """
+    values = np.array(columns, dtype=np.float64)
+    taken = np.flatnonzero(np.all((values < 1e9) & ~np.signbit(values), axis=1))
+    scaled = values[taken] * 1e6
+    micro = np.rint(scaled)
+    near_tie = np.abs(scaled - micro) >= 0.5 - np.spacing(scaled.max(initial=0.0))
+    micro = micro.astype(np.int64)
+    for row, index in zip(*np.nonzero(near_tie)):
+        micro[row, index] = int(("%.6f" % columns[taken[row]][index]).replace(".", ""))
+    return taken, micro
+
+
+def _float_columns(columns: List[tuple]) -> list:
+    """Pieces of columns of built-in floats, ``None`` for a column refused.
+
+    For a column of :func:`_micro_units` whose values round to 0 or to at
+    least 1e-4, ``repr(round(v, 6))`` is the digits of the micro-units
+    ``n``: the integer digits, a point and the fraction digits without
+    trailing zeros, one digit kept on each side.  ``n`` has at most 15
+    significant digits (``n = 10**15`` is ``1e9`` itself), and such a
+    decimal is what ``repr`` prints back for the double it parses to;
+    ``repr`` switches to exponents only below 1e-4.
+    """
+    pieces: list = [None] * len(columns)
+    taken, micro = _micro_units(columns)
+    if not len(taken):
+        return pieces
+    exponent = np.any((micro > 0) & (micro < 100), axis=1)
+    whole = micro // 1000000
+    fraction = micro - 1000000 * whole
+    tenths = fraction // 1000
+    rest = fraction - 1000 * tenths
+    integer = _integer_digits(whole)
+    decimals = np.take(_TENTHS, tenths + 1000 * (rest > 0), axis=0)
+    if rest.any():
+        decimals = np.concatenate((decimals, np.take(_MILLIONTHS, rest, axis=0)), axis=-1)
+    digits = [len(str(top)) for top in whole.max(axis=1).tolist()]
+    for row, column in enumerate(taken.tolist()):
+        if not exponent[row]:
+            pieces[column] = [integer[row, :, -digits[row]:], _POINT, decimals[row]]
+    return pieces
+
+
+def _int_column(values: tuple) -> Optional[list]:
+    """Pieces of a column of built-in ints, ``None`` unless all fit int64 and
+    none is negative."""
+    top = max(values)
+    if min(values) < 0 or top >= 2**63:
+        return None
+    return [_integer_digits(np.array(values, dtype=np.int64))[:, -len(str(top)):]]
+
+
+def _text_column(values: Sequence[object], text=repr) -> list:
+    """Pieces of the UTF-8 ``text`` of each value, one call per distinct
+    value; equal values must have equal texts."""
+    distinct = dict.fromkeys(values)
+    encoded = [text(value).encode("utf-8") for value in distinct]
+    width = max(1, *map(len, encoded))
+    pad = bytes([_PAD])
+    table = np.frombuffer(b"".join(e.ljust(width, pad) for e in encoded), np.uint8)
+    table = table.reshape(len(encoded), width)
+    if len(encoded) == 1:
+        return [table[0]]
+    index = dict(zip(distinct, range(len(encoded))))
+    rows = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+    return [np.take(table, rows, axis=0)]
+
+
+def _column_pieces(columns: List[tuple]) -> List[list]:
+    """Each column's pieces: padded bytes, one row per record."""
+    pieces: list = [None] * len(columns)
+    floats = []
+    for index, values in enumerate(columns):
+        kinds = set(map(type, values))
+        if kinds == {float}:
+            floats.append(index)
+        elif kinds == {int}:
+            pieces[index] = _int_column(values)
+        elif kinds == {str} or kinds == {bool} or (
+            kinds == {tuple} and set(map(type, chain.from_iterable(values))) <= {str}
+        ):
+            pieces[index] = _text_column(values)
+    if floats:
+        for index, floated in zip(floats, _float_columns([columns[i] for i in floats])):
+            pieces[index] = floated
+    # A refused column is keyed by text: equal values can have other texts
+    # (1, 1.0 and True; 0.0 and -0.0).
+    return [
+        _text_column(list(map(_value_text, values)), str) if piece is None else piece
+        for values, piece in zip(columns, pieces)
+    ]
+
+
+def _row_matrix(head: np.ndarray, columns: List[tuple]) -> np.ndarray:
+    """The padded bytes of rows ``head | col | ", " | ... | col | ")"``."""
+    layout = [head]
+    for index, pieces in enumerate(_column_pieces(columns)):
+        if index:
+            layout.append(_COMMA)
+        layout.extend(pieces)
+    layout.append(_CLOSE)
+    widths = [piece.shape[-1] for piece in layout]
+    matrix = np.empty((len(columns[0]), sum(widths)), np.uint8)
+    at = 0
+    for piece, width in zip(layout, widths):
+        matrix[:, at:at + width] = piece
+        at += width
+    return matrix
+
+
+def _hash_group(head: np.ndarray, columns: List[tuple], runs: list) -> None:
+    """Hash a group's rows into the digests of the traces they belong to;
+    ``runs`` holds each of those traces' ``(digest, rows)``, in order."""
+    matrix = _row_matrix(head, columns)
+    kept = matrix != _PAD
+    text = memoryview(matrix[kept])
+    if len(runs) == 1:
+        runs[0][0].update(text)
+        return
+    ends = np.cumsum(kept.sum(axis=1)).tolist()  # byte offset after each row
+    row = start = 0
+    for digest, rows in runs:
+        row += rows
+        end = ends[row - 1]
+        digest.update(text[start:end])
+        start = end
+
+
+def fingerprints(traces: Sequence[SimulationTrace]) -> List[str]:
+    """:meth:`SimulationTrace.fingerprint` of each trace, in one pass.
+
+    Each trace's digest is sha256 over its rows: its duration, then its
+    jobs, power samples, decisions and faults, each row the text
+    ``repr((kind, *values))`` with every float ``v`` as ``round(v, 6)``.
+    Each kind's records of all the traces run through a column kernel in
+    groups of at most ``_CHUNK_RECORDS``: a group is transposed into
+    columns, each column becomes padded bytes, one row per record (floats
+    and ints as integer digits in numpy, strings, bools and tuples of
+    strings as the ``repr`` of each distinct value), the row matrix is
+    compacted into text and each trace hashes its own byte range of it.  A
+    column the kernel cannot prove exact (mixed types, float subclasses,
+    negative or non-finite floats, floats of 1e9 or more or rounding into
+    ``(0, 1e-4)``, negative or int64-overflowing ints, tuples holding
+    non-strings) takes the definition itself for each value.  Memory stays
+    bounded by the group, and many short traces share numpy's per-call cost.
+    """
+    digests = [hashlib.sha256() for _ in traces]
+    for kind, width, records_of in _KINDS:
+        head = np.frombuffer(("('%s', " % kind).encode("ascii"), np.uint8)
+        per_trace = [records_of(trace) for trace in traces]
+        owners = iter([(digest, len(rows)) for digest, rows in zip(digests, per_trace) if rows])
+        records = chain.from_iterable(per_trace)
+        digest, left = None, 0  # the trace being hashed, and its rows not yet hashed
+        for group in iter(lambda: list(islice(records, _CHUNK_RECORDS)), []):
+            runs = []
+            unassigned = len(group)
+            while unassigned:
+                if not left:
+                    digest, left = next(owners)
+                rows = min(left, unassigned)
+                runs.append((digest, rows))
+                left -= rows
+                unassigned -= rows
+            columns = list(islice(zip(*group), width))
+            if kind == "job":
+                columns[_VIOLATIONS] = tuple(map(tuple, columns[_VIOLATIONS]))
+            _hash_group(head, columns, runs)
+    return [digest.hexdigest()[:16] for digest in digests]

@@ -29,9 +29,7 @@ from repro.sim.faults import (
     CoreRecovery,
     FaultPlan,
     FaultPlanError,
-    FrequencyCap,
     JobCrashProfile,
-    SensorBias,
     crash_roll,
     fault_event_from_dict,
 )

@@ -1,13 +1,15 @@
-"""The trace fingerprint encoder against its one-update-per-record reference.
+"""The trace fingerprint kernel against its one-update-per-record reference.
 
-``SimulationTrace.fingerprint`` formats each distinct float of a chunk once
-and hashes the trace in bounded chunks; :func:`reference_fingerprint` below
-is the encoding it replaced, kept verbatim as the oracle: it rounds and
-``repr``-s every record's tuple and feeds it to sha256 one record at a time.
-The two share no code, so every digest — the golden ones included — must be
-equal on any trace, including the values where a formatting shortcut could
-go wrong: both zeros, the edges of the fast-format range, ties at the sixth
-decimal, nan and inf, float subclasses, and ints or bools in float fields.
+:func:`~repro.sim.trace.fingerprints` hashes traces a column at a time, in
+bounded groups of records that may span several traces;
+:func:`reference_fingerprint` below is the per-value encoding it replaced,
+kept verbatim as the oracle: it rounds and ``repr``-s every record's tuple
+and feeds it to sha256 one record at a time.  The two share no code, so
+every digest — the golden ones included — must be equal on any list of
+traces, including the values where integer digits could go wrong: both
+zeros, the edges of the exponent-free range, ties at the sixth decimal, nan
+and inf, float subclasses, ints or bools in float fields, and every kind of
+column the kernel refuses and hands to the definition.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from repro.sim.trace import (
     JobRecord,
     PowerSample,
     SimulationTrace,
-    _float_text,
+    fingerprints,
 )
 
 
@@ -81,13 +83,32 @@ def reference_fingerprint(self: SimulationTrace) -> str:
     return digest.hexdigest()[:16]
 
 
+def _assert_matches_reference(traces) -> None:
+    assert fingerprints(traces) == [reference_fingerprint(trace) for trace in traces]
+
+
+def _kernel_text(values) -> str:
+    """The text the kernel writes for one column, each value in parentheses."""
+    head = np.frombuffer(b"(", np.uint8)
+    matrix = trace_module._row_matrix(head, [tuple(values)])
+    return matrix[matrix != trace_module._PAD].tobytes().decode("utf-8")
+
+
+def _float_column_refused(values) -> bool:
+    return trace_module._float_columns([tuple(values)]) == [None]
+
+
 # ------------------------------------------------------------------ values
 
-def _neighbours(x: float) -> list:
-    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+def _neighbours(x: float, ulps: int = 1) -> list:
+    values = [x]
+    for _ in range(ulps):
+        below, above = math.nextafter(values[0], -math.inf), math.nextafter(values[-1], math.inf)
+        values = [below, *values, above]
+    return values
 
 
-#: Floats at the edges of the encoder's fast-format range and of rounding.
+#: Floats at the edges of the kernel's exponent-free range and of rounding.
 BOUNDARY_FLOATS = sorted(
     {
         *(
@@ -96,7 +117,7 @@ BOUNDARY_FLOATS = sorted(
             for edge in (1e-4, 1e9)
             for v in _neighbours(edge)
         ),
-        # Zeros and subnormals (below the fast range, both signs).
+        # Zeros and subnormals (below the exponent-free range, both signs).
         0.0,
         -0.0,
         5e-324,
@@ -133,21 +154,144 @@ BOUNDARY_FLOATS = sorted(
     key=lambda v: (math.copysign(1.0, v), abs(v)),
 )
 
+#: Exact binary ties at the sixth decimal (odd multiples of 2**-7), and
+#: every double within four ulps of the tie 1200000.0000005 (a 20-minute
+#: trace's milliseconds), where ``v * 1e6`` can round onto or across the
+#: half-integer and only ``"%.6f"`` has the correctly rounded digits.
+TIES = [
+    0.0078125,
+    0.0234375,
+    0.9921875,
+    1234.5078125,
+    999999.9921875,
+    *_neighbours(1200000.0000005, ulps=4),
+    *_neighbours(1234.5000005, ulps=4),
+]
 
-class TestFloatText:
+
+def _expected_text(values) -> str:
+    return "".join("(%s)" % repr(round(value, 6)) for value in values)
+
+
+class TestFloatColumns:
+    """Floats at the edges of rounding and of repr's exponent-free range, on
+    float columns: each value's text is ``repr(round(v, 6))``."""
+
     @pytest.mark.parametrize("value", BOUNDARY_FLOATS)
     def test_equals_repr_of_round(self, value):
-        assert _float_text(value) == repr(round(value, 6))
+        for column in ([value], [1.5, value, 1234.125]):
+            assert _kernel_text(column) == _expected_text(column)
+        trace = SimulationTrace(
+            power_samples=[PowerSample(value, 2.5, value, False)], duration_ms=value
+        )
+        _assert_matches_reference([trace])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_values(self, value):
-        assert _float_text(value) == repr(round(value, 6))
+        assert _kernel_text([value, 1.5]) == _expected_text([value, 1.5])
+        trace = SimulationTrace(power_samples=[PowerSample(value, 1.0, 2.0, False)])
+        _assert_matches_reference([trace])
 
     def test_multiples_of_five_tenths_of_a_micro_unit(self):
-        for k in range(-2000, 2001):
-            for scale in (1.0, 1e3, 1e6):
-                value = k * 5e-7 * scale
-                assert _float_text(value) == repr(round(value, 6)), value
+        for scale in (1.0, 1e3, 1e6):
+            values = [k * 5e-7 * scale for k in range(-2000, 2001)]
+            for value in values:
+                assert _kernel_text([value]) == _expected_text([value]), value
+            # As whole columns too: the signed one is refused, the one of
+            # values from 1e-4 up is taken.
+            taken = [value for value in values if value >= 1e-4]
+            assert not _float_column_refused(taken)
+            for column in (values, taken):
+                assert _kernel_text(column) == _expected_text(column)
+            trace = SimulationTrace(
+                power_samples=[PowerSample(v, v, 1.0, False) for v in taken],
+                decisions=[DecisionRecord(v, 1, "tick") for v in values],
+            )
+            _assert_matches_reference([trace])
+
+    def test_ties_at_the_sixth_decimal(self):
+        assert not _float_column_refused(TIES)
+        assert _kernel_text(TIES) == _expected_text(TIES)
+        for value in TIES:
+            assert _kernel_text([value]) == _expected_text([value]), value
+        trace = SimulationTrace(
+            jobs=[
+                JobRecord("a", i, v, v, v, 1.0, v, 0.5, 70.0, "big", 1, v)
+                for i, v in enumerate(TIES)
+            ],
+            duration_ms=1200000.0,
+        )
+        _assert_matches_reference([trace])
+
+
+class TestRefusedColumns:
+    """A column the kernel cannot prove exact takes the definition itself."""
+
+    def test_mixed_types(self):
+        values = [1.5, 2, True, 2.5, "x", None]
+        trace = SimulationTrace(faults=[FaultRecord(1.0, "k", "t", v) for v in values])
+        _assert_matches_reference([trace])
+
+    def test_float_subclasses(self):
+        class Reading(float):
+            def __repr__(self) -> str:
+                return "Reading(%s)" % float.__repr__(self)
+
+        for values in ([np.float64(1.5), np.float64(2.25)], [Reading(1.5), Reading(2.0)]):
+            trace = SimulationTrace(
+                power_samples=[PowerSample(v, v, v, False) for v in values],
+                duration_ms=values[0],
+            )
+            _assert_matches_reference([trace])
+
+    def test_negative_floats_and_negative_zero(self):
+        for values in ([1.5, -2.25], [0.0, -0.0], [-1e-9, 3.0]):
+            assert _float_column_refused(values)
+            trace = SimulationTrace(power_samples=[PowerSample(v, 1.0, v, True) for v in values])
+            _assert_matches_reference([trace])
+
+    def test_non_finite_floats(self):
+        for values in ([1.5, math.nan], [math.inf, 2.0], [-math.inf]):
+            assert _float_column_refused(values)
+            trace = SimulationTrace(decisions=[DecisionRecord(v, 0, "t") for v in values])
+            _assert_matches_reference([trace])
+
+    def test_floats_of_1e9_or_more(self):
+        for values in ([1.5, 1e9], [123456789012.5], [1.5, 1e300]):
+            assert _float_column_refused(values)
+            trace = SimulationTrace(decisions=[DecisionRecord(v, 0, "t") for v in values])
+            _assert_matches_reference([trace])
+
+    def test_floats_rounding_into_the_exponent_range(self):
+        for values in ([1.5, 5e-5], [1e-6, 2.0], [9.94e-05]):
+            assert _float_column_refused(values)
+            trace = SimulationTrace(decisions=[DecisionRecord(v, 0, "t") for v in values])
+            _assert_matches_reference([trace])
+        # Rounding to 0 or up to 1e-4 is exponent-free, and taken.
+        taken = [0.0, 4e-7, 9.99996e-05, 1e-4]
+        assert not _float_column_refused(taken)
+        assert _kernel_text(taken) == _expected_text(taken)
+
+    def test_negative_ints(self):
+        jobs = [
+            JobRecord("a", index, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0, 70.0, "big", cores, 1400.0)
+            for index, cores in ((0, 1), (-1, 2), (2, -3))
+        ]
+        _assert_matches_reference([SimulationTrace(jobs=jobs)])
+
+    def test_ints_overflowing_int64(self):
+        for values in ([1, 2**63], [2**63 - 1, 0], [10**30]):
+            trace = SimulationTrace(decisions=[DecisionRecord(1.0, v, "t") for v in values])
+            _assert_matches_reference([trace])
+
+    def test_tuples_holding_non_strings(self):
+        """("a", 1), ("a", 1.0) and ("a", True) are equal tuples, three texts."""
+        violations = [("a", 1), ("a", 1.0), ("a", True), ("a",), (), ("a", None)]
+        jobs = [
+            JobRecord("a", i, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0, 70.0, "big", 1, 1400.0, v)
+            for i, v in enumerate(violations)
+        ]
+        _assert_matches_reference([SimulationTrace(jobs=jobs)])
 
 
 # ------------------------------------------------------------------ traces
@@ -171,85 +315,110 @@ _NUMBERS = st.one_of(
     st.integers(-(10**12), 10**12),
     st.booleans(),
 )
+#: Floats the kernel takes, ties and the exponent-free range's edges included.
+_TAKEN = st.one_of(
+    st.floats(min_value=1e-4, max_value=1e9, exclude_max=True),
+    st.floats(min_value=0.0, max_value=2e6).map(lambda v: round(v, 3)),
+    st.integers(0, 4_000_000).map(lambda k: k * 5e-7 + 1e-4),
+    st.integers(0, 2**36).map(lambda k: k / 128),
+    st.sampled_from([v for v in BOUNDARY_FLOATS + TIES if 1e-4 <= v < 1e9] + [0.0]),
+)
 _VIOLATIONS = st.one_of(
     st.tuples(),
     st.lists(_STRINGS, max_size=3).map(tuple),
     st.lists(_STRINGS, max_size=3),
 )
 
-_JOBS = st.builds(
-    JobRecord,
-    app_id=_STRINGS,
-    job_index=st.integers(0, 10**6),
-    release_ms=_NUMBERS,
-    start_ms=_NUMBERS,
-    finish_ms=_NUMBERS,
-    latency_ms=_NUMBERS,
-    energy_mj=_NUMBERS,
-    configuration=_NUMBERS,
-    accuracy_percent=_NUMBERS,
-    cluster=_STRINGS,
-    cores=st.integers(0, 8),
-    frequency_mhz=_NUMBERS,
-    violations=_VIOLATIONS,
-    dropped=st.booleans(),
-)
-_POWER = st.builds(
-    PowerSample,
-    time_ms=_NUMBERS,
-    power_mw=_NUMBERS,
-    temperature_c=_NUMBERS,
-    throttling=st.booleans(),
-)
-_DECISIONS = st.builds(
-    DecisionRecord,
-    time_ms=_NUMBERS,
-    num_actions=st.integers(0, 50),
-    trigger=_STRINGS,
-    cache_hits=st.integers(0, 100),
-    cache_misses=st.integers(0, 100),
-)
-_FAULTS = st.builds(
-    FaultRecord,
-    time_ms=_NUMBERS,
-    kind=_STRINGS,
-    target=_STRINGS,
-    value=_NUMBERS,
-    detail=_STRINGS,
-)
-_TRACES = st.builds(
-    SimulationTrace,
-    jobs=st.lists(_JOBS, max_size=12),
-    power_samples=st.lists(_POWER, max_size=12),
-    decisions=st.lists(_DECISIONS, max_size=6),
-    duration_ms=_NUMBERS,
-    faults=st.lists(_FAULTS, max_size=6),
-)
+
+def _traces(numbers: st.SearchStrategy) -> st.SearchStrategy:
+    """Traces whose float fields hold ``numbers``."""
+    jobs = st.builds(
+        JobRecord,
+        app_id=_STRINGS,
+        job_index=st.integers(0, 10**6),
+        release_ms=numbers,
+        start_ms=numbers,
+        finish_ms=numbers,
+        latency_ms=numbers,
+        energy_mj=numbers,
+        configuration=numbers,
+        accuracy_percent=numbers,
+        cluster=_STRINGS,
+        cores=st.integers(0, 8),
+        frequency_mhz=numbers,
+        violations=_VIOLATIONS,
+        dropped=st.booleans(),
+    )
+    power = st.builds(
+        PowerSample,
+        time_ms=numbers,
+        power_mw=numbers,
+        temperature_c=numbers,
+        throttling=st.booleans(),
+    )
+    decisions = st.builds(
+        DecisionRecord,
+        time_ms=numbers,
+        num_actions=st.integers(0, 50),
+        trigger=_STRINGS,
+        cache_hits=st.integers(0, 100),
+        cache_misses=st.integers(0, 100),
+    )
+    faults = st.builds(
+        FaultRecord,
+        time_ms=numbers,
+        kind=_STRINGS,
+        target=_STRINGS,
+        value=numbers,
+        detail=_STRINGS,
+    )
+    return st.one_of(
+        st.builds(
+            SimulationTrace,
+            jobs=st.lists(jobs, max_size=12),
+            power_samples=st.lists(power, max_size=12),
+            decisions=st.lists(decisions, max_size=6),
+            duration_ms=numbers,
+            faults=st.lists(faults, max_size=6),
+        ),
+        st.builds(SimulationTrace, duration_ms=numbers, faults=st.lists(faults, max_size=6)),
+    )
 
 
-class TestEncoderMatchesReference:
+#: Mixed fields (refused columns), fields the kernel takes, and empty traces.
+_TRACES = st.one_of(_traces(_NUMBERS), _traces(_TAKEN), st.builds(SimulationTrace))
+
+
+class TestKernelMatchesReference:
     # Rounding an np.float64 near its maximum overflows (on both sides).
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(trace=_TRACES, chunk=st.sampled_from([1, 2, 3, 5, trace_module._CHUNK_RECORDS]))
-    def test_generated_traces(self, trace, chunk):
-        """Small chunk sizes put chunk boundaries (and memo resets) between
-        records holding equal values, as a long trace does at full size."""
+    @given(
+        traces=st.lists(_TRACES, max_size=6),
+        chunk=st.sampled_from([1, 2, 3, 5, trace_module._CHUNK_RECORDS]),
+    )
+    def test_generated_traces(self, traces, chunk):
+        """Small groups straddle trace boundaries and split one trace's
+        records across groups, as the fleet's thousand traces do at full
+        size."""
         with mock.patch.object(trace_module, "_CHUNK_RECORDS", chunk):
-            assert trace.fingerprint() == reference_fingerprint(trace)
+            _assert_matches_reference(traces)
+            assert [trace.fingerprint() for trace in traces] == fingerprints(traces)
 
-    def test_empty_trace(self):
-        trace = SimulationTrace()
-        assert trace.fingerprint() == reference_fingerprint(trace)
+    def test_no_traces(self):
+        assert fingerprints([]) == []
+
+    def test_empty_traces(self):
+        _assert_matches_reference([SimulationTrace(), SimulationTrace(duration_ms=5.0)])
 
     def test_both_zeros_in_one_record(self):
-        """0.0 and -0.0 are one dict key but two texts."""
+        """0.0 and -0.0 are equal but have two texts."""
         for first, second in ((0.0, -0.0), (-0.0, 0.0)):
             trace = SimulationTrace(
                 power_samples=[PowerSample(first, second, first, False)],
                 duration_ms=second,
             )
-            assert trace.fingerprint() == reference_fingerprint(trace)
+            _assert_matches_reference([trace])
 
     def test_ints_floats_and_float_subclasses_of_equal_value(self):
         """1 == 1.0 == np.float64(1.0) == True are one dict key, four texts."""
@@ -257,11 +426,11 @@ class TestEncoderMatchesReference:
         trace = SimulationTrace(
             power_samples=[PowerSample(v, w, v, False) for v in values for w in values],
         )
-        assert trace.fingerprint() == reference_fingerprint(trace)
+        _assert_matches_reference([trace])
 
-    def test_values_repeat_across_full_size_chunk_boundaries(self):
-        """Longer than two chunks: equal floats land on both sides of each
-        boundary, after the memo was dropped."""
+    def test_values_repeat_across_full_size_group_boundaries(self):
+        """Longer than two groups, split over three traces: equal floats
+        land on both sides of each group and trace boundary."""
         size = 2 * trace_module._CHUNK_RECORDS + 7
         jobs = [
             JobRecord(
@@ -283,25 +452,32 @@ class TestEncoderMatchesReference:
             for i in range(size)
         ]
         samples = [PowerSample(i * 100.0, 2500.0 + i % 3, 45.25, i % 2 == 0) for i in range(size)]
-        trace = SimulationTrace(jobs=jobs, power_samples=samples, duration_ms=size * 0.5)
-        assert trace.fingerprint() == reference_fingerprint(trace)
+        whole = SimulationTrace(jobs=jobs, power_samples=samples, duration_ms=size * 0.5)
+        cut = trace_module._CHUNK_RECORDS - 3
+        parts = [
+            SimulationTrace(jobs=jobs[:cut], power_samples=samples[cut:]),
+            SimulationTrace(),
+            SimulationTrace(jobs=jobs[cut:], power_samples=samples[:cut], duration_ms=1.0),
+        ]
+        _assert_matches_reference([whole, *parts])
 
     @pytest.mark.parametrize("name", ["steady", "chaos_bursty_transient_crashes"])
     def test_simulated_traces(self, name):
         trace = run(ExperimentSpec(scenario=name, manager="rtm")).trace
         assert trace.jobs and trace.power_samples and trace.decisions
-        assert trace.fingerprint() == reference_fingerprint(trace)
+        _assert_matches_reference([trace])
+        _assert_matches_reference([trace, SimulationTrace(), trace])
 
 
-class TestEncoderMemory:
+class TestKernelMemory:
     def test_peak_memory_is_bounded_on_a_long_trace(self):
-        """Chunked hashing keeps memory O(chunk), not O(trace).
+        """Grouped hashing keeps memory O(group), not O(trace).
 
         On this trace (100k jobs, 10k power samples) one update per record
-        peaks at about 0.5 MB, the chunked encoder at about 3 MB, and
-        joining the whole trace's text before hashing at about 55 MB.  The
-        8 MB bound fails the last design: it is the one that measurably
-        raised the peak RSS of a process fingerprinting a long replayed trace.
+        peaks at about 0.5 MB, the column kernel at about 3 MB, and joining
+        the whole trace's text before hashing at about 55 MB.  The 8 MB
+        bound fails the last design: it is the one that measurably raised
+        the peak RSS of a process fingerprinting a long replayed trace.
         """
         jobs = [
             JobRecord(

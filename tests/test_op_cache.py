@@ -1,11 +1,14 @@
 """Tests for the caching operating-point engine (`repro.rtm.cache`)."""
 
+from unittest import mock
+
 import pytest
 
 from repro.dnn.training import IncrementalTrainer
 from repro.dnn.zoo import make_dynamic_cifar_dnn
 from repro.experiments.managers import detach_op_cache
-from repro.perfmodel.calibrated import CalibratedLatencyModel
+from repro.perfmodel import calibrated
+from repro.perfmodel.calibrated import CalibratedLatencyModel, ClusterCalibration
 from repro.perfmodel.energy import EnergyModel
 from repro.perfmodel.roofline import RooflineLatencyModel
 from repro.platforms.presets import odroid_xu3
@@ -55,6 +58,29 @@ class TestModelCacheKeys:
             }
         )
         assert default.cache_key() != trimmed.cache_key()
+
+    def test_calibration_table_is_read_only_and_equal_tables_share_a_key(self):
+        model = CalibratedLatencyModel()
+        key = next(iter(model.calibrations))
+        with pytest.raises(TypeError):
+            model.calibrations[key] = ClusterCalibration(1.0, 0.0)
+        with pytest.raises(AttributeError):
+            model.calibrations = {}
+        reordered = CalibratedLatencyModel(
+            calibrations=dict(reversed(list(model.calibrations.items())))
+        )
+        assert reordered.cache_key() == model.cache_key()
+        assert model.cache_key() is model.cache_key()
+
+    def test_reference_network_is_built_on_first_key_only(self):
+        with mock.patch.object(
+            calibrated, "cifar_group_cnn", wraps=calibrated.cifar_group_cnn
+        ) as build:
+            model = CalibratedLatencyModel()
+            assert build.call_count == 0
+            model.cache_key()
+            model.cache_key()
+            assert build.call_count == 1
 
     def test_energy_model_key_includes_utilisation(self):
         latency = CalibratedLatencyModel()
