@@ -169,6 +169,12 @@ class ConfigurationInfo:
 class DynamicDNN:
     """A dynamically scalable DNN with ``num_increments`` width configurations.
 
+    The model is a value: it describes the configurations and never changes
+    after construction.  Which width is active belongs to whoever runs the
+    model — the simulator keeps one width per co-scaling group (the
+    applications of one simulation that share this object), so one model
+    safely serves many devices, replicas and runs.
+
     Parameters
     ----------
     base_model:
@@ -205,8 +211,6 @@ class DynamicDNN:
                 macs=sub_model.total_macs(),
                 params=sub_model.total_params(),
             )
-        self._active_fraction = 1.0
-        self.switch_count = 0
 
     # ---------------------------------------------------------------- access
 
@@ -222,10 +226,10 @@ class DynamicDNN:
 
     def configuration(self, fraction: float) -> ConfigurationInfo:
         """Information about the configuration closest to ``fraction``."""
-        key = self._nearest_key(fraction)
-        return self._configurations[key]
+        return self._configurations[self.nearest_configuration(fraction)]
 
-    def _nearest_key(self, fraction: float) -> float:
+    def nearest_configuration(self, fraction: float) -> float:
+        """The entry of :attr:`configurations` closest to ``fraction``."""
         if not 0.0 < fraction <= 1.0 + 1e-9:
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
         return min(self._configurations, key=lambda key: abs(key - fraction))
@@ -233,37 +237,6 @@ class DynamicDNN:
     def model_for(self, fraction: float) -> NetworkModel:
         """The structural sub-network of the configuration nearest ``fraction``."""
         return self.configuration(fraction).model
-
-    # ----------------------------------------------------------- runtime use
-
-    @property
-    def active_fraction(self) -> float:
-        """Currently selected configuration."""
-        return self._active_fraction
-
-    def set_configuration(self, fraction: float) -> float:
-        """Select a configuration; returns the switching overhead in ms.
-
-        Selecting the already-active configuration costs nothing.
-        """
-        key = self._nearest_key(fraction)
-        if abs(key - self._active_fraction) <= 1e-9:
-            return 0.0
-        self._active_fraction = key
-        self.switch_count += 1
-        return self.switching_overhead_ms
-
-    def scale_up(self) -> float:
-        """Move one increment up (more accuracy); returns switching overhead."""
-        fractions = self.configurations
-        index = fractions.index(self._nearest_key(self._active_fraction))
-        return self.set_configuration(fractions[min(index + 1, len(fractions) - 1)])
-
-    def scale_down(self) -> float:
-        """Move one increment down (less compute); returns switching overhead."""
-        fractions = self.configurations
-        index = fractions.index(self._nearest_key(self._active_fraction))
-        return self.set_configuration(fractions[max(index - 1, 0)])
 
     # ------------------------------------------------------------- footprint
 
@@ -276,14 +249,6 @@ class DynamicDNN:
         """
         return self.base_model.model_size_mb()
 
-    def macs_by_configuration(self) -> Dict[float, int]:
-        """MAC count of every configuration."""
-        return {fraction: info.macs for fraction, info in sorted(self._configurations.items())}
-
-    def params_by_configuration(self) -> Dict[float, int]:
-        """Parameter count of every configuration."""
-        return {fraction: info.params for fraction, info in sorted(self._configurations.items())}
-
     def summary(self) -> List[Tuple[int, int, int]]:
         """(percent, MACs, params) per configuration, ascending."""
         return [
@@ -292,7 +257,4 @@ class DynamicDNN:
         ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"DynamicDNN(name={self.name!r}, increments={self.num_increments}, "
-            f"active={self._active_fraction:.2f})"
-        )
+        return f"DynamicDNN(name={self.name!r}, increments={self.num_increments})"

@@ -122,8 +122,10 @@ class TrainedDynamicDNN:
         MAC counts, which drive the latency predictions), the configuration
         ladder and the per-configuration accuracy/confidence profile.  Two
         deterministic training runs of the same network produce equal keys
-        and therefore share cache entries.  Computed once — the trained model
-        is immutable after training.
+        and therefore share cache entries.  Computed once and kept: nothing
+        changes a trained model or its dynamic DNN after training (a
+        simulator keeps the active width itself), so the key is the only
+        attribute ever assigned later.
         """
         if self._cache_key is None:
             fractions = tuple(self.configurations)

@@ -203,11 +203,9 @@ class FleetOrchestrator:
             spec.scenario, seed=spec.seed, devices=spec.devices or None
         )
         # One trained model for the whole fleet (the WorkloadGenerator
-        # idiom) saves N-1 simulated training runs.  Training is
-        # deterministic, but every device's apps share its one DynamicDNN,
-        # whose active fraction a configuration switch mutates; sharing
-        # changes nothing behaviourally only while no fleet RTM compresses
-        # a DNN (so far every fleet switch chooses the full model).
+        # idiom) saves N-1 simulated training runs.  Models are values: each
+        # device's simulator keeps its own width, so the DNN apps of one
+        # device co-scale and devices share nothing.
         self._trained = trained if trained is not None else (
             IncrementalTrainer().train(make_dynamic_cifar_dnn())
         )
@@ -461,11 +459,6 @@ class FleetOrchestrator:
 
     def _run(self) -> FleetResult:
         spec = self.spec
-        # The shared trained model carries its active configuration as
-        # mutable state; a previous run that ended compressed would leak
-        # into this one, making results depend on run order.  Reset to the
-        # full network (the state a freshly-trained model starts in).
-        self._trained.dynamic_dnn.set_configuration(1.0)
         duration = self.scenario.duration_ms
         arrivals = sorted(
             self._apps.values(), key=lambda s: (s.template.arrival_ms, s.template.app_id)

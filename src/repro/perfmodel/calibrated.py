@@ -20,6 +20,7 @@ roofline estimator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -73,30 +74,31 @@ DEFAULT_CALIBRATIONS: Dict[Tuple[str, str], ClusterCalibration] = {
 }
 
 
+@cache
+def _reference_macs() -> int:
+    """MAC count of the Table I reference network, counted once per process."""
+    return cifar_group_cnn().total_macs()
+
+
 class CalibratedLatencyModel:
     """Latency model that uses Table I calibrations where available.
+
+    The calibrations were measured with the reference CIFAR-10 CNN; other
+    networks scale the compute term by their MAC ratio to it.
 
     Parameters
     ----------
     calibrations:
         Mapping of (SoC name, cluster name) to :class:`ClusterCalibration`.
         Defaults to the Table I fits.  The model keeps a read-only copy.
-    reference_network:
-        The network the calibrations were measured with; other networks scale
-        the compute term by their MAC ratio to this one.
     """
 
     def __init__(
         self,
         calibrations: Optional[Mapping[Tuple[str, str], ClusterCalibration]] = None,
-        reference_network: Optional[NetworkModel] = None,
     ) -> None:
         self._calibrations: Mapping[Tuple[str, str], ClusterCalibration] = MappingProxyType(
             dict(DEFAULT_CALIBRATIONS if calibrations is None else calibrations)
-        )
-        self._reference_network = reference_network
-        self._reference_macs: Optional[int] = (
-            reference_network.total_macs() if reference_network is not None else None
         )
         self._fallback = RooflineLatencyModel()
         self._cache_key: Optional[tuple] = None
@@ -108,11 +110,8 @@ class CalibratedLatencyModel:
 
     @property
     def reference_macs(self) -> int:
-        """MAC count of the calibration reference network (lazily built)."""
-        if self._reference_macs is None:
-            self._reference_network = cifar_group_cnn()
-            self._reference_macs = self._reference_network.total_macs()
-        return self._reference_macs
+        """MAC count of the calibration reference network."""
+        return _reference_macs()
 
     def calibration_for(self, soc_name: str, cluster_name: str) -> Optional[ClusterCalibration]:
         """The calibration for this cluster, or ``None`` if it is uncalibrated."""
@@ -121,10 +120,9 @@ class CalibratedLatencyModel:
     def cache_key(self) -> tuple:
         """Stable identity of this estimator for operating-point caches.
 
-        Two instances with the same calibration table and reference network
-        predict identical latencies, so they share cache entries.  Computed
-        on first use and kept: the table is read-only and the reference
-        network fixed.
+        Two instances with the same calibration table predict identical
+        latencies, so they share cache entries.  Computed on first use and
+        kept: the table is read-only and the reference network fixed.
         """
         if self._cache_key is None:
             table = tuple(

@@ -50,7 +50,7 @@ import gc
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.sim.engine import ManagerProtocol, SharedSimulationStores, Simulator, SimulatorConfig
 from repro.sim.faults import FaultPlan
@@ -75,10 +75,14 @@ def scenario_content_key(scenario: Scenario) -> Optional[tuple]:
     Two scenarios with equal keys produce identical simulations under
     identical managers and configs; the batched engine uses the key to
     collapse duplicate replicas (e.g. a deterministic scenario swept over
-    seeds).  Returns ``None`` (not keyable) for unknown application types.
+    seeds).  A DNN application's model enters by value, plus its co-scaling
+    group — the index of the first application holding the same
+    ``DynamicDNN`` object — since apps that share a model switch width
+    together.  Returns ``None`` (not keyable) for unknown application types.
     """
     applications = []
-    for application in scenario.applications:
+    groups: Dict[int, int] = {}  # id(DynamicDNN) -> its first app's index
+    for index, application in enumerate(scenario.applications):
         base = (
             application.app_id,
             type(application).__name__,
@@ -94,7 +98,7 @@ def scenario_content_key(scenario: Scenario) -> Optional[tuple]:
                 base
                 + (
                     application.trained.cache_key(),
-                    application.dynamic_dnn.active_fraction,
+                    groups.setdefault(id(application.dynamic_dnn), index),
                     application.preprocessing_cores,
                 )
             )

@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 from math import exp
 from typing import Dict, List, Optional, Protocol, Tuple
 
+from repro.dnn.dynamic import DynamicDNN
 from repro.perfmodel.calibrated import CalibratedLatencyModel
 from repro.perfmodel.energy import EnergyModel
 from repro.platforms.soc import Soc
@@ -255,6 +256,10 @@ class Simulator:
         self._primed = False
         self._apps: Dict[str, AppRuntimeState] = {}
         self._dnn_runtime: Dict[str, _DNNRuntime] = {}
+        # The active width of each co-scaling group — the applications of
+        # this simulation that share one DynamicDNN object — keyed by that
+        # object (which pins it); an absent group runs the full model.
+        self._widths: Dict[DynamicDNN, float] = {}
         self._was_throttling = False
         # Busy core-time (core-milliseconds, weighted by utilisation) accrued
         # per cluster since the last thermal sample.  Integrating busy time
@@ -716,18 +721,24 @@ class Simulator:
                     state.mapping = None
 
     def _apply_configuration(self, action: SetConfiguration) -> None:
+        """Switch the app's co-scaling group to the nearest configuration.
+
+        Only a change of the group's width costs ``switching_overhead_ms``,
+        charged to the app's next job: an app that selects the width another
+        app of its group just switched to pays nothing.
+        """
         state = self._apps.get(action.app_id or "")
         if state is None or not isinstance(state.application, DNNApplication):
             return
-        application = state.application
-        overhead = application.dynamic_dnn.set_configuration(action.configuration)
-        runtime = self._dnn_runtime.get(application.app_id)
-        if runtime is not None:
-            runtime.pending_penalty_ms += overhead
+        dnn = state.application.dynamic_dnn
+        width = dnn.nearest_configuration(action.configuration)
+        if width != self._widths.get(dnn, 1.0):
+            self._widths[dnn] = width
+            runtime = self._dnn_runtime.get(state.app_id)
+            if runtime is not None:
+                runtime.pending_penalty_ms += dnn.switching_overhead_ms
         if state.mapping is not None:
-            state.mapping = replace(
-                state.mapping, configuration=application.dynamic_dnn.active_fraction
-            )
+            state.mapping = replace(state.mapping, configuration=width)
 
     def _apply_mapping(self, action: MapApplication) -> None:
         state = self._apps.get(action.app_id or "")
@@ -742,7 +753,7 @@ class Simulator:
         migrated = state.mapping is not None and state.mapping.cluster_name != action.cluster_name
         configuration = 1.0
         if isinstance(state.application, DNNApplication):
-            configuration = state.application.dynamic_dnn.active_fraction
+            configuration = self._widths.get(state.application.dynamic_dnn, 1.0)
         state.mapping = Mapping(
             cluster_name=action.cluster_name,
             cores=cores,

@@ -1,8 +1,8 @@
 """Shared fixtures for the test suite.
 
-Heavy objects (the trained dynamic DNN, platform presets, the calibrated
-energy model) are session-scoped: they are immutable from the tests' point of
-view or cheap to guard, and rebuilding them per test would dominate the suite
+Heavy objects (the reference network, the trained dynamic DNN, the
+calibrated energy model, the validation set) are session-scoped: they are
+values nothing changes, and rebuilding them per test would dominate the suite
 runtime.  Fixtures that tests mutate (SoCs whose frequencies/reservations are
 changed) are function-scoped.
 """
@@ -31,9 +31,7 @@ def reference_network():
 def trained_dnn() -> TrainedDynamicDNN:
     """A trained four-increment dynamic DNN shared across tests.
 
-    Tests must not mutate its active configuration without restoring it;
-    tests that need to switch configurations should build their own dynamic
-    DNN via ``make_dynamic_cifar_dnn``.
+    A value: a simulation that switches its width keeps the width itself.
     """
     return IncrementalTrainer().train(make_dynamic_cifar_dnn())
 
@@ -76,12 +74,6 @@ def collector_enabled(request):
         yield request.param
     finally:
         (gc.enable if was_enabled else gc.disable)()
-
-
-@pytest.fixture
-def fresh_dynamic_dnn():
-    """A fresh dynamic DNN whose configuration tests may freely switch."""
-    return make_dynamic_cifar_dnn()
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import ExperimentSpec, dump_specs, load_specs, run
+from repro.experiments import ExperimentSpec, dump_specs, load_specs, run, run_many
 from repro.workloads import (
     ArrivalTrace,
     ScenarioFuzzer,
@@ -538,6 +538,36 @@ class TestComposedScenariosThroughSpecs:
         # With the recorded refs intact the sharing structure is preserved.
         shared = ArrivalTrace.from_scenario(build_scenario("bursty", seed=0)).to_scenario()
         assert shared.dnn_applications[0].trained is shared.dnn_applications[1].trained
+
+    def test_batched_dedup_tells_shared_models_from_private_ones(self, tmp_path):
+        # The two traces differ only in which DNN apps co-scale: all six
+        # share one model in the recording, each has its own in the copy.
+        trace = ArrivalTrace.from_scenario(build_scenario("overload", seed=0))
+        assert {r["model_ref"] for r in trace.applications if "model_ref" in r} == {0}
+        shared = tmp_path / "shared.jsonl"
+        trace.save(shared)
+        for record in trace.applications:
+            record.pop("model_ref", None)
+        private = tmp_path / "private.jsonl"
+        trace.save(private)
+        specs = [
+            ExperimentSpec(
+                scenario="trace",
+                manager="rtm_min_energy",
+                scenario_params={"path": str(path)},
+                name=path.stem,
+            )
+            for path in (shared, private)
+        ]
+        fingerprints = {
+            backend: {
+                label: result.trace.fingerprint()
+                for label, result in run_many(specs, backend=backend).results.items()
+            }
+            for backend in ("serial", "batched")
+        }
+        assert fingerprints["serial"]["shared"] != fingerprints["serial"]["private"]
+        assert fingerprints["batched"] == fingerprints["serial"]
 
     def test_trace_path_param_is_spec_addressable(self, tmp_path):
         path = tmp_path / "steady.jsonl"

@@ -78,58 +78,39 @@ class TestScaleNetworkWidth:
 
 
 class TestDynamicDNN:
-    def test_four_increments_give_expected_fractions(self, fresh_dynamic_dnn):
-        assert fresh_dynamic_dnn.configurations == [0.25, 0.5, 0.75, 1.0]
-        assert fresh_dynamic_dnn.num_increments == 4
+    def test_four_increments_give_expected_fractions(self, trained_dnn):
+        assert trained_dnn.dynamic_dnn.configurations == [0.25, 0.5, 0.75, 1.0]
+        assert trained_dnn.dynamic_dnn.num_increments == 4
 
-    def test_macs_monotone_in_configuration(self, fresh_dynamic_dnn):
-        macs = fresh_dynamic_dnn.macs_by_configuration()
-        values = [macs[f] for f in sorted(macs)]
+    def test_macs_monotone_in_configuration(self, trained_dnn):
+        dnn = trained_dnn.dynamic_dnn
+        values = [dnn.configuration(f).macs for f in dnn.configurations]
         assert values == sorted(values)
         assert values[0] < values[-1]
+        assert values == [dnn.model_for(f).total_macs() for f in dnn.configurations]
 
-    def test_params_monotone_in_configuration(self, fresh_dynamic_dnn):
-        params = fresh_dynamic_dnn.params_by_configuration()
-        values = [params[f] for f in sorted(params)]
+    def test_params_monotone_in_configuration(self, trained_dnn):
+        dnn = trained_dnn.dynamic_dnn
+        values = [dnn.configuration(f).params for f in dnn.configurations]
         assert values == sorted(values)
+        assert values == [dnn.model_for(f).total_params() for f in dnn.configurations]
 
-    def test_memory_footprint_is_single_model(self, fresh_dynamic_dnn):
+    def test_memory_footprint_is_single_model(self, trained_dnn):
         # The dynamic DNN stores every configuration inside the full model's
         # footprint (the paper's storage argument vs static pruning).
-        assert fresh_dynamic_dnn.memory_footprint_mb() == pytest.approx(
-            fresh_dynamic_dnn.base_model.model_size_mb()
-        )
+        dnn = trained_dnn.dynamic_dnn
+        assert dnn.memory_footprint_mb() == pytest.approx(dnn.base_model.model_size_mb())
 
-    def test_switching_tracks_overhead_and_count(self, fresh_dynamic_dnn):
-        dnn = fresh_dynamic_dnn
-        assert dnn.active_fraction == 1.0
-        overhead = dnn.set_configuration(0.5)
-        assert overhead == dnn.switching_overhead_ms
-        assert dnn.active_fraction == 0.5
-        assert dnn.switch_count == 1
-        # Re-selecting the active configuration is free.
-        assert dnn.set_configuration(0.5) == 0.0
-        assert dnn.switch_count == 1
-
-    def test_scale_up_and_down_clamp(self, fresh_dynamic_dnn):
-        dnn = fresh_dynamic_dnn
-        dnn.set_configuration(0.25)
-        dnn.scale_down()
-        assert dnn.active_fraction == 0.25
-        dnn.scale_up()
-        assert dnn.active_fraction == 0.5
-        dnn.set_configuration(1.0)
-        dnn.scale_up()
-        assert dnn.active_fraction == 1.0
-
-    def test_nearest_configuration_lookup(self, fresh_dynamic_dnn):
-        assert fresh_dynamic_dnn.configuration(0.6).fraction == 0.5
-        assert fresh_dynamic_dnn.configuration(0.95).fraction == 1.0
+    def test_nearest_configuration_lookup(self, trained_dnn):
+        dnn = trained_dnn.dynamic_dnn
+        assert dnn.configuration(0.6).fraction == 0.5
+        assert dnn.configuration(0.95).fraction == 1.0
+        assert dnn.nearest_configuration(0.3) == 0.25
         with pytest.raises(ValueError):
-            fresh_dynamic_dnn.configuration(0.0)
+            dnn.configuration(0.0)
 
-    def test_summary_percentages(self, fresh_dynamic_dnn):
-        percents = [p for p, _, _ in fresh_dynamic_dnn.summary()]
+    def test_summary_percentages(self, trained_dnn):
+        percents = [p for p, _, _ in trained_dnn.dynamic_dnn.summary()]
         assert percents == [25, 50, 75, 100]
 
     def test_other_increment_counts(self):

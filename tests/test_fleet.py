@@ -1,12 +1,14 @@
 """Fleet orchestration tests: specs, invariants, goldens, policy quality.
 
 The heart of the file is the module-scoped ``fleet_grid`` fixture — one
-batched fleet run per (scenario, policy) combination on small pinned device
-mixes — shared by the conservation invariant, the golden fleet fingerprint
-table, the orchestrated-beats-static assertion and the migration checks.
-Backend and device-order identity get their own (serial / permuted) runs,
-and every golden is reproduced once more with each device on the unmemoised
-reference engine (``tests/reference_engine.py``).
+batched fleet run per (scenario, policy, manager) row of ``GRID`` on small
+pinned device mixes — shared by the conservation invariant, the golden fleet
+fingerprint table, the orchestrated-beats-static assertion and the migration
+checks.  Backend and device-order identity get their own (serial / permuted)
+runs, every golden is reproduced once more with each device on the
+unmemoised reference engine (``tests/reference_engine.py``), and every
+device of every row is replayed alone, with a model of its own
+(``TestDeviceIndependence``).
 
 Regenerate the golden table after an intentional behaviour change with::
 
@@ -23,6 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.dnn import IncrementalTrainer, make_dynamic_cifar_dnn
+from repro.experiments.managers import make_manager
 from repro.fleet import (
     FLEET_POLICY_REGISTRY,
     FleetSpec,
@@ -39,6 +43,8 @@ from repro.fleet import orchestrator as orchestrator_module
 from repro.fleet.bench import bench_device_mix
 from repro.fleet.orchestrator import FleetOrchestrator, FleetResult
 from repro.fleet.policies import LeastLoadedPlacement
+from repro.sim.engine import Simulator
+from repro.workloads.tasks import DNNApplication, make_dnn_application
 from tests.reference_engine import ReferenceSimulator
 
 #: Small pinned device mixes: big enough for placement to matter, small
@@ -53,50 +59,76 @@ SMALL_MIXES: Dict[str, Dict[str, int]] = {
 
 GRID_POLICIES = ("static", "round_robin", "least_loaded", "thermal_headroom", "random")
 
+#: (scenario, policy, manager) rows: every policy under ``rtm``, and the
+#: baseline and the load-aware placement under ``rtm_min_energy``, whose
+#: devices compress their DNNs (``rtm`` keeps the full model almost always).
+GRID: Tuple[Tuple[str, str, str], ...] = tuple(
+    (scenario, policy, manager)
+    for scenario in sorted(SMALL_MIXES)
+    for manager, policies in (
+        ("rtm", GRID_POLICIES),
+        ("rtm_min_energy", ("static", "least_loaded")),
+    )
+    for policy in policies
+)
+
 # Golden fleet fingerprints of the grid above (seed 0, batched backend).  A
 # changed digest means fleet *behaviour* changed — placement, migration
 # timing, per-device simulation — and must be deliberate, exactly like
 # tests/test_golden_traces.py.  Regenerate with the module's __main__ hook.
-GOLDEN_FLEET_FINGERPRINTS: Dict[Tuple[str, str], str] = {
-    ("fleet_device_churn", "least_loaded"): "04355d6ba672e4cd",
-    ("fleet_device_churn", "random"): "2b5fadf4d8353ef8",
-    ("fleet_device_churn", "round_robin"): "eeb5a8284dbdec15",
-    ("fleet_device_churn", "static"): "627f7d23b9bc4039",
-    ("fleet_device_churn", "thermal_headroom"): "b35712c10828ed85",
-    ("fleet_diurnal", "least_loaded"): "7233d7e898056018",
-    ("fleet_diurnal", "random"): "73334ff117840af0",
-    ("fleet_diurnal", "round_robin"): "5746a85778a47b48",
-    ("fleet_diurnal", "static"): "37195436c2b84ade",
-    ("fleet_diurnal", "thermal_headroom"): "107d8669163babc5",
-    ("fleet_mixed_platforms", "least_loaded"): "90c6165e479cea91",
-    ("fleet_mixed_platforms", "random"): "72c36a3f5be431ea",
-    ("fleet_mixed_platforms", "round_robin"): "492ba892072aabe1",
-    ("fleet_mixed_platforms", "static"): "2459660fbb0946c6",
-    ("fleet_mixed_platforms", "thermal_headroom"): "91172f9e0d44f45e",
-    ("fleet_rush_hour_regional", "least_loaded"): "6daad25fdebdfa3a",
-    ("fleet_rush_hour_regional", "random"): "fb5d4c422b91c4bf",
-    ("fleet_rush_hour_regional", "round_robin"): "90210ce554cf77d8",
-    ("fleet_rush_hour_regional", "static"): "6daf92538a383b5e",
-    ("fleet_rush_hour_regional", "thermal_headroom"): "9f5f925fc9d7df8b",
-    ("fleet_stragglers", "least_loaded"): "28328ebfbbcc5c99",
-    ("fleet_stragglers", "random"): "5157f9dd107b384d",
-    ("fleet_stragglers", "round_robin"): "9e468b5bff074730",
-    ("fleet_stragglers", "static"): "d297648783108c69",
-    ("fleet_stragglers", "thermal_headroom"): "efbb40d04b967976",
+GOLDEN_FLEET_FINGERPRINTS: Dict[Tuple[str, str, str], str] = {
+    ("fleet_device_churn", "least_loaded", "rtm"): "04355d6ba672e4cd",
+    ("fleet_device_churn", "least_loaded", "rtm_min_energy"): "3a6801d3b56b498f",
+    ("fleet_device_churn", "random", "rtm"): "2b5fadf4d8353ef8",
+    ("fleet_device_churn", "round_robin", "rtm"): "eeb5a8284dbdec15",
+    ("fleet_device_churn", "static", "rtm"): "627f7d23b9bc4039",
+    ("fleet_device_churn", "static", "rtm_min_energy"): "116f03668d11947c",
+    ("fleet_device_churn", "thermal_headroom", "rtm"): "b35712c10828ed85",
+    ("fleet_diurnal", "least_loaded", "rtm"): "7233d7e898056018",
+    ("fleet_diurnal", "least_loaded", "rtm_min_energy"): "df979872890d76a3",
+    ("fleet_diurnal", "random", "rtm"): "73334ff117840af0",
+    ("fleet_diurnal", "round_robin", "rtm"): "5746a85778a47b48",
+    ("fleet_diurnal", "static", "rtm"): "37195436c2b84ade",
+    ("fleet_diurnal", "static", "rtm_min_energy"): "97b483b338ad7d41",
+    ("fleet_diurnal", "thermal_headroom", "rtm"): "107d8669163babc5",
+    ("fleet_mixed_platforms", "least_loaded", "rtm"): "90c6165e479cea91",
+    ("fleet_mixed_platforms", "least_loaded", "rtm_min_energy"): "2a595a73722e9d8e",
+    ("fleet_mixed_platforms", "random", "rtm"): "72c36a3f5be431ea",
+    ("fleet_mixed_platforms", "round_robin", "rtm"): "492ba892072aabe1",
+    ("fleet_mixed_platforms", "static", "rtm"): "2459660fbb0946c6",
+    ("fleet_mixed_platforms", "static", "rtm_min_energy"): "bde12b5c5b03348c",
+    ("fleet_mixed_platforms", "thermal_headroom", "rtm"): "91172f9e0d44f45e",
+    ("fleet_rush_hour_regional", "least_loaded", "rtm"): "6daad25fdebdfa3a",
+    ("fleet_rush_hour_regional", "least_loaded", "rtm_min_energy"): "809993efcfa9aaf1",
+    ("fleet_rush_hour_regional", "random", "rtm"): "21a2d01cc835b0d4",
+    ("fleet_rush_hour_regional", "round_robin", "rtm"): "90210ce554cf77d8",
+    ("fleet_rush_hour_regional", "static", "rtm"): "6daf92538a383b5e",
+    ("fleet_rush_hour_regional", "static", "rtm_min_energy"): "b022611cd1d54d31",
+    ("fleet_rush_hour_regional", "thermal_headroom", "rtm"): "9f5f925fc9d7df8b",
+    ("fleet_stragglers", "least_loaded", "rtm"): "28328ebfbbcc5c99",
+    ("fleet_stragglers", "least_loaded", "rtm_min_energy"): "046905210ce75d9a",
+    ("fleet_stragglers", "random", "rtm"): "5157f9dd107b384d",
+    ("fleet_stragglers", "round_robin", "rtm"): "9e468b5bff074730",
+    ("fleet_stragglers", "static", "rtm"): "d297648783108c69",
+    ("fleet_stragglers", "static", "rtm_min_energy"): "5628e222b131f3fa",
+    ("fleet_stragglers", "thermal_headroom", "rtm"): "efbb40d04b967976",
 }
 
 
+def _grid_spec(row: Tuple[str, str, str]) -> FleetSpec:
+    scenario, policy, manager = row
+    return FleetSpec(
+        scenario=scenario, policy=policy, manager=manager, devices=SMALL_MIXES[scenario]
+    )
+
+
 @pytest.fixture(scope="module")
-def fleet_grid(trained_dnn) -> Dict[Tuple[str, str], FleetResult]:
-    """One batched fleet run per (scenario, policy) on the pinned mixes."""
-    results: Dict[Tuple[str, str], FleetResult] = {}
-    for scenario, mix in sorted(SMALL_MIXES.items()):
-        for policy in GRID_POLICIES:
-            spec = FleetSpec(scenario=scenario, policy=policy, devices=mix)
-            results[(scenario, policy)] = run_fleet(
-                spec, backend="batched", trained=trained_dnn
-            )
-    return results
+def fleet_grid(trained_dnn) -> Dict[Tuple[str, str, str], FleetResult]:
+    """One batched fleet run per ``GRID`` row on the pinned mixes."""
+    return {
+        row: run_fleet(_grid_spec(row), backend="batched", trained=trained_dnn)
+        for row in GRID
+    }
 
 
 # ------------------------------------------------------------------- specs
@@ -330,15 +362,16 @@ class TestLeastLoadedRanking:
 class TestFleetInvariants:
     def test_job_conservation(self, fleet_grid):
         """Fleet-wide accounting: every arrival is placed, rejected or gone."""
-        for (scenario, policy), result in fleet_grid.items():
+        for row, result in fleet_grid.items():
             counts = result.app_counts
             assert counts["arrived"] == (
                 counts["rejected"]
                 + counts["departed"]
                 + counts["resident"]
                 + counts["in_migration"]
-            ), (scenario, policy, counts)
+            ), (row, counts)
             assert counts["placed"] == counts["arrived"] - counts["rejected"]
+            scenario = row[0]
             templates = len(build_fleet_scenario(scenario, devices=SMALL_MIXES[scenario]).arrivals)
             assert counts["arrived"] == templates
 
@@ -362,15 +395,20 @@ class TestFleetInvariants:
             == run_fleet(backward, backend="batched", trained=trained_dnn).fingerprint()
         )
 
-    @pytest.mark.parametrize("scenario", ["fleet_stragglers", "fleet_device_churn"])
-    def test_serial_and_batched_backends_agree(self, fleet_grid, trained_dnn, scenario):
+    @pytest.mark.parametrize(
+        "scenario, manager",
+        [
+            ("fleet_stragglers", "rtm"),
+            ("fleet_device_churn", "rtm"),
+            ("fleet_device_churn", "rtm_min_energy"),
+        ],
+    )
+    def test_serial_and_batched_backends_agree(self, fleet_grid, trained_dnn, scenario, manager):
         """The fleet digest is bit-identical across execution backends:
         memo stores private to each device or shared fleet-wide."""
-        spec = FleetSpec(
-            scenario=scenario, policy="least_loaded", devices=SMALL_MIXES[scenario]
-        )
-        serial = run_fleet(spec, backend="serial", trained=trained_dnn)
-        batched = fleet_grid[(scenario, "least_loaded")]
+        row = (scenario, "least_loaded", manager)
+        serial = run_fleet(_grid_spec(row), backend="serial", trained=trained_dnn)
+        batched = fleet_grid[row]
         assert serial.fingerprint() == batched.fingerprint()
         assert serial.app_counts == batched.app_counts
 
@@ -383,21 +421,21 @@ class TestFleetInvariants:
         threshold — fleet-level eviction only fires where device-level
         adaptation is not enough.
         """
-        churn = fleet_grid[("fleet_device_churn", "least_loaded")]
+        churn = fleet_grid[("fleet_device_churn", "least_loaded", "rtm")]
         assert churn.migrations
         assert {record.reason for record in churn.migrations} == {"churn"}
-        rush = fleet_grid[("fleet_rush_hour_regional", "least_loaded")]
+        rush = fleet_grid[("fleet_rush_hour_regional", "least_loaded", "rtm")]
         assert rush.migrations
         assert "overload" in {record.reason for record in rush.migrations}
-        assert not fleet_grid[("fleet_stragglers", "least_loaded")].migrations
+        assert not fleet_grid[("fleet_stragglers", "least_loaded", "rtm")].migrations
         # Static placement never migrates anything, by construction.
-        for scenario in SMALL_MIXES:
-            assert not fleet_grid[(scenario, "static")].migrations
+        for (_, policy, _), result in fleet_grid.items():
+            assert policy != "static" or not result.migrations
 
     def test_migration_arrivals_carry_the_latency_penalty(self, fleet_grid):
         spec_latency = FleetSpec(scenario="fleet_stragglers").migration_latency_ms
         for scenario in ("fleet_device_churn", "fleet_rush_hour_regional"):
-            for record in fleet_grid[(scenario, "least_loaded")].migrations:
+            for record in fleet_grid[(scenario, "least_loaded", "rtm")].migrations:
                 assert record.arrival_ms == pytest.approx(record.time_ms + spec_latency)
                 assert record.source != record.target
 
@@ -547,7 +585,9 @@ class TestPlacementCandidates:
         assert len({time_ms for _, time_ms in probe.calls}) > 1
         assert len({size for size, _ in probe.calls}) > 1
         assert any(record.reason == "churn" for record in result.migrations)
-        assert result.fingerprint() == GOLDEN_FLEET_FINGERPRINTS[(scenario, "least_loaded")]
+        assert result.fingerprint() == GOLDEN_FLEET_FINGERPRINTS[
+            (scenario, "least_loaded", "rtm")
+        ]
 
     def test_unexcluded_candidates_are_one_shared_tuple(self, trained_dnn):
         orchestrator = FleetOrchestrator(
@@ -567,14 +607,14 @@ class TestPlacementCandidates:
 class TestOrchestrationQuality:
     def test_least_loaded_beats_static_on_rush_hour(self, fleet_grid):
         """The ISSUE's acceptance criterion, asserted deterministically."""
-        orchestrated = fleet_grid[("fleet_rush_hour_regional", "least_loaded")]
-        static = fleet_grid[("fleet_rush_hour_regional", "static")]
+        orchestrated = fleet_grid[("fleet_rush_hour_regional", "least_loaded", "rtm")]
+        static = fleet_grid[("fleet_rush_hour_regional", "static", "rtm")]
         assert orchestrated.violation_rate() < static.violation_rate()
 
     def test_least_loaded_beats_static_everywhere(self, fleet_grid):
         for scenario in SMALL_MIXES:
-            orchestrated = fleet_grid[(scenario, "least_loaded")]
-            static = fleet_grid[(scenario, "static")]
+            orchestrated = fleet_grid[(scenario, "least_loaded", "rtm")]
+            static = fleet_grid[(scenario, "static", "rtm")]
             assert orchestrated.violation_rate() < static.violation_rate(), scenario
 
 
@@ -600,7 +640,7 @@ class TestGoldenFleetFingerprints:
         )
 
     def test_fingerprint_is_recomputable_from_the_result(self, fleet_grid):
-        result = fleet_grid[("fleet_mixed_platforms", "least_loaded")]
+        result = fleet_grid[("fleet_mixed_platforms", "least_loaded", "rtm")]
         assert result.fingerprint() == result.fingerprint()
 
     def test_every_combination_reproduces_on_the_reference_engine(
@@ -610,14 +650,77 @@ class TestGoldenFleetFingerprints:
         each golden: the memos are checked against independent code."""
         monkeypatch.setattr(orchestrator_module, "Simulator", ReferenceSimulator)
         mismatches = {}
-        for (scenario, policy), golden in sorted(GOLDEN_FLEET_FINGERPRINTS.items()):
-            spec = FleetSpec(scenario=scenario, policy=policy, devices=SMALL_MIXES[scenario])
-            orchestrator = FleetOrchestrator(spec, trained=trained_dnn)
+        for row, golden in sorted(GOLDEN_FLEET_FINGERPRINTS.items()):
+            orchestrator = FleetOrchestrator(_grid_spec(row), trained=trained_dnn)
             assert {type(s) for s in orchestrator.simulators.values()} == {ReferenceSimulator}
             fingerprint = orchestrator.run().fingerprint()
             if fingerprint != golden:
-                mismatches[(scenario, policy)] = (fingerprint, golden)
+                mismatches[row] = (fingerprint, golden)
         assert not mismatches, mismatches
+
+
+class _TimelineSimulator(Simulator):
+    """A device simulator that logs the orchestrator's calls, in order."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.timeline = []
+
+    def inject_arrival(self, application, time_ms):
+        self.timeline.append(("inject_arrival", application, time_ms))
+        super().inject_arrival(application, time_ms)
+
+    def inject_departure(self, app_id, time_ms):
+        self.timeline.append(("inject_departure", app_id, time_ms))
+        super().inject_departure(app_id, time_ms)
+
+    def advance_to(self, time_ms):
+        self.timeline.append(("advance_to", time_ms))
+        super().advance_to(time_ms)
+
+
+def _replay_alone(device: _TimelineSimulator, spec: FleetSpec) -> str:
+    """Fingerprint of one device's logged timeline replayed on its own.
+
+    A fresh simulator on private stores, under a fresh manager, whose DNN
+    apps are rebuilt on one model trained for this device alone.
+    """
+    own = IncrementalTrainer().train(make_dynamic_cifar_dnn())
+    replay = Simulator(
+        device.scenario, make_manager(spec.manager, use_op_cache=spec.use_op_cache)
+    )
+    replay.prime()
+    for call, *args in device.timeline:
+        if call == "inject_arrival" and isinstance(args[0], DNNApplication):
+            application = args[0]
+            args[0] = make_dnn_application(
+                application.app_id,
+                own,
+                application.requirements,
+                arrival_time_ms=application.arrival_time_ms,
+            )
+        getattr(replay, call)(*args)
+    return replay.trace.fingerprint()
+
+
+class TestDeviceIndependence:
+    @pytest.mark.parametrize("row", GRID, ids="/".join)
+    def test_every_device_replays_alone(self, trained_dnn, monkeypatch, row):
+        """A device shares nothing with the rest of its fleet but its
+        placement decisions: its own arrivals, departures and strides,
+        replayed on a simulator and a model of its own, reproduce its trace.
+        The fleet's one trained model serves every device."""
+        monkeypatch.setattr(orchestrator_module, "Simulator", _TimelineSimulator)
+        spec = _grid_spec(row)
+        orchestrator = FleetOrchestrator(spec, trained=trained_dnn)
+        result = orchestrator.run()
+        assert result.fingerprint() == GOLDEN_FLEET_FINGERPRINTS[row]
+        mismatches = [
+            device_id
+            for device_id, device in orchestrator.simulators.items()
+            if _replay_alone(device, spec) != result.device_metrics[device_id]["fingerprint"]
+        ]
+        assert not mismatches, f"{len(mismatches)} of {len(result.device_ids)}: {mismatches}"
 
 
 # ------------------------------------------------------------------- bench
@@ -728,14 +831,10 @@ class TestFleetCLI:
 
 
 def _regenerate() -> None:  # pragma: no cover - maintenance hook
-    from repro.dnn import IncrementalTrainer, make_dynamic_cifar_dnn
-
     trained = IncrementalTrainer().train(make_dynamic_cifar_dnn())
-    for scenario, mix in sorted(SMALL_MIXES.items()):
-        for policy in sorted(GRID_POLICIES):
-            spec = FleetSpec(scenario=scenario, policy=policy, devices=mix)
-            result = run_fleet(spec, backend="batched", trained=trained)
-            print(f'    ("{scenario}", "{policy}"): "{result.fingerprint()}",')
+    for row in sorted(GRID):
+        result = run_fleet(_grid_spec(row), backend="batched", trained=trained)
+        print(f'    ("{row[0]}", "{row[1]}", "{row[2]}"): "{result.fingerprint()}",')
 
 
 if __name__ == "__main__":  # pragma: no cover - maintenance hook

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from repro.baselines import GovernorOnlyManager, StaticDeploymentManager
+from repro.experiments.managers import make_manager
+from repro.fleet import FleetSpec, run_fleet
 from repro.rtm import MinEnergyUnderConstraints, RuntimeManager
 from repro.sim import simulate_scenario
-from repro.workloads import fig2_scenario, multi_dnn_scenario
+from repro.workloads import build_scenario, fig2_scenario, multi_dnn_scenario
 
 pytestmark = pytest.mark.integration
 
@@ -97,3 +99,40 @@ class TestMultiDNNScenario:
         assert trace.violation_rate() < 0.2
         clusters_used = {job.cluster for job in trace.completed_jobs()}
         assert len(clusters_used) >= 2  # the platform is genuinely shared
+
+
+class TestModelsAreValues:
+    def test_runs_leave_every_model_unchanged(self, trained_dnn):
+        """Two runs that compress their DNNs — Fig 2 under ``rtm`` (two
+        models, switched to 75 % and 50 %) and a fleet under
+        ``rtm_min_energy`` (one model on every device) — assign to no trained
+        model and no dynamic DNN: the widths live in the simulators."""
+        scenario = build_scenario("fig2")
+        models = [app.trained for app in scenario.dnn_applications] + [trained_dnn]
+        for trained in models:
+            trained.cache_key()  # the one attribute a trained model keeps lazily
+
+        def snapshot():
+            return [(dict(vars(t)), dict(vars(t.dynamic_dnn))) for t in models]
+
+        before = snapshot()
+        fig2 = simulate_scenario(scenario, make_manager("rtm"))
+        fleet = run_fleet(
+            FleetSpec(
+                scenario="fleet_diurnal",
+                policy="least_loaded",
+                manager="rtm_min_energy",
+                devices={"generic_quad": 4, "odroid_xu3": 4},
+            ),
+            trained=trained_dnn,
+        )
+        assert {(job.app_id, job.configuration) for job in fig2.completed_jobs()} >= {
+            ("dnn1", 0.75),
+            ("dnn2", 0.5),
+        }
+        assert any(
+            job.configuration < 1.0
+            for trace in fleet.traces.values()
+            for job in trace.completed_jobs()
+        )
+        assert snapshot() == before

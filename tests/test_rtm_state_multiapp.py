@@ -156,7 +156,6 @@ class TestMultiAppAllocator:
         # mapping or configuration actions should be emitted.
         xu3.cluster(point.cluster_name).set_frequency(point.frequency_mhz)
         xu3.cluster(point.cluster_name).reserve_cores(point.cores, "dnn1")
-        dnn.dynamic_dnn.set_configuration(point.configuration)
         mapped_state = make_state(
             xu3,
             [

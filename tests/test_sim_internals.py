@@ -5,8 +5,9 @@ import weakref
 
 import pytest
 
+from repro.dnn.dynamic import DynamicDNN
 from repro.dnn.training import IncrementalTrainer
-from repro.dnn.zoo import make_dynamic_cifar_dnn
+from repro.dnn.zoo import cifar_group_cnn, make_dynamic_cifar_dnn
 from repro.experiments.managers import make_manager
 from repro.platforms.thermal import ThermalParams
 from repro.rtm.manager import RuntimeManager
@@ -210,9 +211,8 @@ class TestFig5Boundary:
         Simulator(dnn_scenario(trained_dnn, duration_ms=1000.0), manager).run()
         assert manager.readings == [4, 2, 4]
 
-    def test_configuration_knob_moves_the_accuracy_monitor(self):
-        # A model of its own: the action switches the application's DNN.
-        trained = IncrementalTrainer().train(make_dynamic_cifar_dnn())
+    def test_configuration_knob_moves_the_accuracy_monitor(self, trained_dnn):
+        model_before = dict(vars(trained_dnn.dynamic_dnn))
         manager = _SteppedManager(
             [
                 [MAP_DNN_ON_A15, SetConfiguration(app_id="dnn1", configuration=1.0)],
@@ -220,10 +220,13 @@ class TestFig5Boundary:
             ],
             read=lambda state: state.app("dnn1").last_sample.accuracy_percent,
         )
-        Simulator(dnn_scenario(trained, duration_ms=1500.0), manager).run()
-        assert trained.top1(0.25) == pytest.approx(56.0)
-        assert manager.readings == [None, trained.top1(1.0), trained.top1(0.25), trained.top1(0.25)]
-        assert trained.dynamic_dnn.active_fraction == 0.25
+        Simulator(dnn_scenario(trained_dnn, duration_ms=1500.0), manager).run()
+        assert trained_dnn.top1(0.25) == pytest.approx(56.0)
+        assert manager.readings == [
+            None, trained_dnn.top1(1.0), trained_dnn.top1(0.25), trained_dnn.top1(0.25)
+        ]
+        # The simulator switched its own width, not the model.
+        assert vars(trained_dnn.dynamic_dnn) == model_before
 
     def test_unmapping_stops_the_application(self, trained_dnn):
         manager = _SteppedManager(
@@ -298,6 +301,108 @@ class TestFig5Boundary:
                 last.accuracy_percent,
             )
         assert manager.readings[-1][1] == len(jobs) > 0
+
+
+def _switch_penalties(trace, app_id):
+    """``(configuration, penalty_ms)`` of each completed job of ``app_id``.
+
+    A job's latency is its operating point's (temperature-independent)
+    latency plus any penalty charged to it; the penalty is read off as the
+    excess over the app's cheapest job at the same operating point.
+    """
+    jobs = trace.completed_jobs(app_id)
+
+    def point(job):
+        return (job.configuration, job.cluster, job.cores, job.frequency_mhz)
+
+    floor = {}
+    for job in jobs:
+        floor[point(job)] = min(floor.get(point(job), job.latency_ms), job.latency_ms)
+    return [(job.configuration, job.latency_ms - floor[point(job)]) for job in jobs]
+
+
+class TestConfigurationSwitching:
+    """The simulator keeps each co-scaling group's width — the apps of one
+    simulation that share a ``DynamicDNN`` object — starting at the full
+    model; only a change of that width costs ``switching_overhead_ms``."""
+
+    @pytest.fixture(scope="class")
+    def slow_switch(self):
+        """A trained model with a switching overhead no job could hide."""
+        return IncrementalTrainer().train(
+            DynamicDNN(cifar_group_cnn(), switching_overhead_ms=7.0)
+        )
+
+    def _run(self, trained, steps, apps=("dnn1",)):
+        scenario = Scenario(
+            name="unit",
+            platform_name="odroid_xu3",
+            applications=[
+                make_dnn_application(
+                    app_id, trained, Requirements(target_fps=4.0, priority=3)
+                )
+                for app_id in apps
+            ],
+            duration_ms=2000.0,
+        )
+        manager = _SteppedManager(steps, read=lambda state: None)
+        return Simulator(scenario, manager).run()
+
+    def test_a_width_change_charges_the_next_job_once(self, slow_switch):
+        trace = self._run(
+            slow_switch, [[MAP_DNN_ON_A15], [SetConfiguration(app_id="dnn1", configuration=0.5)]]
+        )
+        penalties = _switch_penalties(trace, "dnn1")
+        half = [penalty for configuration, penalty in penalties if configuration == 0.5]
+        assert len(half) >= 2
+        assert half[0] == pytest.approx(7.0)
+        assert [penalty for _, penalty in penalties if penalty] == [half[0]]
+
+    @pytest.mark.parametrize("width", [1.0, 0.5])
+    def test_reselecting_the_current_width_charges_nothing(self, slow_switch, width):
+        select = SetConfiguration(app_id="dnn1", configuration=width)
+        trace = self._run(slow_switch, [[MAP_DNN_ON_A15, select], [select], [select]])
+        penalties = _switch_penalties(trace, "dnn1")
+        assert {configuration for configuration, _ in penalties} == {width}
+        charged = [penalty for _, penalty in penalties if penalty]
+        # The full model is every group's starting width: selecting it is free.
+        assert charged == ([] if width == 1.0 else [pytest.approx(7.0)])
+
+    def test_apps_sharing_a_model_switch_together_and_pay_once(self, slow_switch):
+        trace = self._run(
+            slow_switch,
+            [
+                [],  # dnn1's arrival: dnn2 has not arrived yet
+                [MAP_DNN_ON_A15, MapApplication(app_id="dnn2", cluster_name="a7", cores=1)],
+                [
+                    SetConfiguration(app_id="dnn1", configuration=0.5),
+                    SetConfiguration(app_id="dnn2", configuration=0.5),
+                ],
+                # dnn2 is remapped: its new mapping carries its group's width.
+                [MapApplication(app_id="dnn2", cluster_name="a15", cores=1)],
+            ],
+            apps=("dnn1", "dnn2"),
+        )
+        charged = {
+            app_id: [p for _, p in _switch_penalties(trace, app_id) if p]
+            for app_id in ("dnn1", "dnn2")
+        }
+        assert charged["dnn1"] == [pytest.approx(7.0)]
+        # dnn2 pays only the migration penalty of its remap, never a switch.
+        assert charged["dnn2"] == [pytest.approx(SimulatorConfig().migration_penalty_ms)]
+        late = [job for job in trace.completed_jobs("dnn2") if job.cluster == "a15"]
+        assert late and all(job.configuration == 0.5 for job in late)
+
+    def test_the_width_snaps_to_a_configuration_key(self):
+        # With three increments the keys are rounded (0.333333), while the
+        # configuration's own fraction is not (1/3).
+        trained = IncrementalTrainer().train(DynamicDNN(cifar_group_cnn(), num_increments=3))
+        trace = self._run(
+            trained, [[MAP_DNN_ON_A15, SetConfiguration(app_id="dnn1", configuration=0.3)]]
+        )
+        widths = {job.configuration for job in trace.completed_jobs("dnn1")}
+        assert widths == {trained.configurations[0]} == {0.333333}
+        assert trained.dynamic_dnn.configuration(0.3).fraction != 0.333333
 
 
 class TestGenericApplications:
