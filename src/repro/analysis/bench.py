@@ -1,9 +1,9 @@
 """Benchmark harnesses and the one writer and gate of every ``BENCH_*.json``.
 
 ``repro-experiments bench`` times the two numbers every performance PR is
-judged on — mean ``decide()`` time per decision epoch (with the
-operating-point cache enabled and disabled) and end-to-end simulation time —
-for a grid of registry scenarios x managers; ``bench --backend batched``
+judged on — mean ``decide()`` time per decision epoch through the
+operating-point cache and end-to-end simulation time — for a grid of
+registry scenarios x managers; ``bench --backend batched``
 times the lock-step batched engine against the serial reference; and
 ``fleet bench`` (:mod:`repro.fleet.bench`) times a large orchestrated fleet.
 Each writes a ``BENCH_*.json`` file that is committed next to the code, and
@@ -22,12 +22,13 @@ The decision kernel's committed file may carry a ``reference`` section:
 timings of an older implementation measured with this same harness (the
 pre-columnar-kernel profile seeded it).  When present it is preserved across
 refreshes (:func:`reference_sections`) and the report prints speedup factors
-against it.
+against it.  Its ``_uncached`` fields, like those of cases stored in a
+results store before ``bench`` dropped its uncached pass, are history: they
+timed a decision path without the cache, which no longer exists.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import platform
 import time
@@ -75,7 +76,10 @@ DEFAULT_BATCHED_BENCH_PATH = "BENCH_batched_engine.json"
 #: Per-case decision-kernel fields gated by :func:`compare_bench` (lower is
 #: better).  End-to-end times are not gated: they carry the full simulation
 #: noise of the machine, while decide() time is what the trajectory tracks.
-GATED_FIELDS = ("decide_ms_per_epoch_cached", "decide_ms_per_epoch_uncached")
+GATED_FIELDS = ("decide_ms_per_epoch_cached",)
+
+#: Fields of bench cases stored while ``bench`` also timed an uncached pass.
+_LEGACY_FIELDS = ("e2e_s_uncached", "decide_ms_per_epoch_uncached")
 
 #: ``bench_runs``/``bench_cases`` kind tags in the results store.
 BENCH_KIND_DECISION = "decision_kernel"
@@ -119,18 +123,14 @@ class BenchTimings:
     decisions: int
     jobs: int
     e2e_s: float
-    e2e_s_uncached: float
     decide_ms_per_epoch_cached: float
-    decide_ms_per_epoch_uncached: float
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "decisions": self.decisions,
             "jobs": self.jobs,
             "e2e_s": self.e2e_s,
-            "e2e_s_uncached": self.e2e_s_uncached,
             "decide_ms_per_epoch_cached": self.decide_ms_per_epoch_cached,
-            "decide_ms_per_epoch_uncached": self.decide_ms_per_epoch_uncached,
         }
 
     @property
@@ -176,31 +176,23 @@ def _one_run(spec: ExperimentSpec) -> tuple:
 
 
 def run_bench_spec(spec: ExperimentSpec, repeats: int = 3) -> BenchTimings:
-    """Benchmark one experiment spec (cached and uncached decision path).
+    """Benchmark one experiment spec's decision path and whole simulation.
 
-    The spec's ``use_op_cache`` flag is overridden both ways: every case is
-    timed with the operating-point cache enabled *and* disabled, since the
-    two decide()-per-epoch numbers are the benchmark's payload.  Each
-    configuration runs ``repeats`` times and the best (minimum) timing is
-    kept — the standard way to suppress scheduler noise when the workload is
+    Every ``decide()`` goes through the manager's operating-point cache.
+    The spec runs ``repeats`` times and the best (minimum) timing is kept —
+    the standard way to suppress scheduler noise when the workload is
     deterministic.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    cached_spec = dataclasses.replace(spec, use_op_cache=True)
-    uncached_spec = dataclasses.replace(spec, use_op_cache=False)
-    cached = [_one_run(cached_spec) for _ in range(repeats)]
-    uncached = [_one_run(uncached_spec) for _ in range(repeats)]
-    decisions, jobs = cached[0][2], cached[0][3]
+    runs = [_one_run(spec) for _ in range(repeats)]
     return BenchTimings(
         scenario=spec.scenario,
         manager=spec.manager,
-        decisions=decisions,
-        jobs=jobs,
-        e2e_s=round(min(run[0] for run in cached), 4),
-        e2e_s_uncached=round(min(run[0] for run in uncached), 4),
-        decide_ms_per_epoch_cached=round(min(run[1] for run in cached), 4),
-        decide_ms_per_epoch_uncached=round(min(run[1] for run in uncached), 4),
+        decisions=runs[0][2],
+        jobs=runs[0][3],
+        e2e_s=round(min(run[0] for run in runs), 4),
+        decide_ms_per_epoch_cached=round(min(run[1] for run in runs), 4),
     )
 
 
@@ -210,7 +202,8 @@ def _timings_payload(timings: BenchTimings) -> Dict[str, object]:
 
 
 def _timings_from_payload(payload: Dict[str, object]) -> BenchTimings:
-    return BenchTimings(**payload)  # type: ignore[arg-type]
+    fields = {key: value for key, value in payload.items() if key not in _LEGACY_FIELDS}
+    return BenchTimings(**fields)  # type: ignore[arg-type]
 
 
 def run_bench_specs(
@@ -346,12 +339,7 @@ def _speedups(reference: Dict[str, dict], results: Dict[str, dict]) -> Dict[str,
         if not base:
             continue
         entry = {}
-        for metric in (
-            "e2e_s",
-            "e2e_s_uncached",
-            "decide_ms_per_epoch_cached",
-            "decide_ms_per_epoch_uncached",
-        ):
+        for metric in ("e2e_s", "decide_ms_per_epoch_cached"):
             if base.get(metric) and current.get(metric):
                 entry[metric] = round(base[metric] / current[metric], 2)
         if entry:

@@ -48,7 +48,6 @@ class GovernorOnlyManager:
         self.governor = governor or OndemandGovernor()
         self.fixed_configuration = fixed_configuration
         self._placed: Dict[str, str] = {}
-        self.decisions: List[_GovernorDecision] = []
 
     def _estimate_utilisations(self, state: SystemState) -> Dict[str, float]:
         """Per-cluster utilisation, as a cpufreq governor would observe it.
@@ -98,5 +97,4 @@ class GovernorOnlyManager:
             if app_state.mapping is None:
                 decision.actions.extend(self._place(state, application))
         decision.actions.extend(self.governor.decide(state, self._estimate_utilisations(state)))
-        self.decisions.append(decision)
         return decision

@@ -221,7 +221,6 @@ class StaticDeploymentManager:
         self.energy_model = energy_model or EnergyModel(CalibratedLatencyModel())
         self.design_cores = design_cores
         self._choices: Dict[str, _StaticChoice] = {}
-        self.decisions: List[_StaticDecision] = []
 
     def _design_choice(self, application: DNNApplication, state: SystemState) -> _StaticChoice:
         requirements = application.requirements
@@ -310,5 +309,4 @@ class StaticDeploymentManager:
                         cluster_name=choice.cluster_name, frequency_mhz=choice.frequency_mhz
                     )
                 )
-        self.decisions.append(decision)
         return decision

@@ -888,13 +888,7 @@ def _sweep_specs(args: argparse.Namespace) -> tuple:
         name: seeds if scenario_is_seeded(name) else [0] for name in args.scenarios
     }
     specs = [
-        ExperimentSpec(
-            scenario=scenario,
-            manager=manager,
-            seed=seed,
-            platform=args.platform,
-            use_op_cache=not args.no_cache,
-        )
+        ExperimentSpec(scenario=scenario, manager=manager, seed=seed, platform=args.platform)
         for scenario in args.scenarios
         for manager in args.managers
         for seed in seeds_for[scenario]
@@ -1165,8 +1159,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     def progress(timings) -> None:
         print(
-            f"  {timings.key:<40} decide {timings.decide_ms_per_epoch_cached:8.3f} ms "
-            f"(cached) {timings.decide_ms_per_epoch_uncached:8.3f} ms (uncached)  "
+            f"  {timings.key:<40} decide {timings.decide_ms_per_epoch_cached:8.3f} ms  "
             f"e2e {timings.e2e_s:6.3f} s"
         )
 
@@ -1188,19 +1181,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             specs, repeats=repeats, progress=progress, store=store, resume=args.resume
         )
     rows = [
-        [
-            timings.key,
-            timings.decisions,
-            timings.decide_ms_per_epoch_cached,
-            timings.decide_ms_per_epoch_uncached,
-            timings.e2e_s,
-            timings.e2e_s_uncached,
-        ]
+        [timings.key, timings.decisions, timings.decide_ms_per_epoch_cached, timings.e2e_s]
         for timings in results
     ]
-    headers = [
-        "case", "epochs", "decide ms (cached)", "decide ms (uncached)", "e2e s", "e2e s (uncached)"
-    ]
+    headers = ["case", "epochs", "decide ms (cached)", "e2e s"]
     print()
     print(format_table(headers, rows, precision=4))
 
@@ -1220,9 +1204,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     speedups = (document or {}).get("speedup_vs_reference") or {}
     for case, entry in speedups.items():
-        if "decide_ms_per_epoch_uncached" in entry:
+        if "decide_ms_per_epoch_cached" in entry:
             print(
-                f"  {case}: {entry['decide_ms_per_epoch_uncached']}x faster uncached "
+                f"  {case}: {entry['decide_ms_per_epoch_cached']}x faster cached "
                 f"decide, {entry.get('e2e_s', '?')}x faster e2e vs reference"
             )
     return exit_code
@@ -1910,11 +1894,6 @@ VERBS: Tuple[tuple, ...] = (
             "--cache-stats",
             action="store_true",
             help="print operating-point cache hit/miss statistics per case",
-        ),
-        _arg(
-            "--no-cache",
-            action="store_true",
-            help="run managers without the operating-point cache (identical results, slower)",
         ),
         _DUMP_SPEC,
         *_ROBUSTNESS,

@@ -229,7 +229,6 @@ def _dedup_key(spec: ExperimentSpec, scenario) -> Optional[tuple]:
     return (
         spec.manager,
         spec.platform,
-        spec.use_op_cache,
         spec.policy,
         tuple(sorted(spec.policy_overrides.items())),
         tuple(sorted(spec.rtm.items())) if spec.rtm else None,

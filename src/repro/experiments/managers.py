@@ -18,7 +18,7 @@ from repro.registry import Registry
 from repro.rtm import MinEnergyUnderConstraints, RuntimeManager
 from repro.sim.engine import ManagerProtocol
 
-__all__ = ["MANAGER_REGISTRY", "make_manager", "detach_op_cache"]
+__all__ = ["MANAGER_REGISTRY", "make_manager"]
 
 
 def _rtm() -> RuntimeManager:
@@ -61,29 +61,9 @@ MANAGER_REGISTRY.register(
 )
 
 
-def make_manager(name: str, use_op_cache: bool = True) -> ManagerProtocol:
+def make_manager(name: str) -> ManagerProtocol:
     """Instantiate a registered manager by name.
 
     Raises ``KeyError`` (listing the available names) for unknown managers.
-
-    Parameters
-    ----------
-    name:
-        Registry name.
-    use_op_cache:
-        When False, managers that carry an operating-point cache have it
-        detached (used by the cached-vs-uncached parity tests and the
-        ``sweep --no-cache`` CLI flag).  Managers without a cache — the
-        baselines — are unaffected.
     """
-    manager = MANAGER_REGISTRY.get(name)()
-    if not use_op_cache:
-        detach_op_cache(manager)
-    return manager
-
-
-def detach_op_cache(manager: ManagerProtocol) -> None:
-    """Remove a manager's operating-point cache, if it carries one."""
-    detach = getattr(manager, "set_operating_point_cache", None)
-    if callable(detach):
-        detach(None)
+    return MANAGER_REGISTRY.get(name)()

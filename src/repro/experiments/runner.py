@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.managers import MANAGER_REGISTRY, detach_op_cache, make_manager
+from repro.experiments.managers import MANAGER_REGISTRY, make_manager
 from repro.experiments.spec import ExperimentSpec
 from repro.registry import find_duplicates
 from repro.sim.engine import ManagerProtocol, SimulatorConfig, simulate_scenario
@@ -149,7 +149,7 @@ def build_manager_from_spec(spec: ExperimentSpec) -> ManagerProtocol:
     (:func:`~repro.experiments.managers.make_manager`).
     """
     if not (spec.policy or spec.policy_overrides or spec.rtm):
-        return make_manager(spec.manager, use_op_cache=spec.use_op_cache)
+        return make_manager(spec.manager)
 
     entry = MANAGER_REGISTRY.entry(spec.manager)
     if not entry.metadata.get("configurable"):
@@ -166,14 +166,11 @@ def build_manager_from_spec(spec: ExperimentSpec) -> ManagerProtocol:
     overrides = {
         app_id: make_policy(name) for app_id, name in spec.policy_overrides.items()
     }
-    manager = RuntimeManager(
+    return RuntimeManager(
         policy=policy,
         config=config,
         policy_overrides=overrides or None,
     )
-    if not spec.use_op_cache:
-        detach_op_cache(manager)
-    return manager
 
 
 def build_simulator_config(spec: ExperimentSpec) -> Optional[SimulatorConfig]:
@@ -375,17 +372,10 @@ def grid_specs(
     managers: Sequence[str],
     seeds: Sequence[int],
     platform: str = "odroid_xu3",
-    use_op_cache: bool = True,
 ) -> List[ExperimentSpec]:
     """Cartesian (scenario, manager, seed) batch with ``s/m/seedN`` labels."""
     return [
-        ExperimentSpec(
-            scenario=scenario,
-            manager=manager,
-            seed=seed,
-            platform=platform,
-            use_op_cache=use_op_cache,
-        )
+        ExperimentSpec(scenario=scenario, manager=manager, seed=seed, platform=platform)
         for scenario in scenarios
         for manager in managers
         for seed in seeds

@@ -75,6 +75,27 @@ class SpecError(ValueError):
     """An experiment spec that cannot be parsed or validated."""
 
 
+#: A key every spec table carried while a manager could run without its
+#: operating-point cache.  Both of its values ran bit-identical simulations,
+#: so ``from_dict`` drops it and the content ids hash it in as ``true``:
+#: every id minted while it existed still names the same experiment, and
+#: stores keyed by those ids still resume.
+_LEGACY_CACHE_KEY = "use_op_cache"
+
+
+def _content_id(table: Dict[str, object]) -> str:
+    """16-hex-digit sha256 of a spec table's canonical JSON."""
+    canonical = json.dumps(
+        {**table, _LEGACY_CACHE_KEY: True}, sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+def _without_legacy_keys(data: Dict[str, object]) -> Dict[str, object]:
+    """``data`` without the keys of retired spec fields."""
+    return {key: value for key, value in data.items() if key != _LEGACY_CACHE_KEY}
+
+
 def _normalise(value: object) -> object:
     """Recursively convert tuples to lists (the JSON/TOML-canonical form)."""
     if isinstance(value, dict):
@@ -114,10 +135,6 @@ class ExperimentSpec:
     simulator:
         :class:`~repro.sim.engine.SimulatorConfig` field overrides shared by
         the whole run.
-    use_op_cache:
-        Whether the manager keeps its operating-point cache.  Cached and
-        uncached runs produce identical traces; the flag exists for parity
-        tests and benchmarking.
     faults:
         Optional :class:`~repro.sim.faults.FaultPlan` in dict form (the
         ``FaultPlan.to_dict()`` shape), injected on top of whatever plan the
@@ -136,7 +153,6 @@ class ExperimentSpec:
     scenario_params: Dict[str, object] = field(default_factory=dict)
     rtm: Dict[str, object] = field(default_factory=dict)
     simulator: Dict[str, object] = field(default_factory=dict)
-    use_op_cache: bool = True
     faults: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -164,8 +180,7 @@ class ExperimentSpec:
         ``name`` label is included because two same-content specs with
         different labels are distinct cases of a batch.
         """
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return _content_id(self.to_dict())
 
     # -------------------------------------------------------- serialisation
 
@@ -195,6 +210,7 @@ class ExperimentSpec:
         """
         if not isinstance(data, dict):
             raise SpecError(f"an experiment spec must be a table/dict, got {type(data).__name__}")
+        data = _without_legacy_keys(data)
         known = {spec_field.name for spec_field in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -219,8 +235,6 @@ class ExperimentSpec:
             raise SpecError("spec field 'name' must be a string")
         if self.policy is not None and not isinstance(self.policy, str):
             raise SpecError("spec field 'policy' must be a string")
-        if not isinstance(self.use_op_cache, bool):
-            raise SpecError("spec field 'use_op_cache' must be a boolean")
         for key in ("policy_overrides", "scenario_params", "rtm", "simulator", "faults"):
             if not isinstance(getattr(self, key), dict):
                 raise SpecError(f"spec field {key!r} must be a table/dict")

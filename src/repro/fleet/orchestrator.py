@@ -275,7 +275,7 @@ class FleetOrchestrator:
                     else None
                 ),
             )
-            manager = make_manager(self.spec.manager, use_op_cache=self.spec.use_op_cache)
+            manager = make_manager(self.spec.manager)
             simulator = Simulator(device_scenario, manager, stores=self._stores)
             simulator.prime()
             self.simulators[device_id] = simulator

@@ -31,15 +31,15 @@ the experiment-spec file machinery (:mod:`repro.experiments.spec`).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.experiments.spec import (
     SpecError,
+    _content_id,
     _normalise,
+    _without_legacy_keys,
     read_tables,
     tables_to_toml,
     write_tables,
@@ -96,10 +96,6 @@ class FleetSpec:
     policy_params:
         Extra keyword arguments for the placement policy (e.g.
         ``{"seed": 7}`` for ``random``).
-    use_op_cache:
-        Whether cache-bearing per-device managers keep their
-        operating-point cache (shared fleet-wide under the batched
-        backend).
     """
 
     scenario: str
@@ -113,7 +109,6 @@ class FleetSpec:
     max_migrations_per_epoch: int = 8
     evict_violation_threshold: float = 0.5
     policy_params: Dict[str, object] = field(default_factory=dict)
-    use_op_cache: bool = True
 
     def __post_init__(self) -> None:
         for key in ("devices", "policy_params"):
@@ -136,8 +131,7 @@ class FleetSpec:
         identical across processes, machines and device-table insertion
         orders.
         """
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return _content_id(self.to_dict())
 
     # -------------------------------------------------------- serialisation
 
@@ -160,6 +154,7 @@ class FleetSpec:
             raise FleetSpecError(
                 f"a fleet spec must be a table/dict, got {type(data).__name__}"
             )
+        data = _without_legacy_keys(data)
         known = {spec_field.name for spec_field in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -216,17 +211,17 @@ class FleetSpec:
             raise FleetSpecError(
                 "fleet spec field 'evict_violation_threshold' must be in (0, 1]"
             )
-        if not isinstance(self.use_op_cache, bool):
-            raise FleetSpecError("fleet spec field 'use_op_cache' must be a boolean")
 
     def validate(self) -> "FleetSpec":
         """Check every registry-referencing field against its registry.
 
+        Also builds the placement policy once, so ``policy_params`` it
+        cannot take are a spec error rather than a failure mid-run.
         Returns the spec so calls chain; raises :class:`FleetSpecError`
         with the registry's suggestion-bearing message otherwise.
         """
         from repro.experiments.managers import MANAGER_REGISTRY
-        from repro.fleet.policies import FLEET_POLICY_REGISTRY
+        from repro.fleet.policies import FLEET_POLICY_REGISTRY, make_fleet_policy
         from repro.fleet.scenarios import FLEET_SCENARIO_REGISTRY
         from repro.platforms.presets import PLATFORM_REGISTRY
 
@@ -241,6 +236,12 @@ class FleetSpec:
         for preset in self.devices:
             if preset not in PLATFORM_REGISTRY:
                 raise FleetSpecError(PLATFORM_REGISTRY.describe_unknown(preset))
+        try:
+            make_fleet_policy(self.policy, self.policy_params)
+        except (TypeError, ValueError) as error:
+            raise FleetSpecError(
+                f"policy {self.policy!r} rejects policy_params {self.policy_params}: {error}"
+            ) from None
         return self
 
     # ---------------------------------------------------------------- files

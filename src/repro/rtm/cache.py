@@ -24,9 +24,12 @@ Four layers cooperate:
   sub-problem skips enumeration, fronting and ranking altogether.
 * The runtime manager quantises the enumeration temperature to a bucket
   (:func:`temperature_bucket_c`) so that small thermal drift between epochs
-  does not defeat the cache.  Bucketing is applied whether or not a cache is
-  attached, which is what makes cached and uncached runs bit-for-bit
-  identical.
+  does not defeat the cache.
+
+The cache is the decision path's only route to the decision kernel: every
+runtime manager and its allocator hold one.  Its reference, a stand-in with the same
+interface that memoises nothing, lives with the test oracles
+(``tests/reference_kernels.py``).
 
 Keys are *complete*: every input that can change an enumeration result —
 model identities (see the ``cache_key`` methods on the perfmodel classes and

@@ -26,15 +26,13 @@ from repro.perfmodel.calibrated import CalibratedLatencyModel
 from repro.perfmodel.energy import EnergyModel
 from repro.platforms.soc import Soc
 from repro.rtm.cache import (
-    DECISION_MAXIMISE,
-    DECISION_OBJECTIVES,
     DEFAULT_TEMPERATURE_BUCKET_C,
     CacheStats,
     OperatingPointCache,
     temperature_bucket_c,
 )
 from repro.rtm.multi_app import THROTTLE_MARGIN_C, AllocationResult, MultiAppAllocator
-from repro.rtm.operating_points import OperatingPoint, OperatingPointSpace
+from repro.rtm.operating_points import OperatingPoint
 from repro.rtm.policies import MaxAccuracyUnderBudget, SelectionPolicy
 from repro.rtm.state import Action, SystemState
 from repro.workloads.requirements import Requirements
@@ -55,7 +53,7 @@ class RTMConfig:
         Upper bound on the cores one DNN application may use.
     temperature_bucket_width_c:
         Width of the leakage-temperature buckets the decision path prices
-        candidates at (applied whether or not the cache is enabled).
+        candidates at, and so part of every operating-point cache key.
     """
 
     enable_dnn_scaling: bool = True
@@ -79,10 +77,6 @@ class RTMDecision:
     actions: List[Action] = field(default_factory=list)
     allocation: Optional[AllocationResult] = None
 
-    @property
-    def num_actions(self) -> int:
-        return len(self.actions)
-
 
 class RuntimeManager:
     """Application-aware runtime resource manager.
@@ -101,9 +95,9 @@ class RuntimeManager:
         Optional per-application policies (app id -> policy) for workloads
         whose applications weight the metric axes differently.
     cache:
-        Optional shared :class:`OperatingPointCache`.  When omitted, the
-        manager creates its own; :meth:`set_operating_point_cache` with
-        ``None`` detaches it (cached and uncached managers decide alike).
+        The :class:`OperatingPointCache` every decision goes through; a
+        fresh private one when omitted.  A simulator replaces it with one
+        over its memo stores (:meth:`set_operating_point_cache`).
     """
 
     def __init__(
@@ -117,9 +111,7 @@ class RuntimeManager:
         self.policy = policy or MaxAccuracyUnderBudget()
         self.energy_model = energy_model or EnergyModel(CalibratedLatencyModel())
         self.config = config or RTMConfig()
-        if cache is None:
-            cache = OperatingPointCache()
-        self.cache = cache
+        self.cache = cache or OperatingPointCache()
         self.allocator = MultiAppAllocator(
             policy=self.policy,
             energy_model=self.energy_model,
@@ -128,21 +120,20 @@ class RuntimeManager:
             allow_dnn_scaling=self.config.enable_dnn_scaling,
             max_cores_per_app=self.config.max_cores_per_app,
             policy_overrides=policy_overrides,
-            cache=cache,
+            cache=self.cache,
             temperature_bucket_width_c=self.config.temperature_bucket_width_c,
         )
-        self.decisions: List[RTMDecision] = []
 
     # ----------------------------------------------------------------- cache
 
-    def set_operating_point_cache(self, cache: Optional[OperatingPointCache]) -> None:
-        """Attach a (possibly shared) cache, or detach with ``None``."""
+    def set_operating_point_cache(self, cache: OperatingPointCache) -> None:
+        """Route every later decision through ``cache`` (possibly shared)."""
         self.cache = cache
         self.allocator.cache = cache
 
-    def cache_stats(self) -> Optional[CacheStats]:
-        """Hit/miss statistics of the operating-point cache, if one is attached."""
-        return self.cache.stats if self.cache is not None else None
+    def cache_stats(self) -> CacheStats:
+        """Hit/miss statistics of the operating-point cache."""
+        return self.cache.stats
 
     # -------------------------------------------------------------- decisions
 
@@ -156,18 +147,11 @@ class RuntimeManager:
         next decision.
         """
         allocation = self.allocator.allocate(state)
-        decision = RTMDecision(
+        return RTMDecision(
             time_ms=state.time_ms,
             actions=list(allocation.actions),
             allocation=allocation,
         )
-        self.decisions.append(decision)
-        return decision
-
-    @property
-    def total_actions(self) -> int:
-        """Total knob writes issued so far."""
-        return sum(decision.num_actions for decision in self.decisions)
 
     # ------------------------------------------------- table-batched path
     #
@@ -211,7 +195,6 @@ class RuntimeManager:
             tuple(overrides),
             self.energy_model.cache_key(),
             astuple(self.config),
-            self.cache is not None,
         )
 
     def decision_signature(self, state: SystemState) -> Optional[tuple]:
@@ -331,32 +314,15 @@ class RuntimeManager:
         """Re-apply a decision captured by :meth:`decide_recorded`.
 
         Valid only for a state whose :meth:`decision_signature` equals the
-        recorded epoch's.  Mirrors every side effect of :meth:`decide`: the
-        allocator's home-cluster affinities and the decision log.  Actions
-        are frozen dataclasses, shared safely across replicas.
+        recorded epoch's.  Mirrors the one side effect of :meth:`decide`: the
+        allocator's home-cluster affinities.  Actions are frozen dataclasses,
+        shared safely across replicas.
         """
         for app_id, cluster_name in home_updates:
             self.allocator._home_cluster.setdefault(app_id, cluster_name)
-        decision = RTMDecision(time_ms=state.time_ms, actions=list(actions))
-        self.decisions.append(decision)
-        return decision
+        return RTMDecision(time_ms=state.time_ms, actions=list(actions))
 
     # --------------------------------------------------- single-app queries
-
-    def operating_point_space(
-        self,
-        trained: TrainedDynamicDNN,
-        soc: Soc,
-        clusters: Optional[Sequence[str]] = None,
-    ) -> OperatingPointSpace:
-        """The operating-point space of one application on one platform."""
-        return OperatingPointSpace(
-            trained=trained,
-            soc=soc,
-            energy_model=self.energy_model,
-            clusters=clusters,
-            max_cores_per_cluster=self.config.max_cores_per_app,
-        )
 
     def select_operating_point(
         self,
@@ -382,34 +348,22 @@ class RuntimeManager:
             core_counts=core_counts,
             temperature_c=temperature,
         )
-        if self.cache is not None:
-            space = self.cache.space_for(
-                trained, soc, self.energy_model, clusters, self.config.max_cores_per_app
-            )
-            table = self.cache.enumerate_table(space, **query)
-            pareto_key: Optional[tuple] = self.cache.query_key(space, **query)
-        else:
-            space = self.operating_point_space(trained, soc, clusters)
-            table = space.enumerate_table(**query)
-            pareto_key = None
+        cache = self.cache
+        space = cache.space_for(
+            trained, soc, self.energy_model, clusters, self.config.max_cores_per_app
+        )
+        pareto_key = cache.query_key(space, **query)
+        table = cache.enumerate_table(space, **query, _key=pareto_key)
         if not self.config.enable_dvfs:
             current = {cluster.name: cluster.frequency_mhz for cluster in soc.clusters}
             pinned = np.array(
                 [current[name] for name in table.cluster_names], dtype=float
             )[table.cluster_index]
             table = table.take(np.flatnonzero(np.abs(table.frequency_mhz - pinned) < 1e-6))
-            if pareto_key is not None:
-                pareto_key = (
-                    "dvfs_pinned",
-                    pareto_key,
-                    tuple(sorted(current.items())),
-                )
+            pareto_key = ("dvfs_pinned", pareto_key, tuple(sorted(current.items())))
         # The front is taken after any DVFS pinning: a point's dominator may
         # itself be pinned away, so filtering first would not be equivalent.
-        if self.cache is not None and pareto_key is not None:
-            table = self.cache.pareto_table_for(pareto_key, table)
-        else:
-            table = table.pareto(objectives=DECISION_OBJECTIVES, maximise=DECISION_MAXIMISE)
+        table = cache.pareto_table_for(pareto_key, table)
         return self.policy.select_table(table, requirements, power_cap_mw=power_cap_mw)
 
     def explain(self, point: OperatingPoint, requirements: Requirements) -> Dict[str, object]:

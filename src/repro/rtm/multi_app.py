@@ -31,17 +31,11 @@ from typing import Dict, List, Optional
 
 from repro.perfmodel.energy import EnergyModel
 from repro.rtm.cache import (
-    DECISION_MAXIMISE,
-    DECISION_OBJECTIVES,
     DEFAULT_TEMPERATURE_BUCKET_C,
     OperatingPointCache,
     temperature_bucket_c,
 )
-from repro.rtm.operating_points import (
-    OperatingPoint,
-    OperatingPointSpace,
-    OperatingPointTable,
-)
+from repro.rtm.operating_points import OperatingPoint, OperatingPointTable
 from repro.rtm.policies import SelectionPolicy
 from repro.rtm.state import (
     Action,
@@ -111,16 +105,16 @@ class MultiAppAllocator:
     max_cores_per_app:
         Upper bound on the cores a single DNN may occupy.
     cache:
-        Optional :class:`OperatingPointCache`; when present, enumerated point
-        tables, Pareto fronts and the priced blocks are reused across
-        decision epochs, and so is each application's selection: a repeated
-        (candidate queries, policy, requirements, power cap) sub-problem
-        returns its memoised point without enumerating (policies whose
-        ``cache_key()`` is ``None`` always select afresh).  Cached and
-        uncached allocation are bit-for-bit identical.
+        The :class:`OperatingPointCache` every allocation goes through (a
+        fresh private one when omitted): enumerated point tables, Pareto
+        fronts and the priced blocks are reused across decision epochs, and
+        so is each application's selection: a repeated (candidate queries,
+        policy, requirements, power cap) sub-problem returns its memoised
+        point without enumerating (policies whose ``cache_key()`` is
+        ``None`` always select afresh).
     temperature_bucket_width_c:
         Width of the leakage-temperature buckets used when pricing candidate
-        points (applied whether or not a cache is attached).
+        points, and so part of every cache key.
     """
 
     def __init__(
@@ -145,7 +139,7 @@ class MultiAppAllocator:
         self.allow_dvfs = allow_dvfs
         self.allow_dnn_scaling = allow_dnn_scaling
         self.max_cores_per_app = max_cores_per_app
-        self.cache = cache
+        self.cache = cache or OperatingPointCache()
         self.temperature_bucket_width_c = temperature_bucket_width_c
         #: Per-application policy overrides (app id -> policy); applications
         #: not listed use the default policy.
@@ -299,21 +293,13 @@ class MultiAppAllocator:
 
         configurations = None if self.allow_dnn_scaling else [1.0]
         assert application.trained is not None
-        if self.cache is not None:
-            space = self.cache.space_for(
-                trained=application.trained,
-                soc=state.soc,
-                energy_model=self.energy_model,
-                max_cores_per_cluster=self.max_cores_per_app,
-            )
-        else:
-            space = OperatingPointSpace(
-                trained=application.trained,
-                soc=state.soc,
-                energy_model=self.energy_model,
-                clusters=clusters,
-                max_cores_per_cluster=self.max_cores_per_app,
-            )
+        cache = self.cache
+        space = cache.space_for(
+            trained=application.trained,
+            soc=state.soc,
+            energy_model=self.energy_model,
+            max_cores_per_cluster=self.max_cores_per_app,
+        )
         temperature = temperature_bucket_c(
             state.soc.thermal.temperature_c, self.temperature_bucket_width_c
         )
@@ -328,12 +314,9 @@ class MultiAppAllocator:
             )
             for name in clusters
         ]
-        cache = self.cache
         # One query key per cluster serves its enumeration, its front, the
         # union front and the selection memo.
-        query_keys = None if cache is None else tuple(
-            cache.query_key(space, **query) for query in queries
-        )
+        query_keys = tuple(cache.query_key(space, **query) for query in queries)
         policy = self.policy_for(app_state.app_id)
         requirements = application.requirements
 
@@ -345,33 +328,25 @@ class MultiAppAllocator:
             # (domination is transitive, so the front of the union equals the
             # front of the union of per-cluster fronts, in the same order)
             # and keeps the O(n^2) domination broadcast on small tables.
-            cluster_fronts: List[OperatingPointTable] = []
-            for index, query in enumerate(queries):
-                if cache is not None:
-                    key = query_keys[index]
-                    table = cache.enumerate_table(space, **query, _key=key)
-                    cluster_fronts.append(cache.pareto_table_for(key, table))
-                else:
-                    table = space.enumerate_table(**query)
-                    cluster_fronts.append(
-                        table.pareto(objectives=DECISION_OBJECTIVES, maximise=DECISION_MAXIMISE)
-                    )
+            cluster_fronts = [
+                cache.pareto_table_for(key, cache.enumerate_table(space, **query, _key=key))
+                for query, key in zip(queries, query_keys)
+            ]
             # The decision front: the domination axes cover every metric the
             # requirements and policies read, so a dominated point can never
             # win the selection below, and the (memoised) front is what each
             # epoch actually has to rank.
             union = OperatingPointTable.concat(cluster_fronts)
-            if len(cluster_fronts) <= 1:
-                front = union
-            elif cache is not None:
-                front = cache.pareto_table_for(("union", query_keys), union)
-            else:
-                front = union.pareto(objectives=DECISION_OBJECTIVES, maximise=DECISION_MAXIMISE)
+            front = (
+                union
+                if len(cluster_fronts) <= 1
+                else cache.pareto_table_for(("union", query_keys), union)
+            )
             return policy.select_table(front, requirements, power_cap_mw=power_cap)
 
         # The query keys determine the front, so together with the policy,
         # the requirements and the power cap they determine the choice.
-        policy_key = None if cache is None else policy.cache_key()
+        policy_key = policy.cache_key()
         if policy_key is None:
             chosen = select()
         else:

@@ -217,7 +217,7 @@ class Simulator:
         plan (``scenario.fault_plan``), if any.
     stores:
         Memo stores to share with other simulators (the replicas of a batch,
-        the devices of a fleet); private ones when omitted.  A cache-bearing
+        the devices of a fleet); private ones when omitted.  A
         :class:`~repro.rtm.manager.RuntimeManager` has its cache replaced by
         an :class:`~repro.rtm.cache.OperatingPointCache` over them.
     """
@@ -233,7 +233,7 @@ class Simulator:
         if stores is None:
             stores = SharedSimulationStores()
         self._stores = stores
-        if isinstance(manager, RuntimeManager) and manager.cache is not None:
+        if isinstance(manager, RuntimeManager):
             manager.set_operating_point_cache(OperatingPointCache(stores))
         self.scenario = scenario
         self.manager = manager
@@ -1155,7 +1155,7 @@ def simulate_scenario(
     """Run one scenario on a simulator with private stores; return the trace.
 
     The entry point behind ``run(spec)``, the ``serial`` and ``process``
-    execution backends and the CLI's single-run verbs.  A cache-bearing
+    execution backends and the CLI's single-run verbs.  A
     :class:`~repro.rtm.manager.RuntimeManager` has its cache replaced by one
     over those stores.
     """

@@ -105,9 +105,9 @@ class DecisionRecord(NamedTuple):
     """One runtime-manager decision epoch.
 
     ``cache_hits`` / ``cache_misses`` are the *cumulative* operating-point
-    cache counters at the time of the decision (0 when the manager has no
-    cache), so the per-epoch delta and the end-of-run totals can both be read
-    off the decision list.
+    cache counters at the time of the decision (0 under the baselines, which
+    have no cache), so the per-epoch delta and the end-of-run totals can both
+    be read off the decision list.
     """
 
     time_ms: float
@@ -265,7 +265,7 @@ class SimulationTrace:
 
         Read from the last decision record (counters are cumulative), so they
         survive pickling across sweep worker processes.  All-zero when the
-        manager ran without a cache.
+        manager has no cache (the baselines).
         """
         if not self.decisions:
             return {"hits": 0, "misses": 0}
@@ -280,10 +280,10 @@ class SimulationTrace:
         Covers the duration, then every job, power sample, decision (time,
         action count and trigger) and fault (time, kind, target and value).
         Cache counters are deliberately excluded: caching must not change
-        behaviour, and the golden-trace regression tests assert exactly that
-        by comparing fingerprints of cached and uncached runs.  Floats are
-        rounded to 6 decimals so last-ulp libm differences across platforms
-        cannot flip the digest.
+        behaviour, and the cache-parity tests assert exactly that by
+        comparing fingerprints of cached runs with runs whose manager
+        memoises nothing.  Floats are rounded to 6 decimals so last-ulp libm
+        differences across platforms cannot flip the digest.
 
         The hashed bytes are, record after record, ``repr`` of the record's
         tuple of values with every float ``v`` replaced by ``round(v, 6)`` (a

@@ -16,13 +16,24 @@ shares no code with them:
 
 :func:`table_of` builds the kernel's input table from hand-built points.
 ``tests/test_columnar_kernel.py`` checks the kernel against all of them.
+
+:class:`UnmemoisedOperatingPoints` is the oracle of the operating-point
+cache that sits between the decision path and the kernel: the cache's
+interface with every answer computed afresh.  Inside
+:func:`unmemoised_operating_points` every simulator gives its manager one,
+so a run there equals the cached run only if every cache key is complete
+(``tests/test_cache_parity.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import contextlib
+from typing import Dict, Iterator, List, Optional, Sequence
+from unittest import mock
 
-from repro.rtm.operating_points import OperatingPoint, OperatingPointTable
+from repro.rtm.cache import DECISION_MAXIMISE, DECISION_OBJECTIVES, CacheStats
+from repro.rtm.operating_points import OperatingPoint, OperatingPointSpace, OperatingPointTable
+from repro.sim import engine
 from repro.workloads.requirements import Requirements
 
 __all__ = [
@@ -32,6 +43,8 @@ __all__ = [
     "violation_score",
     "select",
     "table_of",
+    "UnmemoisedOperatingPoints",
+    "unmemoised_operating_points",
 ]
 
 
@@ -208,3 +221,73 @@ def table_of(points: Sequence[OperatingPoint]) -> OperatingPointTable:
         frequency_mhz=[point.frequency_mhz for point in points],
         configuration=[point.configuration for point in points],
     )
+
+
+class UnmemoisedOperatingPoints:
+    """The operating-point cache's interface, memoising nothing.
+
+    ``space_for`` builds a fresh space per call, so no priced block outlives
+    one allocation; ``enumerate_table``, ``pareto_table_for`` and
+    ``selection_for`` compute their answer on every call and ignore every
+    key.  Its statistics stay at zero: it serves nothing.
+    """
+
+    def __init__(self) -> None:
+        self.stats = CacheStats()
+
+    def space_for(
+        self, trained, soc, energy_model, clusters=None, max_cores_per_cluster=4
+    ) -> OperatingPointSpace:
+        return OperatingPointSpace(
+            trained=trained,
+            soc=soc,
+            energy_model=energy_model,
+            clusters=clusters,
+            max_cores_per_cluster=max_cores_per_cluster,
+        )
+
+    def query_key(self, space, **query) -> None:
+        return None
+
+    def enumerate_table(
+        self,
+        space,
+        clusters=None,
+        configurations=None,
+        core_counts=None,
+        frequencies=None,
+        temperature_c=45.0,
+        *,
+        _key=None,
+    ) -> OperatingPointTable:
+        return space.enumerate_table(
+            clusters=clusters,
+            configurations=configurations,
+            core_counts=core_counts,
+            frequencies=frequencies,
+            temperature_c=temperature_c,
+        )
+
+    def pareto_table_for(
+        self, key, table, objectives=DECISION_OBJECTIVES, maximise=DECISION_MAXIMISE
+    ) -> OperatingPointTable:
+        return table.pareto(objectives=objectives, maximise=maximise)
+
+    def selection_for(self, key, select) -> Optional[OperatingPoint]:
+        return select()
+
+
+@contextlib.contextmanager
+def unmemoised_operating_points() -> Iterator[None]:
+    """Inside the block, every simulator gives its runtime manager a stand-in.
+
+    A simulator routes its manager's decisions through an operating-point
+    cache over its memo stores; here it attaches a fresh
+    :class:`UnmemoisedOperatingPoints` instead.  Worker processes forked
+    inside the block inherit the patch, so it holds on every execution
+    backend.
+    """
+    with mock.patch.object(
+        engine, "OperatingPointCache", lambda stores: UnmemoisedOperatingPoints()
+    ):
+        yield

@@ -1,94 +1,95 @@
-"""Cached-vs-uncached and serial-vs-process parity of ``run_many``.
+"""The operating-point cache against a stand-in that memoises nothing.
 
-The operating-point cache is a pure memoisation layer: for every registry
-scenario under every registered manager, the cached and uncached simulations
-must produce bit-for-bit identical traces (same fingerprints, same
-aggregates).  The uncached grid is executed through the ``process`` backend
-with two workers, so one pass also re-checks that worker fan-out does not
-perturb results; a smaller triangulation run pins serial-uncached against
-both.
+Every decision of a runtime manager goes through its operating-point cache.
+The cache's reference is therefore the test-only stand-in
+``reference_kernels.UnmemoisedOperatingPoints``: the cache's interface with
+every answer computed afresh.  For every registry scenario under each
+RTM-family manager at seed 0, and the seeded ``thermal_stress``,
+``multi_app_contention`` and ``rush_hour`` cases at seed 1, a cached run and
+a stand-in run must produce bit-for-bit identical traces on every execution
+backend (the process backend with two workers).  A cache key that misses an
+input the decision reads serves a stale answer and fails this comparison.
+
+The baselines never touch the cache, so they need no oracle.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments import MANAGER_REGISTRY, grid_specs, run_many
-from repro.workloads.scenarios import SCENARIO_REGISTRY
+from repro.experiments import MANAGER_REGISTRY, grid_specs, make_manager, run_many
+from repro.rtm.manager import RuntimeManager
+from repro.workloads.scenarios import SCENARIO_REGISTRY, scenario_is_seeded
+from tests.reference_kernels import unmemoised_operating_points
 
-SCENARIOS = sorted(SCENARIO_REGISTRY)
-MANAGERS = sorted(MANAGER_REGISTRY)
+RTM_MANAGERS = [
+    name for name in sorted(MANAGER_REGISTRY) if isinstance(make_manager(name), RuntimeManager)
+]
+SEED_1_SCENARIOS = [
+    name
+    for name in ("thermal_stress", "multi_app_contention", "rush_hour")
+    if scenario_is_seeded(name)
+]
+PARITY_SPECS = [
+    *grid_specs(sorted(SCENARIO_REGISTRY), RTM_MANAGERS, [0]),
+    *grid_specs(SEED_1_SCENARIOS, RTM_MANAGERS, [1]),
+]
+BACKENDS = {"serial": {}, "process": {"workers": 2}, "batched": {}}
 
 
-@pytest.fixture(scope="module")
-def registry_grid_uncached_parallel():
-    """Every scenario x manager at seed 0, cache off, two worker processes."""
-    batch = run_many(
-        grid_specs(SCENARIOS, MANAGERS, [0], use_op_cache=False),
-        backend="process",
-        workers=2,
-    )
-    assert not batch.errors, batch.errors
-    return batch
+@pytest.fixture(scope="module", params=sorted(BACKENDS))
+def parity_batches(request):
+    """``(cached, stand-in)`` batches of the parity grid on one backend."""
+    options = BACKENDS[request.param]
+    cached = run_many(PARITY_SPECS, backend=request.param, **options)
+    with unmemoised_operating_points():
+        reference = run_many(PARITY_SPECS, backend=request.param, **options)
+    assert not cached.errors, cached.errors
+    assert not reference.errors, reference.errors
+    return cached, reference
 
 
-class TestCachedUncachedParity:
-    def test_traces_are_bit_for_bit_identical(
-        self, registry_grid_cached, registry_grid_uncached_parallel
-    ):
-        cached = registry_grid_cached.traces
-        uncached = registry_grid_uncached_parallel.traces
-        assert list(cached) == list(uncached)
+class TestCacheMatchesTheStandIn:
+    def test_traces_are_bit_for_bit_identical(self, parity_batches):
+        cached, reference = parity_batches
+        assert list(cached.traces) == list(reference.traces)
         mismatches = [
-            name
-            for name in cached
-            if cached[name].fingerprint() != uncached[name].fingerprint()
+            label
+            for label, trace in cached.traces.items()
+            if trace.fingerprint() != reference.traces[label].fingerprint()
         ]
-        assert not mismatches, f"cache changed behaviour for: {mismatches}"
+        assert not mismatches, f"the cache changed behaviour for: {mismatches}"
 
-    def test_aggregates_are_identical(
-        self, registry_grid_cached, registry_grid_uncached_parallel
+    def test_aggregates_are_identical(self, parity_batches):
+        cached, reference = parity_batches
+        assert cached.violation_rates() == reference.violation_rates()
+        assert cached.energies_mj() == reference.energies_mj()
+        assert cached.mean_accuracies() == reference.mean_accuracies()
+
+    def test_every_reference_run_used_the_stand_in(self, parity_batches):
+        # The stand-in serves nothing, so its runs count no lookups; a run
+        # that kept a real cache (a worker the patch did not reach) would.
+        _, reference = parity_batches
+        assert {
+            label: trace.cache_counters()
+            for label, trace in reference.traces.items()
+            if trace.cache_counters() != {"hits": 0, "misses": 0}
+        } == {}
+
+    def test_backends_agree_with_the_serial_registry_grid(
+        self, parity_batches, registry_grid_cached
     ):
-        assert (
-            registry_grid_cached.violation_rates()
-            == registry_grid_uncached_parallel.violation_rates()
-        )
-        assert (
-            registry_grid_cached.energies_mj()
-            == registry_grid_uncached_parallel.energies_mj()
-        )
-        assert (
-            registry_grid_cached.mean_accuracies()
-            == registry_grid_uncached_parallel.mean_accuracies()
-        )
-
-    def test_cached_runs_actually_used_the_cache(self, registry_grid_cached):
-        # The RTM-family managers enumerate operating points every epoch, so
-        # any non-trivial scenario must show cache hits; the baselines never
-        # enumerate and must report zero lookups.
-        rtm_counters = registry_grid_cached.traces["rush_hour/rtm/seed0"].cache_counters()
-        assert rtm_counters["hits"] > rtm_counters["misses"] > 0
-        baseline = registry_grid_cached.traces["rush_hour/governor_only/seed0"]
-        assert baseline.cache_counters() == {"hits": 0, "misses": 0}
-
-    def test_uncached_runs_report_zero_counters(self, registry_grid_uncached_parallel):
-        counters = registry_grid_uncached_parallel.traces[
-            "rush_hour/rtm/seed0"
-        ].cache_counters()
-        assert counters == {"hits": 0, "misses": 0}
+        cached, _ = parity_batches
+        for label, trace in registry_grid_cached.traces.items():
+            if label in cached.traces:
+                assert cached.traces[label].fingerprint() == trace.fingerprint(), label
 
 
-class TestWorkerCountParity:
-    def test_serial_uncached_matches_both_grids(
-        self, registry_grid_cached, registry_grid_uncached_parallel
-    ):
-        scenarios = ["steady", "thermal_stress"]
-        managers = ["rtm", "static_deployment"]
-        serial = run_many(
-            grid_specs(scenarios, managers, [0], use_op_cache=False), backend="serial"
-        )
-        assert not serial.errors, serial.errors
-        for name, trace in serial.traces.items():
-            fingerprint = trace.fingerprint()
-            assert fingerprint == registry_grid_uncached_parallel.traces[name].fingerprint()
-            assert fingerprint == registry_grid_cached.traces[name].fingerprint()
+def test_cached_runs_actually_used_the_cache(registry_grid_cached):
+    # The RTM-family managers enumerate operating points every epoch, so any
+    # non-trivial scenario must show cache hits; the baselines never
+    # enumerate and must report zero lookups.
+    rtm_counters = registry_grid_cached.traces["rush_hour/rtm/seed0"].cache_counters()
+    assert rtm_counters["hits"] > rtm_counters["misses"] > 0
+    baseline = registry_grid_cached.traces["rush_hour/governor_only/seed0"]
+    assert baseline.cache_counters() == {"hits": 0, "misses": 0}

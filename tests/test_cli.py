@@ -461,28 +461,6 @@ class TestCommands:
         hits, misses = (int(v) for v in row.split()[1:3])
         assert hits > 0 and misses > 0
 
-    def test_sweep_no_cache_reports_zero_lookups(self, capsys):
-        assert (
-            main(
-                [
-                    "sweep",
-                    "--scenarios",
-                    "single_dnn",
-                    "--managers",
-                    "rtm",
-                    "--no-cache",
-                    "--cache-stats",
-                ]
-            )
-            == 0
-        )
-        output = capsys.readouterr().out
-        stats_section = output.split("operating-point cache statistics:")[1]
-        row = next(
-            line for line in stats_section.splitlines() if "single_dnn/rtm/seed0" in line
-        )
-        assert row.split()[1:3] == ["0", "0"]
-
 
 class TestCliByteParity:
     def test_sweep_output_is_identical_across_worker_counts(self, capsys):
@@ -801,11 +779,12 @@ class TestBenchCommand:
         )
         output = capsys.readouterr().out
         assert "steady/rtm" in output
-        assert "decide ms (uncached)" in output
+        assert "decide ms (cached)" in output
         document = load_bench_file(str(output_path))
         results = document["results"]["steady/rtm"]
-        assert results["decide_ms_per_epoch_uncached"] > 0
+        assert results["decide_ms_per_epoch_cached"] > 0
         assert results["e2e_s"] > 0
+        assert "decide_ms_per_epoch_uncached" not in results
 
     def test_bench_compare_gate_passes_against_self(self, capsys, tmp_path):
         output_path = tmp_path / "bench.json"
@@ -856,10 +835,7 @@ class TestBenchCommand:
             json.dumps(
                 {
                     "results": {
-                        "steady/rtm": {
-                            "decide_ms_per_epoch_cached": 1e-9,
-                            "decide_ms_per_epoch_uncached": 1e-9,
-                        }
+                        "steady/rtm": {"decide_ms_per_epoch_cached": 1e-9}
                     }
                 }
             )
@@ -924,21 +900,21 @@ class TestBenchCommand:
         from repro.analysis import load_bench_file
 
         output_path = tmp_path / "bench.json"
-        reference = {"steady/rtm": {"decide_ms_per_epoch_uncached": 1e3, "e2e_s": 1e3}}
+        reference = {"steady/rtm": {"decide_ms_per_epoch_cached": 1e3, "e2e_s": 1e3}}
         output_path.write_text(
             json.dumps({"reference": reference, "reference_note": "older kernel", "results": {}})
         )
         args = ["bench", "--scenarios", "steady", "--managers", "rtm", "--repeats", "1"]
         assert main([*args, "--output", str(output_path)]) == 0
-        assert "faster uncached decide" in capsys.readouterr().out
+        assert "faster cached decide" in capsys.readouterr().out
         document = load_bench_file(str(output_path))
         assert list(document)[-3:] == ["reference", "reference_note", "speedup_vs_reference"]
         assert document["reference"] == reference
         assert document["reference_note"] == "older kernel"
         speedup = document["speedup_vs_reference"]["steady/rtm"]
         fresh = document["results"]["steady/rtm"]
-        assert speedup["decide_ms_per_epoch_uncached"] == round(
-            1e3 / fresh["decide_ms_per_epoch_uncached"], 2
+        assert speedup["decide_ms_per_epoch_cached"] == round(
+            1e3 / fresh["decide_ms_per_epoch_cached"], 2
         )
         assert speedup["e2e_s"] == round(1e3 / fresh["e2e_s"], 2)
 

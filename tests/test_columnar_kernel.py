@@ -479,7 +479,6 @@ class TestBenchHarness:
         assert timings.jobs > 0
         assert timings.e2e_s > 0
         assert timings.decide_ms_per_epoch_cached > 0
-        assert timings.decide_ms_per_epoch_uncached > 0
 
     def test_every_decision_epoch_is_timed(self, timings):
         # A timed manager that let the simulator's decision memo replay
@@ -491,7 +490,7 @@ class TestBenchHarness:
         import json
 
         path = tmp_path / "bench.json"
-        reference = {"steady/rtm": {"decide_ms_per_epoch_uncached": 100.0, "e2e_s": 10.0}}
+        reference = {"steady/rtm": {"decide_ms_per_epoch_cached": 100.0, "e2e_s": 10.0}}
         path.write_text(json.dumps({"reference": reference}))
         results = {timings.key: timings.as_dict()}
         document = write_bench_file(
@@ -506,22 +505,18 @@ class TestBenchHarness:
         assert loaded["results"]["steady/rtm"] == document["results"]["steady/rtm"]
         assert loaded["reference"] == reference
         speedup = loaded["speedup_vs_reference"]["steady/rtm"]
-        assert speedup["decide_ms_per_epoch_uncached"] > 1.0
+        assert speedup["decide_ms_per_epoch_cached"] > 1.0
 
     def test_compare_flags_regressions(self, timings):
         tight = {
             "results": {
                 "steady/rtm": {
                     "decide_ms_per_epoch_cached": timings.decide_ms_per_epoch_cached / 10.0,
-                    "decide_ms_per_epoch_uncached": timings.decide_ms_per_epoch_uncached / 10.0,
                 }
             }
         }
         regressions = _gate(timings, tight, max_regression=0.25)
-        assert {r.metric for r in regressions} == {
-            "decide_ms_per_epoch_cached",
-            "decide_ms_per_epoch_uncached",
-        }
+        assert {r.metric for r in regressions} == {"decide_ms_per_epoch_cached"}
         assert all(r.ratio > 1.25 for r in regressions)
 
     def test_compare_passes_within_tolerance(self, timings):
@@ -529,7 +524,6 @@ class TestBenchHarness:
             "results": {
                 "steady/rtm": {
                     "decide_ms_per_epoch_cached": timings.decide_ms_per_epoch_cached,
-                    "decide_ms_per_epoch_uncached": timings.decide_ms_per_epoch_uncached,
                 }
             }
         }
@@ -565,16 +559,12 @@ class TestBenchTimingsShape:
             decisions=10,
             jobs=20,
             e2e_s=1.0,
-            e2e_s_uncached=2.0,
             decide_ms_per_epoch_cached=0.5,
-            decide_ms_per_epoch_uncached=1.5,
         )
         assert timings.key == "s/m"
         assert timings.as_dict() == {
             "decisions": 10,
             "jobs": 20,
             "e2e_s": 1.0,
-            "e2e_s_uncached": 2.0,
             "decide_ms_per_epoch_cached": 0.5,
-            "decide_ms_per_epoch_uncached": 1.5,
         }

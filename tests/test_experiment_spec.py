@@ -31,6 +31,7 @@ from repro.experiments import (
 )
 from repro.registry import Registry
 from repro.rtm import RuntimeManager
+from tests.reference_kernels import unmemoised_operating_points
 from tests.test_golden_traces import GOLDEN_FINGERPRINTS
 
 
@@ -113,7 +114,6 @@ FULL_SPEC = ExperimentSpec(
     policy_overrides={"dnn2": "min_energy"},
     rtm={"enable_dvfs": False, "temperature_bucket_width_c": 2.5},
     simulator={"decision_interval_ms": 250.0, "max_backlog": 3},
-    use_op_cache=False,
 )
 
 
@@ -163,7 +163,7 @@ class TestSpecRoundTrip:
         path.write_text('scenario = "steady"\n')
         spec = ExperimentSpec.load(path)
         assert spec == ExperimentSpec(scenario="steady")
-        assert spec.manager == "rtm" and spec.use_op_cache is True
+        assert spec.manager == "rtm"
 
     def test_label_defaults_and_respects_name(self):
         assert ExperimentSpec(scenario="steady", seed=2).label == "steady/rtm/seed2"
@@ -322,7 +322,6 @@ class TestSpecId:
             ExperimentSpec(scenario="steady", manager="governor_only"),
             ExperimentSpec(scenario="steady", platform="jetson_nano"),
             ExperimentSpec(scenario="steady", rtm={"enable_dvfs": False}),
-            ExperimentSpec(scenario="steady", use_op_cache=False),
         ]
         ids = {spec.spec_id() for spec in [base, *variants]}
         assert len(ids) == len(variants) + 1
@@ -348,6 +347,42 @@ class TestSpecId:
             check=True,
         )
         assert result.stdout.strip() == spec.spec_id()
+
+    @pytest.mark.parametrize(
+        "spec, spec_id",
+        [
+            (ExperimentSpec(scenario="steady"), "e25d47fb96bd6922"),
+            (
+                ExperimentSpec(scenario="rush_hour", manager="governor_only", seed=3),
+                "0c3caf37d0acfedb",
+            ),
+        ],
+        ids=["steady", "rush_hour-governor_only-seed3"],
+    )
+    def test_ids_minted_with_the_retired_cache_switch_hold(self, spec, spec_id):
+        # Stores keyed by these ids were written while every spec table
+        # carried ``use_op_cache = true``; resuming them needs the same ids.
+        assert spec.spec_id() == spec_id
+
+
+class TestRetiredCacheSwitch:
+    """Spec files written while ``use_op_cache`` existed still load."""
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_toml_with_the_legacy_key_loads(self, tmp_path, value):
+        path = tmp_path / "legacy.toml"
+        path.write_text(f'scenario = "steady"\nuse_op_cache = {value}\n')
+        spec = ExperimentSpec.load(path)
+        assert spec == ExperimentSpec(scenario="steady")
+        assert spec.spec_id() == "e25d47fb96bd6922"
+
+    def test_to_toml_no_longer_writes_the_key(self):
+        assert "use_op_cache" not in FULL_SPEC.to_toml()
+        assert "use_op_cache" not in FULL_SPEC.to_dict()
+
+    def test_other_unknown_keys_are_still_rejected(self):
+        with pytest.raises(SpecError, match="unknown experiment spec keys \\['use_cache'\\]"):
+            ExperimentSpec.from_dict({"scenario": "steady", "use_op_cache": True, "use_cache": 1})
 
 
 #: Spec-driven golden pairs: one per manager, including the pair the
@@ -439,12 +474,14 @@ class TestSpecExecution:
         slow = run(ExperimentSpec(scenario="single_dnn")).trace
         assert len(fast.decisions) > len(slow.decisions)
 
-    def test_cached_and_uncached_specs_are_bit_identical(self):
-        cached = run(ExperimentSpec(scenario="single_dnn", use_op_cache=True)).trace
-        uncached = run(ExperimentSpec(scenario="single_dnn", use_op_cache=False)).trace
-        assert cached.fingerprint() == uncached.fingerprint()
+    def test_cached_run_matches_the_unmemoised_stand_in(self):
+        spec = ExperimentSpec(scenario="single_dnn")
+        cached = run(spec).trace
+        with unmemoised_operating_points():
+            reference = run(spec).trace
+        assert cached.fingerprint() == reference.fingerprint()
         assert cached.cache_counters()["hits"] > 0
-        assert uncached.cache_counters() == {"hits": 0, "misses": 0}
+        assert reference.cache_counters() == {"hits": 0, "misses": 0}
 
     def test_run_validates_by_default(self):
         with pytest.raises(SpecError, match="unknown scenario"):

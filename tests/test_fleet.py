@@ -204,6 +204,35 @@ class TestFleetSpec:
     def test_unknown_keys_rejected(self):
         with pytest.raises(FleetSpecError, match="unknown fleet spec keys"):
             FleetSpec.from_dict({"scenario": "fleet_stragglers", "epoch": 5})
+        with pytest.raises(FleetSpecError, match="unknown fleet spec keys \\['use_cache'\\]"):
+            FleetSpec.from_dict(
+                {"scenario": "fleet_stragglers", "use_op_cache": True, "use_cache": 1}
+            )
+
+    def test_fleet_id_minted_with_the_retired_cache_switch_holds(self):
+        # Fleet stores were keyed while every spec carried ``use_op_cache``.
+        assert FleetSpec(scenario="fleet_device_churn").fleet_id() == "663d3bbf92936145"
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_toml_with_the_retired_cache_switch_loads(self, tmp_path, value):
+        path = tmp_path / "legacy.toml"
+        path.write_text(f'scenario = "fleet_device_churn"\nuse_op_cache = {value}\n')
+        assert load_fleet_specs(path) == [FleetSpec(scenario="fleet_device_churn")]
+
+    def test_to_toml_no_longer_writes_the_retired_cache_switch(self):
+        spec = FleetSpec(scenario="fleet_device_churn")
+        assert "use_op_cache" not in fleet_specs_to_toml([spec])
+        assert "use_op_cache" not in spec.to_dict()
+
+    @pytest.mark.parametrize(
+        "policy, params",
+        [("least_loaded", {"seed": 3}), ("random", {"seed": "x"})],
+        ids=["unaccepted-param", "bad-value"],
+    )
+    def test_validate_rejects_policy_params_the_policy_cannot_take(self, policy, params):
+        spec = FleetSpec(scenario="fleet_stragglers", policy=policy, policy_params=params)
+        with pytest.raises(FleetSpecError, match=f"policy {policy!r} rejects policy_params"):
+            spec.validate()
 
     def test_validate_suggests_for_typos(self):
         with pytest.raises(FleetSpecError, match="least_loaded"):
@@ -686,9 +715,7 @@ def _replay_alone(device: _TimelineSimulator, spec: FleetSpec) -> str:
     apps are rebuilt on one model trained for this device alone.
     """
     own = IncrementalTrainer().train(make_dynamic_cifar_dnn())
-    replay = Simulator(
-        device.scenario, make_manager(spec.manager, use_op_cache=spec.use_op_cache)
-    )
+    replay = Simulator(device.scenario, make_manager(spec.manager))
     replay.prime()
     for call, *args in device.timeline:
         if call == "inject_arrival" and isinstance(args[0], DNNApplication):
@@ -809,6 +836,33 @@ class TestFleetCLI:
     def test_run_rejects_unknown_policy(self, capsys):
         assert main(["fleet", "run", "--policy", "nope"]) == 2
         assert "unknown" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "policy, seed",
+        [("least_loaded", "3"), ("random", '"x"')],
+        ids=["unaccepted-param", "bad-value"],
+    )
+    def test_run_rejects_policy_params_the_policy_cannot_take(
+        self, capsys, tmp_path, policy, seed
+    ):
+        path = tmp_path / "fleet.toml"
+        path.write_text(
+            f'scenario = "fleet_mixed_platforms"\npolicy = "{policy}"\n'
+            f"[devices]\ngeneric_quad = 2\n[policy_params]\nseed = {seed}\n"
+        )
+        assert main(["fleet", "run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"invalid fleet spec: policy '{policy}' rejects")
+        assert captured.out == ""
+
+    def test_run_accepts_a_seed_for_random(self, capsys, tmp_path):
+        path = tmp_path / "fleet.toml"
+        path.write_text(
+            'scenario = "fleet_mixed_platforms"\npolicy = "random"\n'
+            "[devices]\ngeneric_quad = 2\n[policy_params]\nseed = 7\n"
+        )
+        assert main(["fleet", "run", str(path)]) == 0
+        assert "fleet_mixed_platforms/random/seed0" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", ["--scenario", "--policy"])
     def test_bench_rejects_unknown_names_before_running(self, capsys, flag):

@@ -33,6 +33,7 @@ from repro.sim.engine import Simulator
 from repro.sim.faults import CoreFailure, FaultPlan, FrequencyCap
 from repro.sim.trace import SimulationTrace
 from repro.workloads import ScenarioFuzzer, build_scenario, perturb, scale
+from tests.reference_kernels import unmemoised_operating_points
 
 #: Invariant-suite hypothesis profile: scenario construction is fast but not
 #: free (each build trains the simulated DNN), so bound the sample count and
@@ -160,13 +161,15 @@ class TestRegistryGridInvariants:
 
 
 class TestFuzzedCacheParity:
-    """Cache on == cache off, on scenarios nobody hand-shaped."""
+    """The cache equals its unmemoised stand-in, on scenarios nobody hand-shaped."""
 
     @pytest.mark.parametrize("seed", [5, 9])
     def test_fingerprints_match_and_invariants_hold(self, seed):
-        cached = run(ExperimentSpec(scenario="fuzzed", seed=seed, use_op_cache=True))
-        uncached = run(ExperimentSpec(scenario="fuzzed", seed=seed, use_op_cache=False))
-        assert cached.trace.fingerprint() == uncached.trace.fingerprint()
+        spec = ExperimentSpec(scenario="fuzzed", seed=seed)
+        cached = run(spec)
+        with unmemoised_operating_points():
+            reference = run(spec)
+        assert cached.trace.fingerprint() == reference.trace.fingerprint()
         assert_all_invariants(cached.trace, f"fuzzed/seed{seed}")
 
 
@@ -270,9 +273,11 @@ class TestSmokeInvariants:
         assert run(spec).trace.fingerprint() == run(spec).trace.fingerprint()
 
     def test_fuzzed_cache_parity_smoke(self):
-        cached = run(ExperimentSpec(scenario="fuzzed", seed=1, use_op_cache=True))
-        uncached = run(ExperimentSpec(scenario="fuzzed", seed=1, use_op_cache=False))
-        assert cached.trace.fingerprint() == uncached.trace.fingerprint()
+        spec = ExperimentSpec(scenario="fuzzed", seed=1)
+        cached = run(spec)
+        with unmemoised_operating_points():
+            reference = run(spec)
+        assert cached.trace.fingerprint() == reference.trace.fingerprint()
 
 
 # --------------------------------------------- seeded construction sampling

@@ -6,7 +6,6 @@ import pytest
 
 from repro.dnn.training import IncrementalTrainer
 from repro.dnn.zoo import make_dynamic_cifar_dnn
-from repro.experiments.managers import detach_op_cache
 from repro.perfmodel import calibrated
 from repro.perfmodel.calibrated import CalibratedLatencyModel, ClusterCalibration
 from repro.perfmodel.energy import EnergyModel
@@ -23,6 +22,7 @@ from repro.rtm.operating_points import OperatingPointSpace
 from repro.rtm.state import AppRuntimeState, MapApplication, Mapping, SystemState
 from repro.workloads.requirements import Requirements
 from repro.workloads.tasks import make_dnn_application
+from tests.reference_kernels import UnmemoisedOperatingPoints
 
 
 class TestTemperatureBucket:
@@ -209,27 +209,21 @@ class TestOperatingPointCache:
 class TestManagerCacheIntegration:
     def test_manager_owns_a_cache_by_default(self):
         manager = RuntimeManager()
-        assert manager.cache is not None
+        assert isinstance(manager.cache, OperatingPointCache)
+        assert manager.allocator.cache is manager.cache
         assert manager.cache_stats() is manager.cache.stats
 
-    def test_detach_op_cache_disables_the_cache(self):
+    def test_set_operating_point_cache_reaches_the_allocator(self):
         manager = RuntimeManager()
-        detach_op_cache(manager)
-        assert manager.cache is None
-        assert manager.cache_stats() is None
+        shared = OperatingPointCache()
+        manager.set_operating_point_cache(shared)
+        assert manager.cache is shared and manager.allocator.cache is shared
 
-    def test_set_operating_point_cache_detaches(self):
-        manager = RuntimeManager()
-        manager.set_operating_point_cache(None)
-        assert manager.cache is None
-        assert manager.allocator.cache is None
-
-    def test_cached_and_uncached_selection_agree(self, trained_dnn, xu3):
+    def test_cached_selection_matches_the_stand_in(self, trained_dnn, xu3):
         requirements = Requirements(max_latency_ms=400.0, max_energy_mj=100.0)
         cached = RuntimeManager().select_operating_point(trained_dnn, xu3, requirements)
-        uncached = RuntimeManager()
-        detach_op_cache(uncached)
-        assert cached == uncached.select_operating_point(trained_dnn, xu3, requirements)
+        reference = RuntimeManager(cache=UnmemoisedOperatingPoints())
+        assert cached == reference.select_operating_point(trained_dnn, xu3, requirements)
 
     def test_repeated_selection_hits_the_cache(self, trained_dnn, xu3):
         manager = RuntimeManager()
@@ -241,7 +235,7 @@ class TestManagerCacheIntegration:
         )
         assert first == second
         stats = manager.cache_stats()
-        assert stats is not None and stats.hits >= 1
+        assert stats.hits >= 1
 
     def test_points_priced_counts_the_evaluations_of_replaced_spaces(self, trained_dnn):
         manager = RuntimeManager()
@@ -260,7 +254,7 @@ class TestManagerCacheIntegration:
     def test_decide_tracks_structural_change_without_flushing(self, trained_dnn, xu3):
         """Cores going offline, a thermal-bucket crossing, an unmapped app and
         recovery all change the keys the decision path asks for, so a cache
-        that never flushes decides like an uncached manager at every step."""
+        that never flushes decides like the unmemoised stand-in at every step."""
         apps = {}
         for app_id, fps, priority in (("dnn1", 5.0, 3), ("dnn2", 10.0, 2)):
             requirements = Requirements(
@@ -270,12 +264,11 @@ class TestManagerCacheIntegration:
             apps[app_id] = AppRuntimeState(application=application)
         state = SystemState(time_ms=0.0, soc=xu3, apps=apps)
         cached = RuntimeManager()
-        uncached = RuntimeManager()
-        detach_op_cache(uncached)
+        reference = RuntimeManager(cache=UnmemoisedOperatingPoints())
 
         def decide():
             actions = cached.decide(state).actions
-            assert actions == uncached.decide(state).actions
+            assert actions == reference.decide(state).actions
             for action in actions:
                 if isinstance(action, MapApplication):
                     state.apps[action.app_id].mapping = Mapping(action.cluster_name, action.cores)

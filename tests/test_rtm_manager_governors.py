@@ -169,7 +169,8 @@ class TestRuntimeManagerDecide:
         map_actions = [a for a in decision.actions if isinstance(a, MapApplication)]
         assert len(map_actions) == 1
         assert decision.allocation.decision_for("dnn1").placed
-        assert manager.total_actions == len(decision.actions)
+        assert decision.actions == list(decision.allocation.actions)
+        assert decision.time_ms == state.time_ms
 
     def test_two_apps_do_not_overcommit_a_cluster(self, trained_dnn, xu3):
         apps = [

@@ -1,12 +1,11 @@
 """The operating-point cache's per-application selection memo.
 
-With a cache attached, the allocator memoises each application's chosen
-operating point by value: the per-cluster enumeration query keys, the
-policy's and the requirements' cache keys and the power cap.  An uncached
-manager (``use_op_cache=False``) runs none of the cache's memos, so it is
-this memo's independent reference; the unmemoised reference simulator of
-``tests/reference_engine.py`` uses the memo too whenever its manager has a
-cache.
+The allocator memoises each application's chosen operating point by value:
+the per-cluster enumeration query keys, the policy's and the requirements'
+cache keys and the power cap.  Its independent reference is a manager whose
+cache is the stand-in ``reference_kernels.UnmemoisedOperatingPoints``, which
+runs none of the cache's memos, driven by the unmemoised reference simulator
+of ``tests/reference_engine.py``.
 """
 
 from __future__ import annotations
@@ -29,6 +28,8 @@ from repro.rtm.state import AppRuntimeState, Mapping, SystemState, UnmapApplicat
 from repro.sim.engine import SharedSimulationStores, simulate_scenario
 from repro.workloads.requirements import MetricSample, Requirements
 from repro.workloads.tasks import make_dnn_application
+from tests.reference_engine import ReferenceSimulator
+from tests.reference_kernels import UnmemoisedOperatingPoints
 
 SCENARIOS = [
     "multi_app_contention",
@@ -57,7 +58,19 @@ def _run_keeping_manager(spec: ExperimentSpec):
     return trace, manager
 
 
-class TestCachedRunsMatchUncachedManagers:
+def _reference_trace(spec: ExperimentSpec):
+    """``spec`` run with no memo: the stand-in cache on the reference simulator."""
+    manager = build_manager_from_spec(spec)
+    manager.set_operating_point_cache(UnmemoisedOperatingPoints())
+    return ReferenceSimulator(
+        build_scenario_from_spec(spec),
+        manager,
+        config=build_simulator_config(spec),
+        fault_plan=build_fault_plan_from_spec(spec),
+    ).run()
+
+
+class TestCachedRunsMatchTheStandIn:
     @pytest.mark.parametrize("variant", sorted(MANAGER_VARIANTS))
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_fingerprints_match_and_selections_hit(self, scenario, variant):
@@ -65,10 +78,10 @@ class TestCachedRunsMatchUncachedManagers:
             scenario=scenario, manager="rtm", seed=0, **MANAGER_VARIANTS[variant]
         )
         cached, manager = _run_keeping_manager(spec)
-        uncached, reference = _run_keeping_manager(dataclasses.replace(spec, use_op_cache=False))
-        assert reference.cache is None
+        reference = _reference_trace(spec)
         assert manager.cache_stats().selection_hits > 0
-        assert cached.fingerprint() == uncached.fingerprint()
+        assert reference.cache_counters() == {"hits": 0, "misses": 0}
+        assert cached.fingerprint() == reference.fingerprint()
 
 
 # ----------------------------------------------------------------- unit level
@@ -201,8 +214,10 @@ class TestSelectionMemo:
             )
         changed = allocator.allocate(state)
         assert (cache.stats.selection_hits, cache.stats.selection_misses) == (1, 2)
-        uncached = _allocator(energy_model, _SpyPolicy(), None, **knobs).allocate(state)
-        assert changed.actions == uncached.actions
+        reference = _allocator(
+            energy_model, _SpyPolicy(), UnmemoisedOperatingPoints(), **knobs
+        ).allocate(state)
+        assert changed.actions == reference.actions
 
     def test_policies_sharing_a_cache_select_separately(self, xu3, trained_dnn, energy_model):
         cache = OperatingPointCache()
@@ -210,7 +225,9 @@ class TestSelectionMemo:
         _allocator(energy_model, MaxAccuracyUnderBudget(), cache).allocate(state)
         by_energy = _allocator(energy_model, MinEnergyUnderConstraints(), cache).allocate(state)
         assert (cache.stats.selection_hits, cache.stats.selection_misses) == (0, 2)
-        reference = _allocator(energy_model, MinEnergyUnderConstraints(), None).allocate(state)
+        reference = _allocator(
+            energy_model, MinEnergyUnderConstraints(), UnmemoisedOperatingPoints()
+        ).allocate(state)
         assert by_energy.actions == reference.actions
 
     def test_caches_over_shared_stores_share_selections(self, xu3, trained_dnn, energy_model):

@@ -55,6 +55,24 @@ class TestStoreBasics:
         assert record.spec() == result.spec
         assert record.spec().spec_id() == spec_id
 
+    def test_rows_written_with_the_retired_cache_switch_read_back(self, store, executed):
+        # Every row stored while specs carried ``use_op_cache`` holds the key
+        # in its TOML; the spec it reads back as keeps the row's spec_id.
+        result = executed[0]
+        spec_id = store.put_result(result)
+        store.close()
+        connection = sqlite3.connect(store.path)
+        with connection:
+            connection.execute(
+                "UPDATE results SET spec_toml = spec_toml || 'use_op_cache = true\n'"
+            )
+        connection.close()
+        with ResultsStore(store.path) as reopened:
+            record = reopened.get(spec_id)
+        assert "use_op_cache = true" in record.spec_toml
+        assert record.spec() == result.spec
+        assert record.spec().spec_id() == spec_id
+
     def test_mapping_protocol(self, store, executed):
         for result in executed:
             store.put_result(result)
@@ -496,6 +514,37 @@ class TestBenchStore:
         assert second[0].key == first[0].key
         assert second[0].e2e_s == first[0].e2e_s
         assert second[0].decisions == first[0].decisions
+
+    def test_cases_stored_with_uncached_timings_resume(self, tmp_path, monkeypatch):
+        # ``bench`` once also timed an uncached decision path; the cases it
+        # stored carry those two fields and must still resume.
+        import repro.analysis.bench as bench_module
+
+        spec = ExperimentSpec(scenario="steady", manager="rtm")
+        payload = {
+            "scenario": "steady",
+            "manager": "rtm",
+            "decisions": 30,
+            "jobs": 120,
+            "e2e_s": 0.02,
+            "e2e_s_uncached": 0.03,
+            "decide_ms_per_epoch_cached": 0.01,
+            "decide_ms_per_epoch_uncached": 0.5,
+        }
+        monkeypatch.setattr(
+            bench_module,
+            "run_bench_spec",
+            lambda *args, **kwargs: pytest.fail("resume must not re-run the bench"),
+        )
+        with ResultsStore(tmp_path / "bench.db") as store:
+            store.put_bench_case(spec.spec_id(), BENCH_KIND_DECISION, payload)
+            (timings,) = run_bench_specs([spec], repeats=1, store=store, resume=True)
+        assert timings.as_dict() == {
+            "decisions": 30,
+            "jobs": 120,
+            "e2e_s": 0.02,
+            "decide_ms_per_epoch_cached": 0.01,
+        }
 
     def test_bench_resume_requires_a_store(self):
         with pytest.raises(ValueError, match="requires a results store"):
