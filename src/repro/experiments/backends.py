@@ -34,7 +34,6 @@ benchmark's tracer hooks in.
 
 from __future__ import annotations
 
-import json
 import traceback
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -219,28 +218,6 @@ def _pool_round(
     return lost
 
 
-def _dedup_key(spec: ExperimentSpec, scenario) -> Optional[tuple]:
-    """Value key of a batched replica's complete inputs (``None``: unique)."""
-    from repro.sim.batched import scenario_content_key
-
-    content = scenario_content_key(scenario)
-    if content is None:
-        return None
-    return (
-        spec.manager,
-        spec.platform,
-        spec.policy,
-        tuple(sorted(spec.policy_overrides.items())),
-        tuple(sorted(spec.rtm.items())) if spec.rtm else None,
-        tuple(sorted(spec.simulator.items())) if spec.simulator else None,
-        # Spec-level fault plans override the scenario's own, so they are
-        # part of replica identity: two specs differing only in [faults]
-        # must never share one simulation.
-        json.dumps(spec.faults, sort_keys=True) if spec.faults else None,
-        content,
-    )
-
-
 @EXECUTION_BACKEND_REGISTRY.register(
     "batched", summary="lock-step batched engine with shared decision stores (one core)"
 )
@@ -251,26 +228,23 @@ def batched_backend(
 
     Builds every spec's scenario/manager/config in this process, hands them
     to :class:`repro.sim.batched.BatchedEngine`, and emits each replica the
-    stride it finishes or fails.  Replicas whose complete inputs are equal
-    by value (deterministic scenarios swept over seeds) share one
-    simulation.  Wall time is not separable per spec inside the lock-step
-    engine, so every outcome is emitted with ``None``; the engine runs on
-    the caller's thread, so ``spec_timeout`` is ignored.
+    stride it finishes or fails.  Every spec runs as its own replica.  Wall
+    time is not separable per spec inside the lock-step engine, so every
+    outcome is emitted with ``None``; the engine runs on the caller's
+    thread, so ``spec_timeout`` is ignored.
     """
     from repro.sim.batched import BatchedCase, BatchedEngine
 
     cases = []
     for index, spec in enumerate(specs):
         try:
-            scenario = runner.build_scenario_from_spec(spec)
             cases.append(
                 BatchedCase(
                     label=spec.label,
-                    scenario=scenario,
+                    scenario=runner.build_scenario_from_spec(spec),
                     manager=runner.build_manager_from_spec(spec),
                     config=runner.build_simulator_config(spec),
                     fault_plan=runner.build_fault_plan_from_spec(spec),
-                    dedup_key=_dedup_key(spec, scenario),
                 )
             )
         except Exception as exc:  # noqa: BLE001 - per-spec isolation

@@ -16,7 +16,6 @@ from repro.rtm.cache import (
     CacheStats,
     OperatingPointCache,
     model_cache_key,
-    soc_topology_key,
     temperature_bucket_c,
 )
 from repro.rtm.governors import (
@@ -64,7 +63,6 @@ __all__ = [
     "CacheStats",
     "OperatingPointCache",
     "model_cache_key",
-    "soc_topology_key",
     "temperature_bucket_c",
     "GOVERNOR_REGISTRY",
     "ConservativeGovernor",

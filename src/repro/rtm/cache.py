@@ -8,23 +8,22 @@ DNN, the platform topology, the knob restrictions and the temperature used
 for leakage — so long scenarios and sweeps re-derive the same tables
 hundreds of times.  This module memoises that work.
 
-Four layers cooperate:
+Two memos cooperate:
 
-* :class:`~repro.rtm.operating_points.OperatingPointSpace` memoises priced
-  (configurations x cores x frequencies) blocks of each cluster, one
-  vectorised energy-model evaluation per configuration, for the lifetime of
-  the space; its ``points_priced`` counts the distinct points those blocks
-  hold.
-* :class:`OperatingPointCache` memoises the *spaces* themselves (so the
-  block memo survives across decision epochs), the assembled point tables of
-  each enumeration query, and the Pareto fronts derived from them.
+* :class:`OperatingPointCache` memoises the Pareto *front* of each
+  enumeration query.  On a miss it builds an
+  :class:`~repro.rtm.operating_points.OperatingPointSpace` over the live
+  platform and models, prices the query once and keeps only the front.  The
+  union of an application's per-cluster fronts is fronted and memoised in
+  the same store.
 * The same cache memoises each application's *selection*: the operating
   point a policy chose from the decision front, keyed by the front's query
   keys, the policy, the requirements and the power cap, so a repeated
   sub-problem skips enumeration, fronting and ranking altogether.
-* The runtime manager quantises the enumeration temperature to a bucket
-  (:func:`temperature_bucket_c`) so that small thermal drift between epochs
-  does not defeat the cache.
+
+The runtime manager quantises the enumeration temperature to a bucket
+(:func:`temperature_bucket_c`) so that small thermal drift between epochs
+does not defeat the cache.
 
 The cache is the decision path's only route to the decision kernel: every
 runtime manager and its allocator hold one.  Its reference, a stand-in with the same
@@ -48,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.dnn.training import TrainedDynamicDNN
 from repro.perfmodel.energy import EnergyModel
@@ -65,7 +64,6 @@ __all__ = [
     "DEFAULT_TEMPERATURE_BUCKET_C",
     "temperature_bucket_c",
     "model_cache_key",
-    "soc_topology_key",
     "CacheStats",
     "OperatingPointCache",
 ]
@@ -105,8 +103,10 @@ def model_cache_key(model: object) -> tuple:
 
     Uses the object's ``cache_key()`` method when it has one (the perfmodel
     estimators and :class:`TrainedDynamicDNN` do); otherwise falls back to
-    the instance identity, which is always safe — it just scopes cache
-    entries to that one object.
+    the instance identity, which scopes cache entries to that one object.
+    An identity is unique only while its object lives, so the holder of such
+    a model must keep it alive while its entries can be asked for: a runtime
+    manager holds its energy model for as long as its cache.
     """
     method = getattr(model, "cache_key", None)
     if callable(method):
@@ -114,33 +114,17 @@ def model_cache_key(model: object) -> tuple:
     return (type(model).__qualname__, id(model))
 
 
-def soc_topology_key(soc: Soc) -> tuple:
-    """Stable key of everything about a platform that affects enumeration.
-
-    Covers the cluster set, core counts and types, the OPP tables
-    (frequency/voltage pairs), and the power and performance parameters that
-    the latency/power models read.  Per-cluster *online*-core counts are
-    deliberately part of the per-query key instead (they change at runtime).
-
-    Delegates to :meth:`Soc.topology_key`, which assembles the tuple once at
-    first use: the old per-call construction went through
-    ``dataclasses.astuple`` (which deep-copies every field) tens of thousands
-    of times per simulation and dominated the cached decision path.
-    """
-    return soc.topology_key()
-
-
 @dataclass
 class CacheStats:
     """Hit/miss statistics of one :class:`OperatingPointCache`.
 
-    ``hits``/``misses`` count enumeration-table lookups, and a selection
-    served whole from the selection memo counts as one more hit (the cache
-    answered the query without enumerating).  ``pareto_hits`` /
-    ``pareto_misses`` count Pareto-front lookups and ``selection_hits`` /
-    ``selection_misses`` selection-memo lookups.  The energy-model
-    evaluations everything above avoids are counted per space
-    (:attr:`OperatingPointCache.points_priced` sums them).
+    ``hits``/``misses`` count the fronts of enumeration queries, and a
+    selection served whole from the selection memo counts as one more hit
+    (the cache answered the query without enumerating).  ``pareto_hits`` /
+    ``pareto_misses`` count every front lookup, the unions of per-cluster
+    fronts included, and ``selection_hits`` / ``selection_misses``
+    selection-memo lookups.  The energy-model evaluations the misses cost
+    are :attr:`OperatingPointCache.points_priced`.
     """
 
     hits: int = 0
@@ -149,11 +133,10 @@ class CacheStats:
     pareto_misses: int = 0
     selection_hits: int = 0
     selection_misses: int = 0
-    spaces_built: int = 0
 
     @property
     def lookups(self) -> int:
-        """Total enumeration-table lookups plus selections served whole."""
+        """Total enumeration-front lookups plus selections served whole."""
         return self.hits + self.misses
 
     @property
@@ -170,130 +153,59 @@ class CacheStats:
         """
         return 0
 
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dict view for traces, summaries and the CLI."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 4),
-            "pareto_hits": self.pareto_hits,
-            "pareto_misses": self.pareto_misses,
-            "selection_hits": self.selection_hits,
-            "selection_misses": self.selection_misses,
-            "spaces_built": self.spaces_built,
-        }
-
 
 class OperatingPointCache:
-    """Memoises operating-point spaces, enumeration tables, fronts and selections.
+    """Memoises the Pareto fronts of enumeration queries and the selections.
 
     Parameters
     ----------
     stores:
-        Holder of the three entry dicts, read by attribute: ``tables``
-        (enumeration tables), ``pareto_tables`` (Pareto fronts) and
+        Holder of the two entry dicts, read by attribute: ``pareto_tables``
+        (the fronts of enumeration queries and of their unions) and
         ``selections`` (per-application choices), such as a
         :class:`~repro.sim.engine.SharedSimulationStores` that several caches
-        share.  The cache keeps dicts of its own when omitted.  Spaces and
-        statistics are always per cache.  Nothing is evicted: one
-        simulation asks few enough distinct questions to keep every answer.
+        share.  The cache keeps dicts of its own when omitted.  Statistics
+        are always per cache.  Nothing is evicted: one simulation asks few
+        enough distinct questions to keep every answer.
     """
 
     def __init__(self, stores: Optional[object] = None) -> None:
         self.stats = CacheStats()
-        self._spaces: Dict[tuple, OperatingPointSpace] = {}
-        # Evaluations of the spaces that space_for replaced.
-        self._points_priced_replaced = 0
-        # Assembled tables per enumeration query, Pareto-front tables (index
-        # views) per key and the chosen point (or None) per complete
-        # selection key; see selection_for.
-        self._tables, self._pareto_tables, self._selections = (
-            ({}, {}, {})
-            if stores is None
-            else (stores.tables, stores.pareto_tables, stores.selections)
+        #: Energy-model evaluations of every query this cache priced.
+        self.points_priced = 0
+        # Pareto fronts (index views) per query key or union key, and the
+        # chosen point (or None) per complete selection key; see
+        # selection_for.
+        self._fronts, self._selections = (
+            ({}, {}) if stores is None else (stores.pareto_tables, stores.selections)
         )
-
-    # ---------------------------------------------------------------- spaces
-
-    def space_key(
-        self,
-        trained: TrainedDynamicDNN,
-        soc: Soc,
-        energy_model: EnergyModel,
-        clusters: Optional[Sequence[str]] = None,
-        max_cores_per_cluster: int = 4,
-    ) -> tuple:
-        """Identity of one operating-point space."""
-        return (
-            model_cache_key(trained),
-            soc_topology_key(soc),
-            model_cache_key(energy_model),
-            tuple(clusters) if clusters is not None else None,
-            max_cores_per_cluster,
-        )
-
-    def space_for(
-        self,
-        trained: TrainedDynamicDNN,
-        soc: Soc,
-        energy_model: EnergyModel,
-        clusters: Optional[Sequence[str]] = None,
-        max_cores_per_cluster: int = 4,
-    ) -> OperatingPointSpace:
-        """A memoised space whose priced blocks survive across epochs.
-
-        The space holds live references to its platform and models, so a key
-        hit with *different instances* (a manager reused across simulations)
-        rebuilds the space rather than pricing against the stale objects.
-        The tables, fronts and selections derived under that key stay: the
-        replaced space kept alive every object whose ``id()`` is part of the
-        key, so the new instances can differ from the old ones only in parts
-        that are keyed by value.
-        """
-        key = self.space_key(trained, soc, energy_model, clusters, max_cores_per_cluster)
-        space = self._spaces.get(key)
-        if (
-            space is None
-            or space.trained is not trained
-            or space.soc is not soc
-            or space.energy_model is not energy_model
-        ):
-            if space is not None:
-                self._points_priced_replaced += space.points_priced
-            space = OperatingPointSpace(
-                trained=trained,
-                soc=soc,
-                energy_model=energy_model,
-                clusters=clusters,
-                max_cores_per_cluster=max_cores_per_cluster,
-            )
-            self._spaces[key] = space
-            self.stats.spaces_built += 1
-        return space
 
     # ----------------------------------------------------------- enumeration
 
     def query_key(
         self,
-        space: OperatingPointSpace,
+        trained: TrainedDynamicDNN,
+        soc: Soc,
+        energy_model: EnergyModel,
+        max_cores_per_cluster: int = 4,
         clusters: Optional[Sequence[str]] = None,
         configurations: Optional[Sequence[float]] = None,
         core_counts: Optional[Sequence[int]] = None,
         frequencies: Optional[dict] = None,
         temperature_c: float = 45.0,
     ) -> tuple:
-        """Complete key of one enumeration query.
+        """Complete key of one enumeration query (:meth:`enumerate_table`'s arguments).
 
         Includes the online-core count of every requested cluster, because
         the power model charges idle power for online cores; offlining cores
         therefore changes keys (and prices) rather than silently reusing
         stale entries.
         """
-        cluster_names = list(clusters) if clusters is not None else list(space.cluster_names)
+        cluster_names = list(clusters) if clusters is not None else soc.cluster_names
         online = tuple(
-            (name, len(space.soc.cluster(name).online_cores))
+            (name, len(soc.cluster(name).online_cores))
             for name in cluster_names
-            if space.soc.has_cluster(name)
+            if soc.has_cluster(name)
         )
         frequency_key: Optional[tuple] = None
         if frequencies is not None:
@@ -303,13 +215,10 @@ class OperatingPointCache:
                 if name in cluster_names
             )
         return (
-            self.space_key(
-                space.trained,
-                space.soc,
-                space.energy_model,
-                None,
-                space.max_cores_per_cluster,
-            ),
+            model_cache_key(trained),
+            soc.topology_key(),
+            model_cache_key(energy_model),
+            max_cores_per_cluster,
             tuple(cluster_names),
             online,
             tuple(configurations) if configurations is not None else None,
@@ -320,33 +229,25 @@ class OperatingPointCache:
 
     def enumerate_table(
         self,
-        space: OperatingPointSpace,
+        trained: TrainedDynamicDNN,
+        soc: Soc,
+        energy_model: EnergyModel,
+        max_cores_per_cluster: int = 4,
         clusters: Optional[Sequence[str]] = None,
         configurations: Optional[Sequence[float]] = None,
         core_counts: Optional[Sequence[int]] = None,
         frequencies: Optional[dict] = None,
         temperature_c: float = 45.0,
-        *,
-        _key: Optional[tuple] = None,
     ) -> OperatingPointTable:
-        """Memoised :meth:`OperatingPointSpace.enumerate_table`.
+        """Price one enumeration query afresh: the miss path of :meth:`front_for`.
 
-        Tables are immutable (read-only columns), so the memoised instance is
-        returned directly — no defensive copy is needed.  Counts into the
-        ``hits``/``misses`` statistics.  ``_key`` lets a caller that already
-        built this query's :meth:`query_key` pass it instead of having it
-        rebuilt.
+        The query is priced by a new
+        :class:`~repro.rtm.operating_points.OperatingPointSpace` over the live
+        platform and models (see
+        :meth:`~repro.rtm.operating_points.OperatingPointSpace.enumerate_table`),
+        and every point it prices counts into :attr:`points_priced`.
         """
-        key = _key
-        if key is None:
-            key = self.query_key(
-                space, clusters, configurations, core_counts, frequencies, temperature_c
-            )
-        cached = self._tables.get(key)
-        if cached is not None:
-            self.stats.hits += 1
-            return cached
-        self.stats.misses += 1
+        space = OperatingPointSpace(trained, soc, energy_model, max_cores_per_cluster)
         table = space.enumerate_table(
             clusters=clusters,
             configurations=configurations,
@@ -354,31 +255,44 @@ class OperatingPointCache:
             frequencies=frequencies,
             temperature_c=temperature_c,
         )
-        self._tables[key] = table
+        self.points_priced += space.points_priced
         return table
 
-    def pareto_table_for(
-        self,
-        key: tuple,
-        table: OperatingPointTable,
-        objectives: Sequence[str] = DECISION_OBJECTIVES,
-        maximise: Sequence[str] = DECISION_MAXIMISE,
-    ) -> OperatingPointTable:
+    def front_for(self, key: tuple, **query) -> OperatingPointTable:
+        """Memoised Pareto front of one enumeration query.
+
+        ``query`` holds :meth:`enumerate_table`'s arguments and ``key`` is
+        their :meth:`query_key`.  Tables are immutable (read-only columns),
+        so the memoised front is returned directly.  A hit counts one
+        ``hits`` and one ``pareto_hits``; a miss prices the query and fronts
+        it through :meth:`pareto_table_for`, counting one ``misses`` and one
+        ``pareto_misses``.
+        """
+        front = self._fronts.get(key)
+        if front is not None:
+            self.stats.hits += 1
+            self.stats.pareto_hits += 1
+            return front
+        self.stats.misses += 1
+        return self.pareto_table_for(key, self.enumerate_table(**query))
+
+    def pareto_table_for(self, key: tuple, table: OperatingPointTable) -> OperatingPointTable:
         """Memoised Pareto front of a table identified by ``key``.
 
-        ``key`` must determine ``table`` (callers pass the query key — or a
-        tuple of query keys for a multi-cluster union — of the enumeration
-        that produced it).  Counts into the ``pareto_hits``/``pareto_misses``
-        statistics.
+        ``key`` must determine ``table``: :meth:`front_for` passes the query
+        key of the enumeration that produced it, the allocator
+        ``("union", query_keys)`` for the union of an application's
+        per-cluster fronts.  The front minimises :data:`DECISION_OBJECTIVES`
+        and maximises :data:`DECISION_MAXIMISE`.  Counts into the
+        ``pareto_hits``/``pareto_misses`` statistics.
         """
-        full_key = (key, tuple(objectives), tuple(maximise))
-        cached = self._pareto_tables.get(full_key)
-        if cached is not None:
+        front = self._fronts.get(key)
+        if front is not None:
             self.stats.pareto_hits += 1
-            return cached
+            return front
         self.stats.pareto_misses += 1
-        front = table.pareto(objectives=objectives, maximise=maximise)
-        self._pareto_tables[full_key] = front
+        front = table.pareto(objectives=DECISION_OBJECTIVES, maximise=DECISION_MAXIMISE)
+        self._fronts[key] = front
         return front
 
     def selection_for(
@@ -402,11 +316,3 @@ class OperatingPointCache:
         chosen = select()
         self._selections[key] = chosen
         return chosen
-
-    @property
-    def points_priced(self) -> int:
-        """Energy-model evaluations performed by every space this cache built,
-        including the ones :meth:`space_for` has since replaced."""
-        return self._points_priced_replaced + sum(
-            space.points_priced for space in self._spaces.values()
-        )

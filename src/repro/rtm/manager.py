@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.dnn.training import TrainedDynamicDNN
 from repro.perfmodel.calibrated import CalibratedLatencyModel
 from repro.perfmodel.energy import EnergyModel
@@ -339,32 +337,26 @@ class RuntimeManager:
         power / accuracy budgets, return the (configuration, cluster, cores,
         frequency) combination the policy prefers.
         """
-        configurations = None if self.config.enable_dnn_scaling else [1.0]
-        temperature = temperature_bucket_c(
-            soc.thermal.temperature_c, self.config.temperature_bucket_width_c
-        )
         query = dict(
-            configurations=configurations,
+            trained=trained,
+            soc=soc,
+            energy_model=self.energy_model,
+            max_cores_per_cluster=self.config.max_cores_per_app,
+            clusters=clusters,
+            configurations=None if self.config.enable_dnn_scaling else [1.0],
             core_counts=core_counts,
-            temperature_c=temperature,
+            # Without DVFS every cluster stays at its current frequency.
+            frequencies=(
+                None
+                if self.config.enable_dvfs
+                else {cluster.name: [cluster.frequency_mhz] for cluster in soc.clusters}
+            ),
+            temperature_c=temperature_bucket_c(
+                soc.thermal.temperature_c, self.config.temperature_bucket_width_c
+            ),
         )
-        cache = self.cache
-        space = cache.space_for(
-            trained, soc, self.energy_model, clusters, self.config.max_cores_per_app
-        )
-        pareto_key = cache.query_key(space, **query)
-        table = cache.enumerate_table(space, **query, _key=pareto_key)
-        if not self.config.enable_dvfs:
-            current = {cluster.name: cluster.frequency_mhz for cluster in soc.clusters}
-            pinned = np.array(
-                [current[name] for name in table.cluster_names], dtype=float
-            )[table.cluster_index]
-            table = table.take(np.flatnonzero(np.abs(table.frequency_mhz - pinned) < 1e-6))
-            pareto_key = ("dvfs_pinned", pareto_key, tuple(sorted(current.items())))
-        # The front is taken after any DVFS pinning: a point's dominator may
-        # itself be pinned away, so filtering first would not be equivalent.
-        table = cache.pareto_table_for(pareto_key, table)
-        return self.policy.select_table(table, requirements, power_cap_mw=power_cap_mw)
+        front = self.cache.front_for(self.cache.query_key(**query), **query)
+        return self.policy.select_table(front, requirements, power_cap_mw=power_cap_mw)
 
     def explain(self, point: OperatingPoint, requirements: Requirements) -> Dict[str, object]:
         """A structured explanation of why a point satisfies (or not) a budget."""

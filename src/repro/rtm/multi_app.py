@@ -106,9 +106,9 @@ class MultiAppAllocator:
         Upper bound on the cores a single DNN may occupy.
     cache:
         The :class:`OperatingPointCache` every allocation goes through (a
-        fresh private one when omitted): enumerated point tables, Pareto
-        fronts and the priced blocks are reused across decision epochs, and
-        so is each application's selection: a repeated (candidate queries,
+        fresh private one when omitted): the Pareto fronts of the candidate
+        queries are reused across decision epochs, and so is each
+        application's selection: a repeated (candidate queries,
         policy, requirements, power cap) sub-problem returns its memoised
         point without enumerating (policies whose ``cache_key()`` is
         ``None`` always select afresh).
@@ -294,18 +294,16 @@ class MultiAppAllocator:
         configurations = None if self.allow_dnn_scaling else [1.0]
         assert application.trained is not None
         cache = self.cache
-        space = cache.space_for(
-            trained=application.trained,
-            soc=state.soc,
-            energy_model=self.energy_model,
-            max_cores_per_cluster=self.max_cores_per_app,
-        )
         temperature = temperature_bucket_c(
             state.soc.thermal.temperature_c, self.temperature_bucket_width_c
         )
         core_limit = {name: min(available[name], self.max_cores_per_app) for name in clusters}
         queries = [
             dict(
+                trained=application.trained,
+                soc=state.soc,
+                energy_model=self.energy_model,
+                max_cores_per_cluster=self.max_cores_per_app,
                 clusters=[name],
                 configurations=configurations,
                 core_counts=list(range(1, core_limit[name] + 1)),
@@ -314,9 +312,9 @@ class MultiAppAllocator:
             )
             for name in clusters
         ]
-        # One query key per cluster serves its enumeration, its front, the
-        # union front and the selection memo.
-        query_keys = tuple(cache.query_key(space, **query) for query in queries)
+        # One query key per cluster serves its front, the union front and the
+        # selection memo.
+        query_keys = tuple(cache.query_key(**query) for query in queries)
         policy = self.policy_for(app_state.app_id)
         requirements = application.requirements
 
@@ -329,8 +327,7 @@ class MultiAppAllocator:
             # front of the union of per-cluster fronts, in the same order)
             # and keeps the O(n^2) domination broadcast on small tables.
             cluster_fronts = [
-                cache.pareto_table_for(key, cache.enumerate_table(space, **query, _key=key))
-                for query, key in zip(queries, query_keys)
+                cache.front_for(key, **query) for query, key in zip(queries, query_keys)
             ]
             # The decision front: the domination axes cover every metric the
             # requirements and policies read, so a dominated point can never

@@ -13,11 +13,9 @@ numpy operations (see :meth:`EnergyModel.cost_grid`) and materialised as an
 per metric and knob.  The decision path (Pareto pre-filtering, requirement
 checking, policy scoring) operates on those columns directly instead of
 looping over :class:`OperatingPoint` objects; the object form is materialised
-lazily for callers that want it.  Blocks are memoised for the lifetime of the
-space, keyed by everything that determines them (cluster, online cores,
-temperature, requested axes), and
-:class:`~repro.rtm.cache.OperatingPointCache` keeps spaces alive across
-decision epochs so the grid is priced once per scenario, not once per epoch.
+lazily for callers that want it.  A space memoises nothing: the decision
+path asks :class:`~repro.rtm.cache.OperatingPointCache`, which prices a query
+here once and keeps its Pareto front.
 
 The vectorised pricing replays the exact float-operation order of per-point
 :meth:`EnergyModel.cost` calls, so every table entry is bit-identical to
@@ -382,8 +380,6 @@ class OperatingPointSpace:
         The platform.
     energy_model:
         Estimator combining latency and power models.
-    clusters:
-        Cluster names to consider; defaults to every cluster of the SoC.
     max_cores_per_cluster:
         Cap on how many cores of one cluster a single inference may use.
     """
@@ -393,7 +389,6 @@ class OperatingPointSpace:
         trained: TrainedDynamicDNN,
         soc: Soc,
         energy_model: EnergyModel,
-        clusters: Optional[Sequence[str]] = None,
         max_cores_per_cluster: int = 4,
     ) -> None:
         if max_cores_per_cluster <= 0:
@@ -401,19 +396,9 @@ class OperatingPointSpace:
         self.trained = trained
         self.soc = soc
         self.energy_model = energy_model
-        self.cluster_names = list(clusters) if clusters is not None else soc.cluster_names
         self.max_cores_per_cluster = max_cores_per_cluster
-        #: Distinct operating points priced so far (cache-efficiency probe).
+        #: Operating points priced so far.
         self.points_priced = 0
-        # Per-configuration (network, accuracy, confidence) triples.
-        self._fraction_cache: Dict[float, tuple] = {}
-        # Point keys priced so far.  points_priced counts *distinct* points:
-        # a restricted query over an already-priced grid arrives as a new
-        # block shape and re-derives its columns in a few vectorised ops, but
-        # never counts a previously-priced point again.
-        self._priced_keys: set = set()
-        # Priced column blocks keyed by everything that determines them.
-        self._block_cache: Dict[tuple, OperatingPointTable] = {}
 
     # ------------------------------------------------------------- candidates
 
@@ -423,57 +408,6 @@ class OperatingPointSpace:
         """Default (configurations, core counts, frequencies) of one cluster."""
         counts = list(range(1, min(cluster.num_cores, self.max_cores_per_cluster) + 1))
         return list(self.trained.configurations), counts, cluster.available_frequencies()
-
-    def _fraction_data(self, fraction: float) -> tuple:
-        data = self._fraction_cache.get(fraction)
-        if data is None:
-            data = (
-                self.trained.dynamic_dnn.model_for(fraction),
-                self.trained.top1(fraction),
-                self.trained.confidence(fraction),
-            )
-            self._fraction_cache[fraction] = data
-        return data
-
-    # ------------------------------------------------------------------ blocks
-
-    def _block(
-        self,
-        cluster: Cluster,
-        fractions: Sequence[float],
-        counts: Sequence[int],
-        frequencies: Sequence[float],
-        temperature_c: float,
-    ) -> OperatingPointTable:
-        """Memoised columnar pricing of one (fractions x counts x freqs) block.
-
-        The key covers every input of the cost model, including the cluster's
-        online-core count (idle power is charged per online core), so a block
-        is priced exactly once per distinct platform condition.
-        """
-        online = len(cluster.online_cores)
-        key = (
-            cluster.name,
-            online,
-            temperature_c,
-            tuple(fractions),
-            tuple(counts),
-            tuple(frequencies),
-        )
-        block = self._block_cache.get(key)
-        if block is None:
-            block = self._price_block(cluster, fractions, counts, frequencies, temperature_c)
-            self._block_cache[key] = block
-            newly_priced = 0
-            for fraction in fractions:
-                for cores in counts:
-                    for frequency in frequencies:
-                        point_key = (cluster.name, online, temperature_c, fraction, cores, frequency)
-                        if point_key not in self._priced_keys:
-                            self._priced_keys.add(point_key)
-                            newly_priced += 1
-            self.points_priced += newly_priced
-        return block
 
     def _price_block(
         self,
@@ -485,6 +419,7 @@ class OperatingPointSpace:
     ) -> OperatingPointTable:
         """Price one block in a few vectorised operations per configuration."""
         rows = len(fractions) * len(counts) * len(frequencies)
+        self.points_priced += rows
         if rows == 0:
             return OperatingPointTable.empty()
         per_block = len(counts) * len(frequencies)
@@ -495,9 +430,8 @@ class OperatingPointSpace:
         confidence = np.empty(rows, dtype=float)
         configuration = np.empty(rows, dtype=float)
         for index, fraction in enumerate(fractions):
-            network, top1, conf = self._fraction_data(fraction)
             lat, pow_, ener = self.energy_model.cost_grid(
-                network,
+                self.trained.dynamic_dnn.model_for(fraction),
                 cluster,
                 frequencies_mhz=list(frequencies),
                 core_counts=list(counts),
@@ -509,8 +443,8 @@ class OperatingPointSpace:
             latency[start:stop] = lat.ravel()
             power[start:stop] = pow_.ravel()
             energy[start:stop] = ener.ravel()
-            accuracy[start:stop] = top1
-            confidence[start:stop] = conf
+            accuracy[start:stop] = self.trained.top1(fraction)
+            confidence[start:stop] = self.trained.confidence(fraction)
             configuration[start:stop] = fraction
         cores_column = np.tile(
             np.repeat(np.asarray(counts, dtype=np.int64), len(frequencies)), len(fractions)
@@ -540,8 +474,8 @@ class OperatingPointSpace:
         frequencies: Optional[dict] = None,
         temperature_c: float = 45.0,
     ) -> List[OperatingPointTable]:
-        """Per-cluster blocks of one enumeration query (memoised pricing)."""
-        cluster_names = list(clusters) if clusters is not None else list(self.cluster_names)
+        """Per-cluster priced blocks of one enumeration query."""
+        cluster_names = list(clusters) if clusters is not None else self.soc.cluster_names
         blocks: List[OperatingPointTable] = []
         for cluster_name in cluster_names:
             if not self.soc.has_cluster(cluster_name):
@@ -560,7 +494,7 @@ class OperatingPointSpace:
             else:
                 counts = [c for c in core_counts if 1 <= c <= cluster.num_cores]
             blocks.append(
-                self._block(cluster, fractions, counts, cluster_frequencies, temperature_c)
+                self._price_block(cluster, fractions, counts, cluster_frequencies, temperature_c)
             )
         return blocks
 
@@ -582,8 +516,9 @@ class OperatingPointSpace:
         Parameters
         ----------
         clusters:
-            Restrict to these clusters (e.g. the ones with free cores).
-            Clusters the platform lacks are skipped.
+            Restrict to these clusters (e.g. the ones with free cores);
+            defaults to every cluster of the SoC.  Clusters the platform
+            lacks are skipped.
         configurations:
             Restrict to these dynamic-DNN fractions.
         core_counts:

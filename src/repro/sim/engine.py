@@ -138,19 +138,21 @@ class SharedSimulationStores:
     """Value-keyed memo stores of one or more simulators, plus their counters.
 
     A simulator built without ``stores=`` gets a private instance; a batch or
-    a fleet passes one instance to every replica.  The three operating-point
-    stores are the entry dicts of every replica manager's
-    :class:`~repro.rtm.cache.OperatingPointCache`, keyed by the cache's own
-    complete query keys (model cache key, platform topology key, online
-    cores, temperature bucket, ...) — the selection store adds the policy and
-    requirements keys and the power cap — and never flushed.  The decision
-    store is keyed by (manager behaviour key, decision signature).  The cost
-    counters aggregate the simulators' local job-cost memos (those key by
-    per-simulator object ids, so their entries are local by construction).
+    a fleet passes one instance to every replica.  The two operating-point
+    stores (Pareto fronts and selections) are the entry dicts of every
+    replica manager's :class:`~repro.rtm.cache.OperatingPointCache`, keyed by
+    the cache's own complete query keys (model cache key, platform topology
+    key, online cores, temperature bucket, ...) — the selection store adds
+    the policy and requirements keys and the power cap — and never flushed.
+    The decision store is keyed by (manager behaviour key, decision
+    signature).  The cost counters aggregate the simulators' local job-cost
+    memos (those key by per-simulator object ids, so their entries are local
+    by construction).  :meth:`stats` reports ``deduplicated_replicas`` as 0
+    (no replica is merged into another) for the repository benchmark, whose
+    traced ``experiments.dedup_pct`` reads it.
     """
 
     def __init__(self) -> None:
-        self.tables: Dict[tuple, object] = {}
         self.pareto_tables: Dict[tuple, object] = {}
         self.selections: Dict[tuple, object] = {}
         self.decisions: Dict[tuple, tuple] = {}
@@ -161,7 +163,6 @@ class SharedSimulationStores:
         self.decision_misses = 0
         self.cost_hits = 0
         self.cost_misses = 0
-        self.deduplicated_replicas = 0
 
     def stats(self) -> Dict[str, int]:
         """Counter snapshot for benchmarks and diagnostics."""
@@ -170,8 +171,7 @@ class SharedSimulationStores:
             "decision_misses": self.decision_misses,
             "cost_hits": self.cost_hits,
             "cost_misses": self.cost_misses,
-            "deduplicated_replicas": self.deduplicated_replicas,
-            "tables": len(self.tables),
+            "deduplicated_replicas": 0,
             "pareto_tables": len(self.pareto_tables),
             "selections": len(self.selections),
         }

@@ -416,7 +416,7 @@ class FaultPlan:
         return cls.from_dict(read_table_file(path, FaultPlanError, "fault plan"))
 
     def content_key(self) -> str:
-        """Canonical string form, stable across load paths; used for dedup."""
+        """Canonical string form, stable across load paths."""
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def describe(self) -> str:

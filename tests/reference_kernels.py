@@ -60,7 +60,7 @@ def enumerate_points(
     if configurations is None:
         configurations = space.trained.configurations
     points = []
-    for name in clusters if clusters is not None else space.cluster_names:
+    for name in clusters if clusters is not None else space.soc.cluster_names:
         if not space.soc.has_cluster(name):
             continue
         cluster = space.soc.cluster(name)
@@ -226,52 +226,34 @@ def table_of(points: Sequence[OperatingPoint]) -> OperatingPointTable:
 class UnmemoisedOperatingPoints:
     """The operating-point cache's interface, memoising nothing.
 
-    ``space_for`` builds a fresh space per call, so no priced block outlives
-    one allocation; ``enumerate_table``, ``pareto_table_for`` and
-    ``selection_for`` compute their answer on every call and ignore every
-    key.  Its statistics stay at zero: it serves nothing.
+    ``front_for`` prices its query on a fresh space and fronts it on every
+    call; ``pareto_table_for`` and ``selection_for`` compute their answer on
+    every call too, and every key is ignored.  Its statistics stay at zero:
+    it serves nothing.
     """
 
     def __init__(self) -> None:
         self.stats = CacheStats()
 
-    def space_for(
-        self, trained, soc, energy_model, clusters=None, max_cores_per_cluster=4
-    ) -> OperatingPointSpace:
-        return OperatingPointSpace(
-            trained=trained,
-            soc=soc,
-            energy_model=energy_model,
-            clusters=clusters,
-            max_cores_per_cluster=max_cores_per_cluster,
-        )
-
-    def query_key(self, space, **query) -> None:
+    def query_key(self, **query) -> None:
         return None
 
-    def enumerate_table(
+    def front_for(
         self,
-        space,
-        clusters=None,
-        configurations=None,
-        core_counts=None,
-        frequencies=None,
-        temperature_c=45.0,
-        *,
-        _key=None,
+        key,
+        trained,
+        soc,
+        energy_model,
+        max_cores_per_cluster=4,
+        **query,
     ) -> OperatingPointTable:
-        return space.enumerate_table(
-            clusters=clusters,
-            configurations=configurations,
-            core_counts=core_counts,
-            frequencies=frequencies,
-            temperature_c=temperature_c,
+        space = OperatingPointSpace(trained, soc, energy_model, max_cores_per_cluster)
+        return space.enumerate_table(**query).pareto(
+            objectives=DECISION_OBJECTIVES, maximise=DECISION_MAXIMISE
         )
 
-    def pareto_table_for(
-        self, key, table, objectives=DECISION_OBJECTIVES, maximise=DECISION_MAXIMISE
-    ) -> OperatingPointTable:
-        return table.pareto(objectives=objectives, maximise=maximise)
+    def pareto_table_for(self, key, table) -> OperatingPointTable:
+        return table.pareto(objectives=DECISION_OBJECTIVES, maximise=DECISION_MAXIMISE)
 
     def selection_for(self, key, select) -> Optional[OperatingPoint]:
         return select()

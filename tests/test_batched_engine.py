@@ -111,14 +111,15 @@ class TestBatchCompositionInvariance:
         for label, fingerprint in base_fingerprints.items():
             assert enlarged_fingerprints[label] == fingerprint
 
-    def test_seed_insensitive_replicas_share_one_trace(self):
-        # fig2 ignores the seed, so the engine deduplicates the replicas;
-        # every label must still come back, all with the same fingerprint.
+    def test_seed_insensitive_replicas_match_their_serial_runs(self):
+        # fig2 ignores the seed, so its replicas have equal inputs; each still
+        # runs as its own replica and comes back as its serial run does.
         specs = [ExperimentSpec(scenario="fig2", manager="rtm", seed=seed) for seed in (0, 1)]
         batch = run_many(specs, backend="batched")
-        assert not batch.errors
+        serial = run_many(specs, backend="serial")
+        assert not batch.errors and not serial.errors
         fingerprints = _fingerprints(batch)
-        assert len(fingerprints) == 2
+        assert fingerprints == _fingerprints(serial)
         assert len(set(fingerprints.values())) == 1
 
 

@@ -539,9 +539,10 @@ class TestComposedScenariosThroughSpecs:
         shared = ArrivalTrace.from_scenario(build_scenario("bursty", seed=0)).to_scenario()
         assert shared.dnn_applications[0].trained is shared.dnn_applications[1].trained
 
-    def test_batched_dedup_tells_shared_models_from_private_ones(self, tmp_path):
+    def test_batched_equals_serial_on_shared_and_private_models(self, tmp_path):
         # The two traces differ only in which DNN apps co-scale: all six
         # share one model in the recording, each has its own in the copy.
+        # The batched replicas must tell them apart as the serial runs do.
         trace = ArrivalTrace.from_scenario(build_scenario("overload", seed=0))
         assert {r["model_ref"] for r in trace.applications if "model_ref" in r} == {0}
         shared = tmp_path / "shared.jsonl"

@@ -12,14 +12,16 @@ from repro.perfmodel.energy import EnergyModel
 from repro.perfmodel.roofline import RooflineLatencyModel
 from repro.platforms.presets import odroid_xu3
 from repro.rtm.cache import (
+    DECISION_MAXIMISE,
+    DECISION_OBJECTIVES,
     OperatingPointCache,
     model_cache_key,
-    soc_topology_key,
     temperature_bucket_c,
 )
-from repro.rtm.manager import RuntimeManager
+from repro.rtm.manager import RTMConfig, RuntimeManager
 from repro.rtm.operating_points import OperatingPointSpace
 from repro.rtm.state import AppRuntimeState, MapApplication, Mapping, SystemState
+from repro.sim.engine import SharedSimulationStores
 from repro.workloads.requirements import Requirements
 from repro.workloads.tasks import make_dnn_application
 from tests.reference_kernels import UnmemoisedOperatingPoints
@@ -114,37 +116,17 @@ class TestModelCacheKeys:
         assert smaller.cache_key() != trained_dnn.cache_key()
 
     def test_soc_topology_key_reflects_presets(self, xu3, nano):
-        assert soc_topology_key(xu3) == soc_topology_key(odroid_xu3())
-        assert soc_topology_key(xu3) != soc_topology_key(nano)
+        assert xu3.topology_key() == odroid_xu3().topology_key()
+        assert xu3.topology_key() != nano.topology_key()
+
+
+def _fresh_front(trained_dnn, soc, energy_model, **query):
+    """The front of one query priced on a fresh space, with no cache at all."""
+    table = OperatingPointSpace(trained_dnn, soc, energy_model).enumerate_table(**query)
+    return table.pareto(objectives=DECISION_OBJECTIVES, maximise=DECISION_MAXIMISE)
 
 
 class TestOperatingPointSpaceMemo:
-    def test_repeated_enumeration_prices_once(self, trained_dnn, xu3, energy_model):
-        space = OperatingPointSpace(trained_dnn, xu3, energy_model)
-        first = space.enumerate_table(temperature_c=45.0)
-        priced = space.points_priced
-        assert priced == len(first)
-        second = space.enumerate_table(temperature_c=45.0)
-        assert space.points_priced == priced
-        assert second.points == first.points
-
-    def test_restrictions_are_views_over_the_grid(self, trained_dnn, xu3, energy_model):
-        space = OperatingPointSpace(trained_dnn, xu3, energy_model)
-        space.enumerate_table(temperature_c=45.0)
-        priced = space.points_priced
-        restricted = space.enumerate_table(
-            clusters=["a15"],
-            configurations=[1.0],
-            core_counts=[1, 2],
-            frequencies={"a15": [1800.0]},
-            temperature_c=45.0,
-        ).points
-        # Every restricted point was already priced by the full enumeration.
-        assert space.points_priced == priced
-        assert {point.cores for point in restricted} == {1, 2}
-        assert {point.frequency_mhz for point in restricted} == {1800.0}
-        assert {point.configuration for point in restricted} == {1.0}
-
     def test_temperature_changes_reprice(self, trained_dnn, xu3, energy_model):
         space = OperatingPointSpace(trained_dnn, xu3, energy_model)
         cool = space.enumerate_table(clusters=["a15"], core_counts=[1], temperature_c=45.0).points
@@ -159,51 +141,68 @@ class TestOperatingPointCache:
     def cache(self):
         return OperatingPointCache()
 
+    @staticmethod
+    def front(cache, trained_dnn, soc, energy_model, **restrictions):
+        query = dict(trained=trained_dnn, soc=soc, energy_model=energy_model, **restrictions)
+        return cache.front_for(cache.query_key(**query), **query)
+
     def test_hit_and_miss_counting(self, cache, trained_dnn, xu3, energy_model):
-        space = cache.space_for(trained_dnn, xu3, energy_model)
-        cache.enumerate_table(space, temperature_c=45.0)
+        self.front(cache, trained_dnn, xu3, energy_model, temperature_c=45.0)
         assert (cache.stats.hits, cache.stats.misses) == (0, 1)
-        cache.enumerate_table(space, temperature_c=45.0)
+        self.front(cache, trained_dnn, xu3, energy_model, temperature_c=45.0)
         assert (cache.stats.hits, cache.stats.misses) == (1, 1)
-        cache.enumerate_table(space, temperature_c=50.0)  # different bucket -> miss
+        # A different bucket is a different key: a miss.
+        self.front(cache, trained_dnn, xu3, energy_model, temperature_c=50.0)
         assert (cache.stats.hits, cache.stats.misses) == (1, 2)
         assert cache.stats.hit_rate == pytest.approx(1 / 3)
-
-    def test_space_is_memoised_per_identity(self, cache, trained_dnn, xu3, energy_model):
-        space = cache.space_for(trained_dnn, xu3, energy_model)
-        assert cache.space_for(trained_dnn, xu3, energy_model) is space
-        assert cache.stats.spaces_built == 1
-        # A different platform instance with identical topology must not be
-        # priced against the old object's live state.
-        other = cache.space_for(trained_dnn, odroid_xu3(), energy_model)
-        assert other is not space
-        assert cache.stats.spaces_built == 2
+        assert (cache.stats.pareto_hits, cache.stats.pareto_misses) == (1, 2)
 
     def test_rebuilt_space_keeps_serving_its_tables(self, cache, trained_dnn, xu3, energy_model):
-        space = cache.space_for(trained_dnn, xu3, energy_model)
-        table = cache.enumerate_table(space, temperature_c=45.0)
-        # Same key, different platform instance: the space is rebuilt over the
-        # live objects, but the key is complete, so its tables still hold.
-        rebuilt = cache.space_for(trained_dnn, odroid_xu3(), energy_model)
-        assert rebuilt is not space
-        assert cache.enumerate_table(rebuilt, temperature_c=45.0) is table
+        front = self.front(cache, trained_dnn, xu3, energy_model, temperature_c=45.0)
+        # Same topology, different platform instance: the key is complete, so
+        # the memoised front still holds for it.
+        other = odroid_xu3()
+        assert self.front(cache, trained_dnn, other, energy_model, temperature_c=45.0) is front
         assert (cache.stats.hits, cache.stats.misses) == (1, 1)
-        assert table.points == rebuilt.enumerate_table(temperature_c=45.0).points
+        fresh = _fresh_front(trained_dnn, other, energy_model, temperature_c=45.0)
+        assert front.points == fresh.points
 
     def test_online_core_count_is_part_of_the_key(
         self, cache, trained_dnn, xu3, energy_model
     ):
-        space = cache.space_for(trained_dnn, xu3, energy_model)
-        online = cache.enumerate_table(
-            space, clusters=["a15"], core_counts=[1], temperature_c=45.0
-        ).points
+        query = dict(clusters=["a15"], core_counts=[1], temperature_c=45.0)
+        online = self.front(cache, trained_dnn, xu3, energy_model, **query)
         xu3.cluster("a15").cores[3].set_online(False)
-        offline = cache.enumerate_table(
-            space, clusters=["a15"], core_counts=[1], temperature_c=45.0
-        ).points
+        offline = self.front(cache, trained_dnn, xu3, energy_model, **query)
         assert cache.stats.misses == 2  # the key changed, no stale hit
-        # One fewer online core draws less idle power at identical settings.
-        assert offline[0].power_mw < online[0].power_mw
+        assert offline.points == _fresh_front(trained_dnn, xu3, energy_model, **query).points
+        # One fewer online core draws less idle power at identical settings,
+        # so the least power either front offers falls too.
+        assert offline.power_mw.min() < online.power_mw.min()
+
+    def test_caches_over_one_store_share_their_fronts(self, trained_dnn, xu3, energy_model):
+        stores = SharedSimulationStores()
+        first, second = OperatingPointCache(stores), OperatingPointCache(stores)
+        front = self.front(first, trained_dnn, xu3, energy_model, temperature_c=45.0)
+        assert self.front(second, trained_dnn, xu3, energy_model, temperature_c=45.0) is front
+        # Statistics and the priced count stay per cache.
+        assert (second.stats.hits, second.stats.misses) == (1, 0)
+        assert first.points_priced > 0 and second.points_priced == 0
+        assert stores.stats()["pareto_tables"] == 1
+
+    def test_points_priced_counts_the_points_priced(
+        self, cache, trained_dnn, xu3, energy_model
+    ):
+        rows = 0
+        for core_counts in ([1, 2], [1, 2, 3]):
+            query = dict(clusters=["a15"], core_counts=core_counts, temperature_c=45.0)
+            self.front(cache, trained_dnn, xu3, energy_model, **query)
+            space = OperatingPointSpace(trained_dnn, xu3, energy_model)
+            rows += len(space.enumerate_table(**query))
+        # The second query's key differs, so it is priced whole, the points it
+        # shares with the first one included.
+        assert cache.stats.misses == 2
+        assert cache.points_priced == rows
 
 
 class TestManagerCacheIntegration:
@@ -225,6 +224,24 @@ class TestManagerCacheIntegration:
         reference = RuntimeManager(cache=UnmemoisedOperatingPoints())
         assert cached == reference.select_operating_point(trained_dnn, xu3, requirements)
 
+    def test_selection_without_dvfs_keeps_each_cluster_at_its_frequency(
+        self, trained_dnn, xu3
+    ):
+        config = RTMConfig(enable_dvfs=False)
+        cached = RuntimeManager(config=config)
+        reference = RuntimeManager(config=config, cache=UnmemoisedOperatingPoints())
+        requirements = Requirements(max_latency_ms=400.0, max_energy_mj=100.0)
+        for a15, a7 in ((1800.0, 1300.0), (600.0, 500.0), (1800.0, 1300.0)):
+            xu3.cluster("a15").set_frequency(a15)
+            xu3.cluster("a7").set_frequency(a7)
+            point = cached.select_operating_point(trained_dnn, xu3, requirements)
+            assert point == reference.select_operating_point(trained_dnn, xu3, requirements)
+            assert point.frequency_mhz == xu3.cluster(point.cluster_name).frequency_mhz
+        # The pinned frequencies are part of the key: the second setting is a
+        # miss, and the first one's front serves again when it returns.
+        stats = cached.cache_stats()
+        assert (stats.hits, stats.misses) == (1, 2)
+
     def test_repeated_selection_hits_the_cache(self, trained_dnn, xu3):
         manager = RuntimeManager()
         first = manager.select_operating_point(
@@ -245,9 +262,10 @@ class TestManagerCacheIntegration:
                 trained_dnn, odroid_xu3(), Requirements(target_fps=10)
             )
             counts.append(manager.cache.points_priced)
-        # The second platform instance rebuilds the space, whose query the
-        # table memo then serves: nothing new is priced, nothing is lost.
-        assert manager.cache_stats().spaces_built == 2
+        # The second platform instance asks the first one's query, which the
+        # front memo serves: nothing new is priced.
+        stats = manager.cache_stats()
+        assert (stats.hits, stats.misses) == (1, 1)
         assert counts[0] > 0
         assert counts[1] == counts[0]
 

@@ -33,8 +33,8 @@ def make_point(**overrides):
 
 class TestOperatingPointSpace:
     def test_enumeration_size(self, trained_dnn, xu3, energy_model):
-        space = OperatingPointSpace(trained_dnn, xu3, energy_model, clusters=["a15", "a7"])
-        points = space.enumerate_table(core_counts=[1]).points
+        space = OperatingPointSpace(trained_dnn, xu3, energy_model)
+        points = space.enumerate_table(clusters=["a15", "a7"], core_counts=[1]).points
         # 4 configurations x (17 A15 + 12 A7 frequencies) = 116 points.
         assert len(points) == 4 * (17 + 12)
 
@@ -46,20 +46,41 @@ class TestOperatingPointSpace:
         assert all(point.cores == 1 for point in points)
 
     def test_accuracy_attached_from_trained_model(self, trained_dnn, xu3, energy_model):
-        space = OperatingPointSpace(trained_dnn, xu3, energy_model, clusters=["a7"])
-        points = space.enumerate_table(configurations=[0.25], core_counts=[1]).points
+        space = OperatingPointSpace(trained_dnn, xu3, energy_model)
+        points = space.enumerate_table(
+            clusters=["a7"], configurations=[0.25], core_counts=[1]
+        ).points
         assert all(point.accuracy_percent == pytest.approx(56.0) for point in points)
 
     def test_frequency_restriction(self, trained_dnn, xu3, energy_model):
-        space = OperatingPointSpace(trained_dnn, xu3, energy_model, clusters=["a15"])
-        points = space.enumerate_table(frequencies={"a15": [1000.0]}, core_counts=[1]).points
+        space = OperatingPointSpace(trained_dnn, xu3, energy_model)
+        points = space.enumerate_table(
+            clusters=["a15"], frequencies={"a15": [1000.0]}, core_counts=[1]
+        ).points
         assert {point.frequency_mhz for point in points} == {1000.0}
 
+    def test_restrictions_select_the_requested_axes(self, trained_dnn, xu3, energy_model):
+        space = OperatingPointSpace(trained_dnn, xu3, energy_model)
+        points = space.enumerate_table(
+            clusters=["a15"],
+            configurations=[1.0],
+            core_counts=[1, 2],
+            frequencies={"a15": [1800.0]},
+            temperature_c=45.0,
+        ).points
+        assert {point.cluster_name for point in points} == {"a15"}
+        assert {point.cores for point in points} == {1, 2}
+        assert {point.frequency_mhz for point in points} == {1800.0}
+        assert {point.configuration for point in points} == {1.0}
+
     def test_latency_improves_with_frequency_and_cores(self, trained_dnn, xu3, energy_model):
-        space = OperatingPointSpace(trained_dnn, xu3, energy_model, clusters=["a15"])
+        space = OperatingPointSpace(trained_dnn, xu3, energy_model)
         def first(cores, frequency):
             table = space.enumerate_table(
-                configurations=[1.0], core_counts=[cores], frequencies={"a15": [frequency]}
+                clusters=["a15"],
+                configurations=[1.0],
+                core_counts=[cores],
+                frequencies={"a15": [frequency]},
             )
             return table.point(0)
 
@@ -78,8 +99,10 @@ class TestOperatingPointSpace:
         assert OperatingPointSpace(trained_dnn, nano, energy_model).fig4a_points() == []
 
     def test_unknown_cluster_is_skipped(self, trained_dnn, xu3, energy_model):
-        space = OperatingPointSpace(trained_dnn, xu3, energy_model, clusters=["npu", "a7"])
-        points = space.enumerate_table(core_counts=[1], configurations=[1.0]).points
+        space = OperatingPointSpace(trained_dnn, xu3, energy_model)
+        points = space.enumerate_table(
+            clusters=["npu", "a7"], core_counts=[1], configurations=[1.0]
+        ).points
         assert {point.cluster_name for point in points} == {"a7"}
 
 

@@ -158,8 +158,8 @@ class TestSelectionMemo:
         assert (cache.stats.selection_hits, cache.stats.selection_misses) == (1, 1)
         # A selection served whole counts as exactly one hit.
         assert cache.stats.hits == hits_before + 1
-        assert cache.stats.as_dict()["selection_hits"] == 1
-        assert cache.stats.as_dict()["selection_misses"] == 1
+        assert cache.stats.selection_hits == 1
+        assert cache.stats.selection_misses == 1
 
     def test_a_hit_records_the_home_cluster(self, xu3, trained_dnn, energy_model):
         # Without the mapping knob the home cluster is a decision input, so a
